@@ -47,13 +47,16 @@ class CachedPassResult:
     stored entry can never be corrupted by callers mutating the circuit a
     hit handed back.  ``metadata_delta`` / ``properties_delta`` hold only
     the keys the pass added or changed, letting a hit compose them onto
-    inputs that differ in (output-irrelevant) metadata.
+    inputs that differ in (output-irrelevant) metadata.  ``fingerprint``
+    is the output circuit's cache fingerprint, taken when the entry is
+    made, so the next pass's key needs no re-hash of a rebuilt circuit.
     """
 
     num_qubits: int
     num_clbits: int
     global_phase: float
     instructions: Tuple
+    fingerprint: Tuple
     metadata_delta: Dict[str, Any] = field(default_factory=dict)
     properties_delta: Dict[str, Any] = field(default_factory=dict)
 

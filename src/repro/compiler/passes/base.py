@@ -133,11 +133,15 @@ class PassManager:
         self.properties = properties
         self.history = []
         current = circuit
+        # Cache fingerprint of ``current`` when a cached pass produced it.
+        fingerprint = None
         for pass_ in self.passes:
             if self.collect_history:
                 before_size = current.size()
                 before_depth = current.depth()
-            current = self._run_pass(pass_, current, properties)
+            current, fingerprint = self._run_pass(
+                pass_, current, properties, fingerprint
+            )
             if self.collect_history:
                 self.history.append(
                     {
@@ -155,24 +159,32 @@ class PassManager:
     # ------------------------------------------------------------------
 
     def _run_pass(
-        self, pass_: Pass, circuit: QuantumCircuit, properties: PropertySet
-    ) -> QuantumCircuit:
+        self,
+        pass_: Pass,
+        circuit: QuantumCircuit,
+        properties: PropertySet,
+        fingerprint: Optional[Tuple],
+    ) -> Tuple[QuantumCircuit, Optional[Tuple]]:
+        """Run one pass; returns the output and, when a cache entry
+        describes it, the output's fingerprint (``None`` otherwise)."""
         cache = self.cache
         config_key = pass_.cache_key() if cache is not None else None
         if cache is None or config_key is None:
-            return pass_.run(circuit, properties)
+            return pass_.run(circuit, properties), None
 
         read_state = tuple(
             (key, _freeze_property(properties.get(key))) for key in pass_.reads
         )
-        key = (config_key, circuit_cache_fingerprint(circuit), read_state)
+        if fingerprint is None:
+            fingerprint = circuit_cache_fingerprint(circuit)
+        key = (config_key, fingerprint, read_state)
         entry = cache.get(key)
         if entry is None:
             entry, result = self._execute_and_snapshot(pass_, circuit, properties)
             cache.put(key, entry)
             for prop_key, value in entry.properties_delta.items():
                 properties[prop_key] = _copy_property(value)
-            return result
+            return result, entry.fingerprint
         # Hit: rebuild a fresh circuit from the immutable snapshot, carrying
         # the *input's* name/metadata plus the deltas the pass produced.
         metadata = dict(circuit.metadata)
@@ -188,7 +200,7 @@ class PassManager:
             global_phase=entry.global_phase,
             instructions=list(entry.instructions),
             metadata=metadata,
-        )
+        ), entry.fingerprint
 
     @staticmethod
     def _execute_and_snapshot(
@@ -219,6 +231,7 @@ class PassManager:
             num_clbits=result.num_clbits,
             global_phase=result.global_phase,
             instructions=tuple(result.instructions),
+            fingerprint=circuit_cache_fingerprint(result),
             metadata_delta={
                 k: _copy_property(v) for k, v in metadata_delta.items()
             },

@@ -13,6 +13,11 @@ to the sequential pre-vectorization implementation (pinned by the golden
 tests).  Tree fitting is pure Python (GIL-bound), so pooled fits default
 to a process pool (PR 6): each worker receives ``(X, y)`` once through
 the pool initializer and fitted trees return as flat numpy arrays.
+
+Prediction descends every tree at once on one :class:`~.tree.FlatForest`,
+built whenever the member list is assigned (fit, refresh, model load),
+and averages over trees with a sequential sum, so a row's prediction does
+not depend on which other rows share its call.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from ..parallel import (
     resolve_mode,
     resolve_workers,
 )
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, FlatForest
 
 
 #: Per-batch invariants installed in each pool worker by
@@ -48,6 +53,17 @@ def _fit_tree_in_worker(draw: Tuple[int, np.ndarray]) -> DecisionTreeRegressor:
     return DecisionTreeRegressor(random_state=seed, **tree_params).fit(
         X[rows], y[rows]
     )
+
+
+def tree_mean(leaf_values: np.ndarray) -> np.ndarray:
+    """Mean over the tree axis of a ``(trees, rows)`` prediction matrix.
+
+    The sum runs sequentially in tree order for every row count.  (numpy's
+    ``mean(axis=0)`` sums a one-row matrix pairwise but several rows
+    sequentially, so a solo answer could differ from its batched one in
+    the last bit.)  Bit-identical to ``mean(axis=0)`` on several rows.
+    """
+    return leaf_values.cumsum(axis=0)[-1] / len(leaf_values)
 
 
 def bootstrap_draws(
@@ -119,6 +135,16 @@ class RandomForestRegressor:
         self.workers_mode = workers_mode
         self.estimators_: List[DecisionTreeRegressor] = []
         self.feature_importances_: Optional[np.ndarray] = None
+
+    @property
+    def estimators_(self) -> List[DecisionTreeRegressor]:
+        """The member trees; assigning a list rebuilds the flat view."""
+        return self._estimators
+
+    @estimators_.setter
+    def estimators_(self, trees: List[DecisionTreeRegressor]) -> None:
+        self._estimators = trees
+        self._flat = FlatForest(trees) if trees else None
 
     def get_params(self) -> dict:
         return {
@@ -287,16 +313,15 @@ class RandomForestRegressor:
         )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self.estimators_:
-            raise RuntimeError("forest is not fitted")
-        X = np.asarray(X, dtype=float)
-        predictions = np.stack([tree.predict(X) for tree in self.estimators_])
-        return predictions.mean(axis=0)
+        return tree_mean(self._leaf_values(X))
 
     def predict_std(self, X: np.ndarray) -> np.ndarray:
         """Ensemble standard deviation (a crude predictive uncertainty)."""
-        if not self.estimators_:
+        leaf_values = self._leaf_values(X)
+        deviation = leaf_values - tree_mean(leaf_values)
+        return np.sqrt(tree_mean(deviation * deviation))
+
+    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
+        if self._flat is None:
             raise RuntimeError("forest is not fitted")
-        X = np.asarray(X, dtype=float)
-        predictions = np.stack([tree.predict(X) for tree in self.estimators_])
-        return predictions.std(axis=0)
+        return self._flat.leaf_values(X)

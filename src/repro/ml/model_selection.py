@@ -33,8 +33,9 @@ from ..parallel import (
     resolve_mode,
     resolve_workers,
 )
-from .forest import RandomForestRegressor, bootstrap_draws
+from .forest import RandomForestRegressor, bootstrap_draws, tree_mean
 from .metrics import pearson_r
+from .tree import FlatForest
 
 Scorer = Callable[[np.ndarray, np.ndarray], float]
 
@@ -335,14 +336,12 @@ def _score_forest_group(
             trees.append(tree)
         if depth is None:
             uncapped = trees
-        # One prediction per tree, shared by every n_estimators
-        # variant: mean over a prefix of the stacked matrix is
+        # One descent over every tree, shared by every n_estimators
+        # variant: the tree mean over a prefix of the leaf-value matrix is
         # bit-identical to the prefix forest's predict().
-        tree_preds = np.stack(
-            [tree.predict(X_test) for tree in trees]
-        )
+        leaf_values = FlatForest(trees).leaf_values(X_test)
         for index in group["depths"][depth]:
-            prediction = tree_preds[:n_by_index[index]].mean(axis=0)
+            prediction = tree_mean(leaf_values[:n_by_index[index]])
             scored.append((index, scorer(y_test, prediction)))
     return scored
 

@@ -21,15 +21,19 @@ frozen copy in ``tests/ml/reference_impl.py``):
 * the recursion is replaced by an explicit depth-first frontier that
   consumes the feature-subsampling RNG in the original preorder;
 * fitted trees are stored as flat parallel node arrays (value, feature,
-  threshold, children), which makes :meth:`predict` a vectorized
-  level-by-level descent and gives persistence a natural ``.npz`` encoding
-  (:meth:`to_arrays` / :meth:`from_arrays`).
+  threshold, children), which gives persistence a natural ``.npz``
+  encoding (:meth:`to_arrays` / :meth:`from_arrays`).
+
+Prediction runs on :class:`FlatForest`: the node arrays of any number of
+trees concatenated into one set, so a whole forest descends in one
+vectorized loop; :meth:`DecisionTreeRegressor.predict` is its one-tree
+case.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +75,8 @@ class DecisionTreeRegressor:
         self._right: Optional[np.ndarray] = None
         self._node_depth: Optional[np.ndarray] = None
         self.feature_importances_: Optional[np.ndarray] = None
+        # One-tree FlatForest, built by the first predict after a fit.
+        self._flat: Optional["FlatForest"] = None
 
     # ------------------------------------------------------------------
 
@@ -188,6 +194,7 @@ class DecisionTreeRegressor:
         self._left = np.array(lefts, dtype=np.intp)
         self._right = np.array(rights, dtype=np.intp)
         self._node_depth = np.array(depths, dtype=np.intp)
+        self._flat = None
         total = self._importance.sum()
         self.feature_importances_ = (
             self._importance / total if total > 0 else self._importance.copy()
@@ -268,21 +275,9 @@ class DecisionTreeRegressor:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._value is None:
             raise RuntimeError("tree is not fitted")
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        n = len(X)
-        node = np.zeros(n, dtype=np.intp)
-        # Level-by-level descent: every sample still at an internal node
-        # steps to a child; samples at leaves stay put.
-        while True:
-            rows = np.nonzero(self._feature[node] >= 0)[0]
-            if len(rows) == 0:
-                break
-            at = node[rows]
-            go_left = X[rows, self._feature[at]] <= self._threshold[at]
-            node[rows] = np.where(go_left, self._left[at], self._right[at])
-        return self._value[node]
+        if self._flat is None:
+            self._flat = FlatForest([self])
+        return self._flat.leaf_values(X)[0]
 
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
@@ -356,6 +351,14 @@ class DecisionTreeRegressor:
                 raise ValueError("inconsistent tree encoding: bad child indices")
             if (~internal & (child != -1)).any():
                 raise ValueError("inconsistent tree encoding: bad child indices")
+        # The flat-forest descent takes ``depth()`` steps, so every child
+        # must sit exactly one level below its parent.
+        depth = tree._node_depth
+        if depth[0] != 0 or any(
+            (depth[child[internal]] != depth[internal] + 1).any()
+            for child in (tree._left, tree._right)
+        ):
+            raise ValueError("inconsistent tree encoding: bad node depths")
         return tree
 
     # ------------------------------------------------------------------
@@ -372,3 +375,57 @@ class DecisionTreeRegressor:
         if isinstance(mf, float):
             return max(1, int(mf * m))
         return max(1, min(int(mf), m))
+
+
+class FlatForest:
+    """The node arrays of several fitted trees, concatenated for prediction.
+
+    Each tree's child links are offset by its start position in the
+    concatenation, and every leaf links to itself (testing feature 0), so
+    a descent of ``depth`` steps needs no active-row mask: a row that
+    reaches a leaf early just stays there.  Built once per fitted model
+    and never persisted; the trees' own arrays stay the stored format.
+    """
+
+    def __init__(self, trees: Sequence[DecisionTreeRegressor]):
+        sizes = [len(tree._value) for tree in trees]
+        starts = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+        feature = np.concatenate([tree._feature for tree in trees])
+        leaf = feature < 0
+        node_ids = np.arange(len(feature), dtype=np.intp)
+        self.roots = starts[:, None]
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = np.concatenate([tree._threshold for tree in trees])
+        self.left = np.where(leaf, node_ids, np.concatenate(
+            [tree._left + start for tree, start in zip(trees, starts)]
+        ))
+        self.right = np.where(leaf, node_ids, np.concatenate(
+            [tree._right + start for tree, start in zip(trees, starts)]
+        ))
+        self.value = np.concatenate([tree._value for tree in trees])
+        self.depth = max(tree.depth() for tree in trees)
+        #: Columns a query needs: one past the highest split feature.
+        self.width = int(feature.max()) + 1
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """The ``(trees, rows)`` matrix of each tree's prediction per row.
+
+        One gather/compare/select per level moves every (tree, row) pair
+        down a level at once; the leaf values are gathered once at the end.
+        """
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError("X must be 2-D")
+        n_rows, n_cols = X.shape
+        if n_cols < self.width:
+            raise ValueError(
+                f"X has {n_cols} features; the model splits on feature "
+                f"{self.width - 1}"
+            )
+        node = np.repeat(self.roots, n_rows, axis=1)
+        cells = X.ravel()
+        row_start = np.arange(n_rows, dtype=np.intp) * n_cols
+        for _ in range(self.depth):
+            go_left = cells[self.feature[node] + row_start] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]

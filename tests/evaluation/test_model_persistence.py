@@ -150,6 +150,19 @@ def test_corrupted_child_pointers_raise(tmp_path):
         load_model(path)
 
 
+def test_corrupted_node_depths_raise(tmp_path):
+    """Prediction descends ``depth()`` levels, so an understated depth
+    must be rejected rather than stop the descent early."""
+    X, y = _data(60, 4)
+    tree = DecisionTreeRegressor(random_state=0, max_depth=3).fit(X, y)
+    path = save_model(tree, tmp_path / "t.npz")
+    data = dict(np.load(path, allow_pickle=False))
+    data["tree_node_depth"] = np.minimum(data["tree_node_depth"], 1)
+    np.savez(path, **data)
+    with pytest.raises(PersistenceError, match="bad node depths"):
+        load_model(path)
+
+
 def test_corrupted_feature_indices_raise(tmp_path):
     X, y = _data(60, 4)
     tree = DecisionTreeRegressor(random_state=0, max_depth=3).fit(X, y)

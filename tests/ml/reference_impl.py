@@ -3,8 +3,10 @@
 This module preserves, verbatim, the recursive pure-Python implementation
 that shipped before the vectorized training layer (PR 3), so the golden
 tests in ``test_golden_reference.py`` can assert bit-identical predictions
-and feature importances between the two.  Do not "fix" or modernise this
-file: its value is that it never changes.
+and feature importances between the two.  It also keeps the per-tree
+prediction loop that the flat-forest descent replaced (at the end), for
+``test_flat_forest.py``.  Do not "fix" or modernise this file: its value
+is that it never changes.
 """
 from __future__ import annotations
 
@@ -397,3 +399,39 @@ def grid_search(model, param_grid, X, y, n_splits=3, seed=0, scorer=pearson_r):
             best_score = mean_score
             best_params = params
     return best_params, best_score, results
+
+
+# ----------------------------------------------------------------------
+# Frozen copy of the per-tree prediction loop that preceded the
+# flat-forest descent.  Each tree descends level by level on its own node
+# arrays (the attributes of a fitted ``repro.ml.tree.DecisionTreeRegressor``);
+# the forest stacks the per-tree rows and averages them with
+# ``mean(axis=0)``.
+
+
+def per_tree_predict(tree, X):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-D")
+    n = len(X)
+    node = np.zeros(n, dtype=np.intp)
+    while True:
+        rows = np.nonzero(tree._feature[node] >= 0)[0]
+        if len(rows) == 0:
+            break
+        at = node[rows]
+        go_left = X[rows, tree._feature[at]] <= tree._threshold[at]
+        node[rows] = np.where(go_left, tree._left[at], tree._right[at])
+    return tree._value[node]
+
+
+def per_tree_matrix(trees, X):
+    return np.stack([per_tree_predict(tree, X) for tree in trees])
+
+
+def per_tree_forest_predict(forest, X):
+    return per_tree_matrix(forest.estimators_, X).mean(axis=0)
+
+
+def per_tree_forest_predict_std(forest, X):
+    return per_tree_matrix(forest.estimators_, X).std(axis=0)

@@ -7,6 +7,8 @@ with 503, and shutdown drains queued work without dropping or
 duplicating a response.
 """
 
+import asyncio
+import json
 import threading
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.serving import (
     ServingError,
     ServingDaemon,
 )
+from repro.serving.batcher import DynamicBatcher
 from repro.serving.server import DaemonThread
 
 TINY_GRID = {
@@ -127,6 +130,46 @@ def test_concurrent_clients_bit_identical_to_solo_calls(
             direct.predict(request).tolist()
         )
         assert responses[index]["count"] == len(request)
+
+
+def test_coalesced_single_circuit_requests_match_their_solo_bytes(
+    tmp_path, circuits
+):
+    """A one-circuit request coalesced with others answers the same bytes
+    as when it runs alone.  The forest has 16 trees, so numpy's one-row
+    ``mean(axis=0)`` (pairwise, eight accumulators) would differ from its
+    many-row mean (sequential) in the last bit; the forest therefore sums
+    over trees sequentially for any row count."""
+    rng = np.random.default_rng(1)
+    grid = {**TINY_GRID, "n_estimators": [16], "max_depth": [8]}
+    estimator = HellingerEstimator(param_grid=grid, seed=0).fit(
+        rng.uniform(size=(80, 30)), rng.uniform(size=80)
+    )
+    daemon = make_daemon(save_model(estimator, tmp_path / "model16.npz"))
+    entry = daemon.registry.resolve()
+    key = (entry.name, entry.fingerprint, LEVEL, False)
+    singles = [[circuit] for circuit in circuits[:6]]
+    requests = singles + [circuits[6:8], circuits[8:9] + circuits[:2]]
+
+    async def serve(batch_requests):
+        batcher = DynamicBatcher(
+            daemon._run_batch,
+            max_batch=sum(len(request) for request in batch_requests),
+            max_delay=30.0,
+        )
+        await batcher.start()
+        results = await asyncio.gather(*(
+            batcher.submit(key, request, weight=len(request))
+            for request in batch_requests
+        ))
+        await batcher.close()
+        return results, batcher.snapshot()
+
+    coalesced, snapshot = asyncio.run(serve(requests))
+    assert snapshot.batches_total == 1
+    for request, answer in zip(singles, coalesced):
+        (solo,), _ = asyncio.run(serve([request]))
+        assert json.dumps(answer).encode() == json.dumps(solo).encode()
 
 
 def test_size_and_deadline_triggers_answer_identically(
