@@ -13,13 +13,17 @@ package puts a network front end on that machinery:
   with a bounded queue (backpressure) and an orderly drain.
 * :mod:`repro.serving.server` — :class:`ServingDaemon`, a stdlib-only
   asyncio HTTP daemon exposing ``/predict``, ``/foms``, ``/healthz``,
-  and ``/stats``, with per-request timeouts, chunked streaming
-  responses, and graceful SIGTERM shutdown.
-* :mod:`repro.serving.shards` — multi-process serving:
-  :class:`RegistrySpec` (a picklable registry description) plus the
-  spawn-worker pool the daemon dispatches to when ``shards > 1`` —
+  ``/stats`` and ``/reload``, with per-request timeouts, chunked
+  streaming responses, and graceful SIGTERM shutdown.  It is one front
+  end (framing, limits, routing, counters, payload parsing) over one of
+  two backends, picked at construction: the in-process registry +
+  batcher, or a shard pool.
+* :mod:`repro.serving.shards` — the shard-pool backend used when
+  ``shards > 1``: :class:`RegistrySpec` (a picklable registry
+  description) plus :class:`~repro.serving.shards.ShardManager`, the
+  spawn-worker pool —
   one registry + batcher + GIL per worker, consistent-hash routing,
-  merged stats, broadcast reload, crash respawn.
+  byte-for-byte relay, merged stats, broadcast reload, crash respawn.
 * :mod:`repro.serving.client` — :class:`ServingClient`, the matching
   stdlib HTTP client (also the ``python -m repro client`` backend),
   including incremental chunked-stream decoding

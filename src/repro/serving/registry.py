@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import os
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..predictor.service import FomService
 
@@ -100,6 +100,19 @@ class ModelEntry(NamedTuple):
         }
 
 
+def _latest(entries: Iterable[ModelEntry]) -> List[ModelEntry]:
+    """Per name, the highest-version entries (ties included), in
+    first-seen name order."""
+    by_name: Dict[str, List[ModelEntry]] = {}
+    for entry in entries:
+        by_name.setdefault(entry.name, []).append(entry)
+    latest: List[ModelEntry] = []
+    for group in by_name.values():
+        top = max(entry.version for entry in group)
+        latest.extend(entry for entry in group if entry.version == top)
+    return latest
+
+
 class ModelRegistry:
     """An ordered set of :class:`ModelEntry`, unique per (name, fingerprint)."""
 
@@ -118,14 +131,7 @@ class ModelRegistry:
     def serving_entries(self) -> List[ModelEntry]:
         """The entries unpinned requests can land on: per name, the
         highest-version entries (ties included)."""
-        by_name: Dict[str, List[ModelEntry]] = {}
-        for entry in self._entries.values():
-            by_name.setdefault(entry.name, []).append(entry)
-        current = []
-        for group in by_name.values():
-            top = max(entry.version for entry in group)
-            current.extend(e for e in group if e.version == top)
-        return current
+        return _latest(self._entries.values())
 
     def _add(self, entry: ModelEntry) -> ModelEntry:
         if entry.key in self._entries:
@@ -418,13 +424,7 @@ class ModelRegistry:
                 f"fingerprint={fingerprint!r}; serving "
                 f"{sorted(entry.key for entry in entries.values())}"
             )
-        by_name: Dict[str, List[ModelEntry]] = {}
-        for entry in matches:
-            by_name.setdefault(entry.name, []).append(entry)
-        survivors: List[ModelEntry] = []
-        for group in by_name.values():
-            top = max(entry.version for entry in group)
-            survivors.extend(e for e in group if e.version == top)
+        survivors = _latest(matches)
         if len(survivors) > 1:
             raise ValueError(
                 "ambiguous model reference: "

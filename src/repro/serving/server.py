@@ -1,24 +1,24 @@
-"""The serving daemon: a stdlib-only asyncio HTTP front end.
+"""The serving daemon: one stdlib-only asyncio HTTP front end, two backends.
 
 :class:`ServingDaemon` speaks a deliberately small slice of HTTP/1.1
 over asyncio streams — no third-party web framework, per the repo's
-numpy-only runtime rule — and runs in one of two modes:
+numpy-only runtime rule.  The front end owns everything both modes
+share: the listener, request framing and size limits, routing and
+method checks, the draining check, request/response counters, and
+:func:`parse_predict_payload`.  Each endpoint then makes one call to a
+backend, chosen once in ``__init__``:
 
-* **In-process** (``ServerConfig.shards == 1``, the default): the daemon
-  owns a :class:`~repro.serving.registry.ModelRegistry` (loaded once)
-  and a :class:`~repro.serving.batcher.DynamicBatcher` and computes
-  every batch itself, exactly as before.
-* **Sharded** (``shards > 1``, or ``0`` = one per CPU): the daemon is a
-  thin dispatcher.  It still owns the listener, request parsing, and
-  limits, but every ``/predict`` / ``/foms`` request is routed over a
-  keep-alive loopback socket to one of N spawn-based worker processes
-  (:mod:`repro.serving.shards`), each hosting its *own* registry +
-  :class:`~repro.predictor.service.FomService` + batcher — shared
-  nothing, one GIL per shard.  Requests route by a consistent hash of
-  ``(model, fingerprint, level, panel?)`` so a lane's compile/pass
-  caches stay hot on one worker, with round-robin spill when the lane
-  saturates.  Worker responses are relayed byte-for-byte, so sharded
-  responses are identical to the single-process daemon's.
+* **In-process** (``ServerConfig.shards == 1``, the default):
+  :class:`_InProcess` owns a :class:`~repro.serving.registry.
+  ModelRegistry` (loaded once) and a :class:`~repro.serving.batcher.
+  DynamicBatcher` and computes every batch in this process.
+* **Sharded** (``shards > 1``, or ``0`` = one per CPU): a
+  :class:`~repro.serving.shards.ShardManager` relays every ``/predict``
+  / ``/foms`` request over a keep-alive loopback socket to one of N
+  spawn-based worker processes, each an in-process daemon of its own,
+  and folds the workers' ``/healthz``, ``/stats`` and ``/reload``
+  reports into one.  Worker responses are relayed byte-for-byte, so
+  sharded responses are identical to the in-process daemon's.
 
 Endpoints (all JSON):
 
@@ -36,23 +36,24 @@ Endpoints (all JSON):
   (four established figures of merit + the proposed estimator) under
   ``"foms"``.  Streaming is ``/predict``-only.
 * ``GET /healthz`` — 200 ``{"status": "serving", ...}`` while accepting
-  work, 503 ``{"status": "draining"}`` once shutdown has begun.  Sharded
-  daemons add a ``"shards"`` section (live/degraded, per-worker pids).
+  work, 503 ``{"status": "draining"}`` once shutdown has begun.  A shard
+  pool adds a ``"shards"`` section (live/degraded, per-worker pids).
 * ``GET /stats`` — queue depth, batch-size histogram, per-stage latency
   totals, request-latency percentiles, response counters, and the
-  currently-serving model fingerprints + reload counters.  Sharded
-  daemons merge the per-worker reports: counters and histograms sum,
-  and percentiles are nearest-rank over the *union* of the per-shard
+  currently-serving model fingerprints + reload counters.  A shard pool
+  merges its workers' reports: counters and histograms sum, and
+  percentiles are nearest-rank over the *union* of the per-shard
   latency reservoirs (averaging per-shard percentiles would be wrong).
 * ``POST /reload`` — re-check every model source
   (:meth:`~repro.serving.registry.ModelRegistry.refresh`) and hot-swap
-  changed estimators without dropping a request; sharded daemons
-  broadcast to every worker.  With ``ServerConfig.reload_interval > 0``
-  the daemon also polls on its own: a cheap ``(size, mtime_ns)`` /
-  store-scan guard each tick, the full rehash+reload only when
-  something moved.  In-flight batches finish on the model they
-  resolved; post-swap responses are bit-identical to a freshly
-  restarted daemon (see docs/drift.md for the contract).
+  changed estimators without dropping a request; a shard pool
+  broadcasts to every worker.  With ``ServerConfig.reload_interval > 0``
+  every registry — the daemon's own, or each worker's — also polls on
+  its own: a cheap ``(size, mtime_ns)`` / store-scan guard each tick,
+  the full rehash+reload only when something moved.  In-flight batches
+  finish on the model they resolved; post-swap responses are
+  bit-identical to a freshly restarted daemon (see docs/drift.md for
+  the contract).
 
 Operational behavior:
 
@@ -206,8 +207,8 @@ def parse_predict_payload(
 ) -> Tuple[Optional[Tuple[int, Dict[str, Any]]], Optional[ParsedPredict]]:
     """Validate a predict body; returns ``(error_response, parsed)``.
 
-    Shared by both daemon modes so a sharded dispatcher's 400s are
-    byte-identical to the single-process daemon's.
+    The front end calls it once, before either backend sees the body,
+    so a shard pool's 400s are byte-identical to the in-process daemon's.
     """
     try:
         payload = json.loads(body.decode() or "null")
@@ -265,7 +266,11 @@ class _BadRequest(Exception):
     """Malformed HTTP framing; the connection is answered 400 and closed."""
 
 
-class _RawResponse(NamedTuple):
+#: The 503 body for work that arrives after a drain began.
+_DRAINING = {"error": "draining; not accepting new work"}
+
+
+class RawResponse(NamedTuple):
     """A fully-formed body relayed verbatim (shard responses)."""
 
     status: int
@@ -273,7 +278,7 @@ class _RawResponse(NamedTuple):
     content_type: str = "application/json"
 
 
-class _StreamResponse(NamedTuple):
+class StreamResponse(NamedTuple):
     """A chunked response written incrementally by ``write(writer, close)``."""
 
     status: int
@@ -290,6 +295,12 @@ class ServingDaemon:
     :class:`DaemonThread` from synchronous code, or call
     :meth:`serve_forever` as the process main (the CLI path — installs
     SIGTERM/SIGINT handlers for graceful drain).
+
+    The constructor picks the backend — :class:`_InProcess` or a
+    :class:`~repro.serving.shards.ShardManager` — and nothing after it
+    asks which one it got.  Both answer the same calls: ``start``,
+    ``drain``, ``banner``, ``health``, ``poll_stats``/``stats``,
+    ``reload`` and ``predict``.
     """
 
     def __init__(
@@ -298,11 +309,9 @@ class ServingDaemon:
         from .shards import RegistrySpec, ShardManager, resolve_shards
 
         self.config = config or ServerConfig()
-        self.shard_count = resolve_shards(self.config.shards)
-        self._sharded = self.shard_count > 1
-        self._shards: Optional[ShardManager] = None
-        self._batcher: Optional[DynamicBatcher] = None
-        if self._sharded:
+        shard_count = resolve_shards(self.config.shards)
+        self.registry: Optional[ModelRegistry] = None
+        if shard_count > 1:
             if not isinstance(registry, RegistrySpec):
                 raise ValueError(
                     "sharded serving (shards > 1) needs a RegistrySpec so "
@@ -310,9 +319,8 @@ class ServingDaemon:
                     f"{type(registry).__name__}"
                 )
             registry.validate()
-            self.registry: Optional[ModelRegistry] = None
-            self._shards = ShardManager(
-                registry, self.config, self.shard_count
+            self._backend = ShardManager(
+                registry, self.config, shard_count
             )
         else:
             if isinstance(registry, RegistrySpec):
@@ -320,27 +328,21 @@ class ServingDaemon:
             if len(registry) == 0:
                 raise ValueError("cannot serve an empty model registry")
             self.registry = registry
-            self._batcher = DynamicBatcher(
-                self._run_batch,
-                max_batch=self.config.max_batch,
-                max_delay=self.config.batch_deadline,
-                max_queue=self.config.queue_limit,
-            )
+            self._backend = _InProcess(self)
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: "set[asyncio.StreamWriter]" = set()
         self._handler_tasks: "set[asyncio.Task]" = set()
         self._draining = False
         self._active_requests = 0
         self._idle: Optional[asyncio.Event] = None   # created on the loop
-        self._reload_lock: Optional[asyncio.Lock] = None
-        self._reload_task: Optional[asyncio.Task] = None
-        self._reload_checks = 0
         self._started_at: Optional[float] = None
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         # Counters (event-loop-only mutation).
         self._requests: Dict[str, int] = {}
         self._responses: Dict[int, int] = {}
+        # Request latencies of in-process batches and streams; a shard
+        # pool reports its workers' reservoirs instead.
         self._latencies: "deque[float]" = deque(
             maxlen=self.config.latency_window
         )
@@ -350,26 +352,18 @@ class ServingDaemon:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and start the batcher or the worker shards."""
+        """Start the backend, then bind the listener."""
         if self._server is not None:
             return
         self._idle = asyncio.Event()
         self._idle.set()
-        if self._sharded:
-            await self._shards.start()
-        else:
-            await self._batcher.start()
+        await self._backend.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         self._started_at = asyncio.get_running_loop().time()
-        self._reload_lock = asyncio.Lock()
-        if not self._sharded and self.config.reload_interval > 0:
-            self._reload_task = asyncio.get_running_loop().create_task(
-                self._reload_loop()
-            )
 
     def begin_drain(self) -> None:
         """Stop accepting new work (503) while queued requests finish."""
@@ -385,26 +379,7 @@ class ServingDaemon:
         process is reaped.
         """
         self.begin_drain()
-        if self._reload_task is not None:
-            self._reload_task.cancel()
-            try:
-                await self._reload_task
-            except asyncio.CancelledError:
-                pass
-            self._reload_task = None
-        if self._sharded:
-            # Let in-flight relays (including streams) finish against
-            # live workers, then terminate and reap every shard.
-            if self._idle is not None:
-                await self._idle.wait()
-            await self._shards.stop()
-        else:
-            await self._batcher.close()
-            # Let in-flight handlers write their (already computed)
-            # responses before tearing connections down — a drained
-            # request that never reaches the wire is still dropped.
-            if self._idle is not None:
-                await self._idle.wait()
+        await self._backend.drain(self._until_idle)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -423,6 +398,11 @@ class ServingDaemon:
             if still_pending:  # pragma: no cover - defensive
                 await asyncio.wait(still_pending, timeout=5)
 
+    async def _until_idle(self) -> None:
+        """Wait until no handler is mid-request (responses written)."""
+        if self._idle is not None:
+            await self._idle.wait()
+
     async def serve_forever(self) -> None:
         """Run as the process main: start, announce, drain on SIGTERM/SIGINT."""
         await self.start()
@@ -433,18 +413,9 @@ class ServingDaemon:
                 loop.add_signal_handler(signum, stop_signal.set)
             except NotImplementedError:  # pragma: no cover - non-POSIX loops
                 pass
-        if self._sharded:
-            models = ", ".join(sorted(self._shards.model_summaries()))
-            extra = f"; shards: {self.shard_count}"
-        else:
-            models = ", ".join(
-                f"{entry.name}@{entry.fingerprint}"
-                for entry in self.registry.entries()
-            )
-            extra = ""
         print(
             f"repro-serve listening on http://{self.host}:{self.port} "
-            f"(pid {os.getpid()}; models: {models}{extra})",
+            f"(pid {os.getpid()}; {self._backend.banner()})",
             flush=True,
         )
         await stop_signal.wait()
@@ -502,95 +473,6 @@ class ServingDaemon:
         return results
 
     # ------------------------------------------------------------------
-    # Hot model reload
-    # ------------------------------------------------------------------
-
-    async def _reload_loop(self) -> None:
-        """Background poll: a cheap staleness probe each tick; the full
-        rehash + reload runs only when a model source actually moved."""
-        while True:
-            await asyncio.sleep(self.config.reload_interval)
-            if self._draining:
-                continue
-            self._reload_checks += 1
-            try:
-                if await asyncio.to_thread(self.registry.maybe_stale):
-                    await self._refresh_models()
-            except Exception as exc:  # noqa: BLE001 - keep serving on failure
-                print(f"repro-serve model refresh failed: {exc}", flush=True)
-
-    async def _refresh_models(self, force: bool = False):
-        """Serialized registry refresh off the event loop (hash + model
-        load happen in a worker thread; the install is atomic)."""
-        assert self._reload_lock is not None
-        async with self._reload_lock:
-            return await asyncio.to_thread(self.registry.refresh, force)
-
-    async def _reload(self) -> Tuple[int, Dict[str, Any]]:
-        if self._draining:
-            return 503, {"error": "draining; not accepting new work"}
-        self._reload_checks += 1
-        try:
-            swapped = await self._refresh_models(force=True)
-        except Exception as exc:  # noqa: BLE001 - bad file must not kill serving
-            return 500, {"error": f"model refresh failed: {exc}"}
-        return 200, {
-            "swapped": [
-                {
-                    "model": successor.name,
-                    "fingerprint": successor.fingerprint,
-                    "version": successor.version,
-                    "previous_fingerprint": (
-                        superseded.fingerprint
-                        if superseded is not None
-                        else None
-                    ),
-                }
-                for superseded, successor in swapped
-            ],
-            "serving": [
-                entry.describe()
-                for entry in self.registry.serving_entries()
-            ],
-        }
-
-    async def _reload_sharded(self) -> Tuple[int, Dict[str, Any]]:
-        """Broadcast ``POST /reload`` to every live shard; merge reports."""
-        if self._draining:
-            return 503, {"error": "draining; not accepting new work"}
-        self._reload_checks += 1
-        results = await self._shards.poll("POST", "/reload", timeout=300.0)
-        swapped: List[Dict[str, Any]] = []
-        serving: List[Dict[str, Any]] = []
-        shard_reports: List[Dict[str, Any]] = []
-        ok = True
-        for report in results:
-            payload = report.get("payload") or {}
-            if not report.get("alive") or report.get("status") != 200:
-                ok = False
-                shard_reports.append({
-                    "shard": report["shard"],
-                    "ok": False,
-                    "error": payload.get("error", "shard unavailable"),
-                })
-                continue
-            shard_swaps = payload.get("swapped", [])
-            shard_reports.append({
-                "shard": report["shard"],
-                "ok": True,
-                "swapped": len(shard_swaps),
-            })
-            for swap in shard_swaps:
-                swapped.append({**swap, "shard": report["shard"]})
-            if not serving:
-                serving = payload.get("serving", [])
-        return (200 if ok else 500), {
-            "swapped": swapped,
-            "serving": serving,
-            "shards": shard_reports,
-        }
-
-    # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
 
@@ -606,8 +488,9 @@ class ServingDaemon:
                 try:
                     request = await self._read_request(reader)
                 except _BadRequest as exc:
-                    await self._write_response(
-                        writer, 400, {"error": str(exc)}, close=True
+                    await self._write(
+                        writer, 400, json.dumps({"error": str(exc)}).encode(),
+                        close=True,
                     )
                     break
                 if request is None:
@@ -617,28 +500,27 @@ class ServingDaemon:
                     headers.get("connection", "").lower() != "close"
                 )
                 self._active_requests += 1
-                if self._idle is not None:
-                    self._idle.clear()
+                self._idle.clear()
                 try:
                     result = await self._route(method, target, body)
-                    if isinstance(result, _StreamResponse):
+                    if isinstance(result, StreamResponse):
+                        self._count_response(result.status)
                         await result.write(writer, not keep_alive)
-                    elif isinstance(result, _RawResponse):
-                        await self._write_raw(
-                            writer,
-                            result.status,
-                            result.body,
+                    elif isinstance(result, RawResponse):
+                        await self._write(
+                            writer, result.status, result.body,
                             close=not keep_alive,
                             content_type=result.content_type,
                         )
                     else:
                         status, payload = result
-                        await self._write_response(
-                            writer, status, payload, close=not keep_alive
+                        await self._write(
+                            writer, status, json.dumps(payload).encode(),
+                            close=not keep_alive,
                         )
                 finally:
                     self._active_requests -= 1
-                    if self._active_requests == 0 and self._idle is not None:
+                    if self._active_requests == 0:
                         self._idle.set()
                 if not keep_alive:
                     break
@@ -700,17 +582,10 @@ class ServingDaemon:
             raise _BadRequest("chunked transfer encoding is not supported")
         return method, target, headers, body
 
-    async def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Dict[str, Any],
-        close: bool,
-    ) -> None:
-        body = json.dumps(payload).encode()
-        await self._write_raw(writer, status, body, close=close)
+    def _count_response(self, status: int) -> None:
+        self._responses[status] = self._responses.get(status, 0) + 1
 
-    async def _write_raw(
+    async def _write(
         self,
         writer: asyncio.StreamWriter,
         status: int,
@@ -718,7 +593,7 @@ class ServingDaemon:
         close: bool,
         content_type: str = "application/json",
     ) -> None:
-        self._responses[status] = self._responses.get(status, 0) + 1
+        self._count_response(status)
         head = http_head(
             status,
             close=close,
@@ -738,107 +613,46 @@ class ServingDaemon:
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "healthz is GET-only"}
-            if self._sharded:
-                return await self._healthz_sharded()
-            return self._healthz()
+            return await self._healthz()
         if path == "/stats":
             if method != "GET":
                 return 405, {"error": "stats is GET-only"}
-            if self._sharded:
-                return await self._stats_sharded()
-            return 200, self._stats()
+            return 200, self._stats(await self._backend.poll_stats())
         if path == "/reload":
             if method != "POST":
                 return 405, {"error": "reload is POST-only"}
-            if self._sharded:
-                return await self._reload_sharded()
             return await self._reload()
         if path in ("/predict", "/foms"):
             if method != "POST":
                 return 405, {"error": f"{path} is POST-only"}
-            want_foms = path == "/foms"
-            if self._sharded:
-                return await self._predict_sharded(path, body, want_foms)
-            return await self._predict(body, want_foms=want_foms)
+            return await self._predict(body, want_foms=path == "/foms")
         return 404, {
             "error": f"unknown path {path!r}; "
             "endpoints: /predict /foms /healthz /stats /reload"
         }
 
-    def _healthz(self) -> Tuple[int, Dict[str, Any]]:
-        status = "draining" if self._draining else "serving"
-        return (503 if self._draining else 200), {
-            "status": status,
-            "models": [entry.describe() for entry in self.registry.entries()],
-            "reload": {
-                "interval_s": self.config.reload_interval,
-                "checks": self._reload_checks,
-                "refreshes": self.registry.refreshes,
-                "swaps": self.registry.swaps,
-            },
-            "batch": self._batch_summary(),
-        }
-
-    def _batch_summary(self) -> Dict[str, Any]:
-        return {
-            "max_batch": self.config.max_batch,
-            "deadline_ms": self.config.batch_deadline * 1000.0,
-            "queue_limit": self.config.queue_limit,
-            "request_timeout_s": self.config.request_timeout,
-        }
-
-    async def _healthz_sharded(self) -> Tuple[int, Dict[str, Any]]:
-        results = await self._shards.poll("GET", "/healthz")
-        workers: List[Dict[str, Any]] = []
-        models: List[Dict[str, Any]] = []
-        live = 0
-        reload_totals = {"checks": 0, "refreshes": 0, "swaps": 0}
-        for report in results:
-            alive = bool(report.get("alive"))
-            worker = {
-                "shard": report["shard"],
-                "alive": alive,
-                "pid": report.get("pid"),
-            }
-            payload = report.get("payload") or {}
-            if alive:
-                live += 1
-                worker["status"] = payload.get("status")
-                if not models:
-                    models = payload.get("models", [])
-                for field, value in payload.get("reload", {}).items():
-                    if field in reload_totals:
-                        reload_totals[field] += int(value)
-            workers.append(worker)
-        degraded = live < self.shard_count
+    async def _healthz(self) -> Tuple[int, Dict[str, Any]]:
+        status, sections = await self._backend.health()
+        code = 200
         if self._draining:
             status, code = "draining", 503
-        elif degraded:
-            status, code = "degraded", 200
-        else:
-            status, code = "serving", 200
         return code, {
             "status": status,
-            "models": models,
-            "shards": {
-                "count": self.shard_count,
-                "live": live,
-                "degraded": degraded,
-                "crashes": self._shards.crashes,
-                "respawns": self._shards.respawns,
-                "workers": workers,
+            **sections,
+            "batch": {
+                "max_batch": self.config.max_batch,
+                "deadline_ms": self.config.batch_deadline * 1000.0,
+                "queue_limit": self.config.queue_limit,
+                "request_timeout_s": self.config.request_timeout,
             },
-            "reload": {
-                "interval_s": self.config.reload_interval,
-                **reload_totals,
-            },
-            "batch": self._batch_summary(),
         }
 
-    def _stats(self) -> Dict[str, Any]:
+    def _stats(self, polled=None) -> Dict[str, Any]:
+        """The ``/stats`` body: this front end's counters, then the
+        backend's sections folded from ``polled`` (what its
+        ``poll_stats`` fetched; the in-process backend fetches nothing,
+        so a bare call works there)."""
         loop = asyncio.get_running_loop()
-        batch = self._batcher.snapshot()
-        ordered = sorted(self._latencies)
         return {
             "uptime_s": (
                 loop.time() - self._started_at
@@ -851,6 +665,140 @@ class ServingDaemon:
                 str(status): count
                 for status, count in sorted(self._responses.items())
             },
+            **self._backend.stats(polled),
+        }
+
+    async def _reload(self) -> Tuple[int, Dict[str, Any]]:
+        if self._draining:
+            return 503, _DRAINING
+        return await self._backend.reload()
+
+    async def _predict(self, body: bytes, want_foms: bool):
+        if self._draining:
+            return 503, _DRAINING
+        error, parsed = parse_predict_payload(body, want_foms)
+        if error is not None:
+            return error
+        return await self._backend.predict(parsed, body, want_foms)
+
+
+class _InProcess:
+    """The backend that computes in this process.
+
+    It owns the daemon's registry and a :class:`DynamicBatcher` over
+    :meth:`ServingDaemon._run_batch`, streams ``predict_stream`` chunks
+    itself, and polls the registry for stale model sources when
+    ``reload_interval > 0``.  Every shard worker runs this backend.
+    """
+
+    def __init__(self, daemon: ServingDaemon):
+        self.daemon = daemon
+        self.config = daemon.config
+        self.registry: ModelRegistry = daemon.registry
+        self.batcher = DynamicBatcher(
+            daemon._run_batch,
+            max_batch=self.config.max_batch,
+            max_delay=self.config.batch_deadline,
+            max_queue=self.config.queue_limit,
+        )
+        self.reload_checks = 0
+        self._reload_lock: Optional[asyncio.Lock] = None
+        self._reload_task: Optional[asyncio.Task] = None
+
+    async def start(self) -> None:
+        await self.batcher.start()
+        self._reload_lock = asyncio.Lock()
+        if self.config.reload_interval > 0:
+            self._reload_task = asyncio.get_running_loop().create_task(
+                self._reload_loop()
+            )
+
+    async def drain(self, until_idle) -> None:
+        """Stop polling, run every queued batch, then let in-flight
+        handlers write their (already computed) responses — a drained
+        request that never reaches the wire is still dropped."""
+        if self._reload_task is not None:
+            self._reload_task.cancel()
+            await asyncio.gather(self._reload_task, return_exceptions=True)
+        await self.batcher.close()
+        await until_idle()
+
+    def banner(self) -> str:
+        return "models: " + ", ".join(
+            f"{entry.name}@{entry.fingerprint}"
+            for entry in self.registry.entries()
+        )
+
+    # -- hot model reload -----------------------------------------------
+
+    async def _reload_loop(self) -> None:
+        """Background poll: a cheap staleness probe each tick; the full
+        rehash + reload runs only when a model source actually moved."""
+        while True:
+            await asyncio.sleep(self.config.reload_interval)
+            if self.daemon._draining:
+                continue
+            self.reload_checks += 1
+            try:
+                if await asyncio.to_thread(self.registry.maybe_stale):
+                    await self._refresh_models()
+            except Exception as exc:  # noqa: BLE001 - keep serving on failure
+                print(f"repro-serve model refresh failed: {exc}", flush=True)
+
+    async def _refresh_models(self, force: bool = False):
+        """Serialized registry refresh off the event loop (hash + model
+        load happen in a worker thread; the install is atomic)."""
+        assert self._reload_lock is not None
+        async with self._reload_lock:
+            return await asyncio.to_thread(self.registry.refresh, force)
+
+    async def reload(self) -> Tuple[int, Dict[str, Any]]:
+        self.reload_checks += 1
+        try:
+            swapped = await self._refresh_models(force=True)
+        except Exception as exc:  # noqa: BLE001 - bad file must not kill serving
+            return 500, {"error": f"model refresh failed: {exc}"}
+        return 200, {
+            "swapped": [
+                {
+                    "model": successor.name,
+                    "fingerprint": successor.fingerprint,
+                    "version": successor.version,
+                    "previous_fingerprint": (
+                        superseded.fingerprint
+                        if superseded is not None
+                        else None
+                    ),
+                }
+                for superseded, successor in swapped
+            ],
+            "serving": [
+                entry.describe()
+                for entry in self.registry.serving_entries()
+            ],
+        }
+
+    # -- reports --------------------------------------------------------
+
+    async def health(self) -> Tuple[str, Dict[str, Any]]:
+        return "serving", {
+            "models": [entry.describe() for entry in self.registry.entries()],
+            "reload": {
+                "interval_s": self.config.reload_interval,
+                "checks": self.reload_checks,
+                "refreshes": self.registry.refreshes,
+                "swaps": self.registry.swaps,
+            },
+        }
+
+    async def poll_stats(self) -> None:
+        return None
+
+    def stats(self, polled=None) -> Dict[str, Any]:
+        batch = self.batcher.snapshot()
+        latencies = self.daemon._latencies
+        ordered = sorted(latencies)
+        return {
             "queue": {
                 "depth": batch.queue_depth,
                 "requests_waiting": batch.requests_waiting,
@@ -875,7 +823,7 @@ class ServingDaemon:
                 "samples": len(ordered),
                 # The raw (bounded) reservoir: what a sharded parent
                 # merges before recomputing percentiles on the union.
-                "reservoir": list(self._latencies),
+                "reservoir": list(latencies),
                 "queue_wait_s_total": batch.queue_wait_s_total,
                 "queue_wait_s_max": batch.queue_wait_s_max,
                 "stages_s": batch.stage_s,
@@ -886,78 +834,18 @@ class ServingDaemon:
                     for entry in self.registry.serving_entries()
                 ],
                 "registered": len(self.registry),
-                "reload_checks": self._reload_checks,
+                "reload_checks": self.reload_checks,
                 "refreshes": self.registry.refreshes,
                 "swaps": self.registry.swaps,
             },
         }
 
-    async def _stats_sharded(self) -> Tuple[int, Dict[str, Any]]:
-        from .shards import merge_shard_stats
+    # -- predict --------------------------------------------------------
 
-        loop = asyncio.get_running_loop()
-        results = await self._shards.poll("GET", "/stats")
-        reports = [
-            report["payload"]
-            for report in results
-            if report.get("alive") and isinstance(report.get("payload"), dict)
-        ]
-        merged = merge_shard_stats(reports)
-        merged["queue"]["limit"] = self.config.queue_limit
-        per_shard: List[Dict[str, Any]] = []
-        for report in results:
-            entry: Dict[str, Any] = {
-                "shard": report["shard"],
-                "alive": bool(report.get("alive")),
-                "pid": report.get("pid"),
-            }
-            payload = report.get("payload")
-            if isinstance(payload, dict):
-                entry["queue_depth"] = payload["queue"]["depth"]
-                entry["in_flight"] = payload["queue"]["in_flight"]
-                entry["requests_total"] = payload["batches"]["requests_total"]
-                entry["latency_samples"] = payload["latency"]["samples"]
-            per_shard.append(entry)
-        models = next(
-            (report["models"] for report in reports if "models" in report),
-            {},
-        )
-        return 200, {
-            "uptime_s": (
-                loop.time() - self._started_at
-                if self._started_at is not None
-                else 0.0
-            ),
-            "draining": self._draining,
-            "requests": dict(self._requests),
-            "responses": {
-                str(status): count
-                for status, count in sorted(self._responses.items())
-            },
-            "queue": merged["queue"],
-            "batches": merged["batches"],
-            "latency": merged["latency"],
-            "models": models,
-            "shards": {
-                "count": self.shard_count,
-                "live": sum(1 for r in results if r.get("alive")),
-                "crashes": self._shards.crashes,
-                "respawns": self._shards.respawns,
-                "spills": self._shards.spills,
-                "per_shard": per_shard,
-            },
-        }
-
-    # ------------------------------------------------------------------
-    # Predict: in-process
-    # ------------------------------------------------------------------
-
-    async def _predict(self, body: bytes, want_foms: bool):
-        if self._draining:
-            return 503, {"error": "draining; not accepting new work"}
-        error, parsed = parse_predict_payload(body, want_foms)
-        if error is not None:
-            return error
+    async def predict(
+        self, parsed: ParsedPredict, body: bytes, want_foms: bool
+    ):
+        """Resolve the model, parse QASM, and batch (or stream) it."""
         try:
             entry = self.registry.resolve(parsed.model, parsed.fingerprint)
         except ValueError as exc:
@@ -966,40 +854,39 @@ class ServingDaemon:
             circuits = [from_qasm(qasm) for qasm in parsed.qasm]
         except Exception as exc:  # noqa: BLE001 - any parse failure is a 400
             return 400, {"error": f"bad QASM: {exc}"}
-        effective_level = (
+        level = (
             entry.service.optimization_level
             if parsed.level is None
             else parsed.level
         )
         if parsed.stream:
             async def write(writer: asyncio.StreamWriter, close: bool):
-                await self._write_stream_local(
-                    writer, close, entry, circuits, effective_level,
-                    parsed.chunk_size,
+                await self._write_stream(
+                    writer, close, entry, circuits, level, parsed.chunk_size
                 )
-            return _StreamResponse(200, write)
-        key = (entry.name, entry.fingerprint, effective_level, want_foms)
+            return StreamResponse(200, write)
+        key = (entry.name, entry.fingerprint, level, want_foms)
         loop = asyncio.get_running_loop()
         started = loop.time()
         try:
             result = await asyncio.wait_for(
-                self._batcher.submit(key, circuits, weight=len(circuits)),
+                self.batcher.submit(key, circuits, weight=len(circuits)),
                 timeout=self.config.request_timeout,
             )
         except BacklogFull as exc:
             return 503, {"error": str(exc)}
         except BatcherClosed:
-            return 503, {"error": "draining; not accepting new work"}
+            return 503, _DRAINING
         except asyncio.TimeoutError:
             return 504, {
                 "error": f"request timed out after "
                 f"{self.config.request_timeout}s in the batch queue"
             }
-        self._latencies.append(loop.time() - started)
+        self.daemon._latencies.append(loop.time() - started)
         response: Dict[str, Any] = {
             "model": entry.name,
             "fingerprint": entry.fingerprint,
-            "optimization_level": effective_level,
+            "optimization_level": level,
             "count": len(circuits),
         }
         if want_foms:
@@ -1011,7 +898,7 @@ class ServingDaemon:
             response["predictions"] = result["predictions"]
         return 200, response
 
-    async def _write_stream_local(
+    async def _write_stream(
         self,
         writer: asyncio.StreamWriter,
         close: bool,
@@ -1025,13 +912,12 @@ class ServingDaemon:
         Bypasses the batcher: a corpus-sized request *is* its own batch,
         and global positions in ``predict_stream`` keep the bytes
         identical to a non-streamed call regardless of chunk size.
-        Counted in ``_active_requests``, so a drain waits for the
-        terminator — a stream in flight when SIGTERM lands still
+        The front end counts it as an active request, so a drain waits
+        for the terminator — a stream in flight when SIGTERM lands still
         completes.
         """
         loop = asyncio.get_running_loop()
         started = loop.time()
-        self._responses[200] = self._responses.get(200, 0) + 1
         writer.write(
             http_head(
                 200, close=close, chunked=True,
@@ -1071,61 +957,12 @@ class ServingDaemon:
             )
             await writer.drain()
             return
-        self._latencies.append(loop.time() - started)
+        self.daemon._latencies.append(loop.time() - started)
         writer.write(
             json_chunk({"done": True, "count": len(circuits)})
             + CHUNK_TERMINATOR
         )
         await writer.drain()
-
-    # ------------------------------------------------------------------
-    # Predict: sharded dispatch
-    # ------------------------------------------------------------------
-
-    async def _predict_sharded(self, path: str, body: bytes, want_foms: bool):
-        """Validate, pick a shard by lane hash, relay bytes verbatim."""
-        from .shards import ShardDown
-
-        if self._draining:
-            return 503, {"error": "draining; not accepting new work"}
-        error, parsed = parse_predict_payload(body, want_foms)
-        if error is not None:
-            return error
-        key = (parsed.model, parsed.fingerprint, parsed.level, want_foms)
-        weight = len(parsed.qasm)
-        manager = self._shards
-        try:
-            shard = manager.pick(key, weight)
-        except ShardDown as down:
-            return 503, {"error": str(down)}
-        manager.begin(shard, weight)
-        try:
-            reply = await manager.exchange(shard, "POST", path, body)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
-            manager.release(shard, weight)
-            return 503, {
-                "error": f"shard {shard.index} failed mid-request: {exc}"
-            }
-        if reply.body is not None:
-            manager.release(shard, weight)
-            # No parent-side latency sample: sharded /stats percentiles
-            # come from the merged per-worker reservoirs.
-            return _RawResponse(
-                reply.status,
-                reply.body,
-                reply.headers.get("content-type", "application/json"),
-            )
-
-        async def write(writer: asyncio.StreamWriter, close: bool):
-            self._responses[reply.status] = (
-                self._responses.get(reply.status, 0) + 1
-            )
-            try:
-                await manager.relay_stream(shard, reply, writer, close)
-            finally:
-                manager.release(shard, weight)
-
-        return _StreamResponse(reply.status, write)
 
 
 class DaemonThread:

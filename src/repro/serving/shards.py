@@ -1,16 +1,17 @@
-"""Multi-process serving shards: spawn workers, routing, stats merging.
+"""The sharded serving backend: spawn workers, route, relay, fold reports.
 
-One Python process serves one GIL.  To use more cores, the daemon grows
-a **shared-nothing** worker pool: ``--shards N`` spawn-based processes,
-each running its *own* single-process :class:`~repro.serving.server.
-ServingDaemon` (own :class:`~repro.serving.registry.ModelRegistry`, own
-:class:`~repro.serving.batcher.DynamicBatcher`, own compile/pass
-caches) on a loopback port.  The parent stays a thin asyncio front —
-listener, request parsing, limits — and relays each request's bytes
-verbatim over keep-alive loopback connections.  Because a worker *is*
-the single-process daemon, the response bytes of a sharded daemon are
-identical to the unsharded one by construction; the contract is pinned
-in ``tests/serving/test_shards.py``.
+One Python process serves one GIL.  To use more cores, the daemon's
+front end (:class:`~repro.serving.server.ServingDaemon`) can sit over a
+**shared-nothing** worker pool instead of its in-process backend:
+``--shards N`` spawn-based processes, each running its *own* in-process
+daemon (own :class:`~repro.serving.registry.ModelRegistry`, own
+:class:`~repro.serving.batcher.DynamicBatcher`, own compile/pass caches,
+own reload poll when ``reload_interval > 0``) on a loopback port.  The
+front end parses and limits each request once, as it does in-process;
+this backend relays the request bytes verbatim over keep-alive loopback
+connections.  Because a worker *is* the in-process daemon, the response
+bytes of a sharded daemon are identical to the unsharded one by
+construction; the contract is pinned in ``tests/serving/test_shards.py``.
 
 Pieces:
 
@@ -27,10 +28,12 @@ Pieces:
   its outstanding circuits exceed the queue limit, then round-robin to
   the next live under-limit worker (a *dead* lane owner is a 503 while
   the respawn runs — values must never silently move lanes on crash).
-* :class:`ShardManager` — parent-side lifecycle: spawn + ready
+* :class:`ShardManager` — the backend itself.  Lifecycle: spawn + ready
   handshake over a pipe, keep-alive connection pooling, crash detection
-  via the process sentinel, respawn, broadcast (``/reload``, stats
-  polls), and SIGTERM drain that reaps every worker before returning.
+  via the process sentinel, respawn, and a drain that reaps every
+  worker before returning.  Per endpoint: ``predict`` relays (streams
+  chunk-for-chunk), and ``health`` / ``stats`` / ``reload`` poll every
+  worker and fold the reports — the only code that knows their shape.
 * :func:`merge_shard_stats` / :func:`merge_latency_reservoirs` — the
   ``/stats`` aggregation: counters and histograms sum; percentiles are
   nearest-rank over the **union** of per-shard latency reservoirs.
@@ -56,6 +59,18 @@ import threading
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
+
+from .server import (
+    CHUNK_TERMINATOR,
+    STREAM_CONTENT_TYPE,
+    RawResponse,
+    ServerConfig,
+    ServingDaemon,
+    StreamResponse,
+    http_head,
+    json_chunk,
+    nearest_rank,
+)
 
 __all__ = [
     "RegistrySpec",
@@ -260,8 +275,6 @@ def _shard_worker_main(index: int, spec, config_kwargs, conn) -> None:
     parent's end of the pipe closes (parent died — drain and exit, no
     orphans).
     """
-    from .server import ServerConfig, ServingDaemon
-
     try:
         registry = spec.build()
         daemon = ServingDaemon(registry, ServerConfig(**config_kwargs))
@@ -391,7 +404,8 @@ async def _read_head(
 
 
 class ShardManager:
-    """Spawns, routes to, aggregates over, and reaps the worker pool."""
+    """The sharded backend: spawns, routes to, folds the reports of, and
+    reaps the worker pool."""
 
     #: seconds a worker gets to build its registry and report ready
     READY_TIMEOUT = 300.0
@@ -427,9 +441,9 @@ class ShardManager:
         from dataclasses import asdict
 
         kwargs = asdict(self.config)
-        # Workers bind their own free loopback port, serve in-process,
-        # and never self-poll for reloads — the parent broadcasts.
-        kwargs.update(host="127.0.0.1", port=0, shards=1, reload_interval=0.0)
+        # Workers bind their own free loopback port and serve in-process;
+        # with reload_interval > 0 each one polls its own registry.
+        kwargs.update(host="127.0.0.1", port=0, shards=1)
         return kwargs
 
     def _launch(self, index: int) -> None:
@@ -542,13 +556,20 @@ class ShardManager:
             except OSError:  # pragma: no cover - defensive
                 pass
 
-    def model_summaries(self) -> List[str]:
-        return sorted({
+    async def drain(self, until_idle) -> None:
+        """Let in-flight relays (including streams) finish against live
+        workers, then terminate and reap every shard."""
+        await until_idle()
+        await self.stop()
+
+    def banner(self) -> str:
+        models = sorted({
             f"{model['name']}@{model['fingerprint']}"
             for shard in self.shards
             if shard is not None
             for model in shard.models
         })
+        return f"models: {', '.join(models)}; shards: {self.count}"
 
     # -- routing --------------------------------------------------------
 
@@ -569,11 +590,43 @@ class ShardManager:
             raise ShardDown(index)
         return shard
 
-    def begin(self, shard: _Shard, weight: int) -> None:
-        shard.outstanding += weight
-
     def release(self, shard: _Shard, weight: int) -> None:
         shard.outstanding = max(0, shard.outstanding - weight)
+
+    async def predict(self, parsed, body: bytes, want_foms: bool):
+        """Pick a shard by lane hash; relay the request bytes verbatim."""
+        key = (parsed.model, parsed.fingerprint, parsed.level, want_foms)
+        weight = len(parsed.qasm)
+        try:
+            shard = self.pick(key, weight)
+        except ShardDown as down:
+            return 503, {"error": str(down)}
+        shard.outstanding += weight
+        path = "/foms" if want_foms else "/predict"
+        try:
+            reply = await self.exchange(shard, "POST", path, body)
+        except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
+            self.release(shard, weight)
+            return 503, {
+                "error": f"shard {shard.index} failed mid-request: {exc}"
+            }
+        if reply.body is not None:
+            self.release(shard, weight)
+            # No parent-side latency sample: sharded /stats percentiles
+            # come from the merged per-worker reservoirs.
+            return RawResponse(
+                reply.status,
+                reply.body,
+                reply.headers.get("content-type", "application/json"),
+            )
+
+        async def write(writer: asyncio.StreamWriter, close: bool):
+            try:
+                await self.relay_stream(shard, reply, writer, close)
+            finally:
+                self.release(shard, weight)
+
+        return StreamResponse(reply.status, write)
 
     # -- connections ----------------------------------------------------
 
@@ -660,8 +713,6 @@ class ShardManager:
         chunk + terminator (a stream, once started, is never silently
         restarted — that contract belongs to the client).
         """
-        from .server import CHUNK_TERMINATOR, STREAM_CONTENT_TYPE, http_head, json_chunk
-
         shard_reader, shard_writer = reply.reader, reply.writer
         writer.write(
             http_head(
@@ -703,23 +754,22 @@ class ShardManager:
 
     async def poll(
         self, method: str, path: str, body: bytes = b"", timeout: float = 60.0
-    ) -> List[Dict[str, Any]]:
+    ) -> List[Tuple[Dict[str, Any], Optional[int], Dict[str, Any]]]:
         """The same request against every shard, concurrently.
 
-        Each report is ``{shard, alive, pid}`` plus, when the worker
-        answered, ``{status, payload}``.  A shard that fails to answer
-        is reported dead rather than failing the whole poll.
+        One ``(worker, status, payload)`` per shard: ``worker`` is a
+        fresh ``{shard, alive, pid}`` dict, ``status`` the HTTP status
+        (``None`` without an answer) and ``payload`` the decoded JSON
+        object (``{}`` without one).  A shard that fails to answer is
+        reported dead rather than failing the whole poll.
         """
 
-        async def one(index: int) -> Dict[str, Any]:
+        async def one(index: int):
             shard = self.shards[index]
-            base = {
-                "shard": index,
-                "alive": False,
-                "pid": shard.pid if shard is not None else None,
-            }
+            pid = shard.pid if shard is not None else None
+            dead = ({"shard": index, "alive": False, "pid": pid}, None, {})
             if shard is None or not shard.live:
-                return base
+                return dead
             try:
                 reply = await asyncio.wait_for(
                     self.exchange(shard, method, path, body), timeout
@@ -728,25 +778,121 @@ class ShardManager:
                 ConnectionError, OSError, asyncio.IncompleteReadError,
                 asyncio.TimeoutError,
             ):
-                return base
+                return dead
             if reply.body is None:  # pragma: no cover - never chunked here
                 reply.writer.close()
-                return base
+                return dead
             try:
                 payload = json.loads(reply.body.decode() or "null")
             except (json.JSONDecodeError, UnicodeDecodeError):
                 payload = None
-            return {
-                "shard": index,
-                "alive": True,
-                "pid": shard.pid,
-                "status": reply.status,
-                "payload": payload,
-            }
+            worker = {"shard": index, "alive": True, "pid": pid}
+            return worker, reply.status, (
+                payload if isinstance(payload, dict) else {}
+            )
 
         return list(
             await asyncio.gather(*(one(i) for i in range(self.count)))
         )
+
+    # -- folded worker reports ------------------------------------------
+
+    async def health(self) -> Tuple[str, Dict[str, Any]]:
+        """Fold every worker's ``/healthz``: per-worker liveness, the
+        first live worker's models, and summed reload counters.  The
+        status is ``"degraded"`` while any worker is down."""
+        workers: List[Dict[str, Any]] = []
+        models: List[Dict[str, Any]] = []
+        reload_totals = {"checks": 0, "refreshes": 0, "swaps": 0}
+        for worker, _, payload in await self.poll("GET", "/healthz"):
+            if worker["alive"]:
+                worker["status"] = payload.get("status")
+                models = models or payload.get("models", [])
+                for field, value in payload.get("reload", {}).items():
+                    if field in reload_totals:
+                        reload_totals[field] += int(value)
+            workers.append(worker)
+        live = sum(worker["alive"] for worker in workers)
+        return ("serving" if live == self.count else "degraded"), {
+            "models": models,
+            "shards": {
+                "count": self.count,
+                "live": live,
+                "degraded": live < self.count,
+                "crashes": self.crashes,
+                "respawns": self.respawns,
+                "workers": workers,
+            },
+            "reload": {
+                "interval_s": self.config.reload_interval,
+                **reload_totals,
+            },
+        }
+
+    async def poll_stats(self):
+        return await self.poll("GET", "/stats")
+
+    def stats(self, polled) -> Dict[str, Any]:
+        """Fold polled worker ``/stats`` reports (:func:`merge_shard_stats`)
+        plus the first worker's model section and a per-shard summary."""
+        reports = [payload for _, _, payload in polled if payload]
+        merged = merge_shard_stats(reports)
+        merged["queue"]["limit"] = self.config.queue_limit
+        per_shard = []
+        for worker, _, payload in polled:
+            if payload:
+                worker.update(
+                    queue_depth=payload["queue"]["depth"],
+                    in_flight=payload["queue"]["in_flight"],
+                    requests_total=payload["batches"]["requests_total"],
+                    latency_samples=payload["latency"]["samples"],
+                )
+            per_shard.append(worker)
+        return {
+            **merged,
+            "models": next(
+                (report["models"] for report in reports if "models" in report),
+                {},
+            ),
+            "shards": {
+                "count": self.count,
+                "live": sum(worker["alive"] for worker in per_shard),
+                "crashes": self.crashes,
+                "respawns": self.respawns,
+                "spills": self.spills,
+                "per_shard": per_shard,
+            },
+        }
+
+    async def reload(self) -> Tuple[int, Dict[str, Any]]:
+        """Broadcast ``POST /reload`` to every live shard; fold the
+        reports (500 unless every worker reloaded)."""
+        swapped: List[Dict[str, Any]] = []
+        serving: List[Dict[str, Any]] = []
+        shard_reports: List[Dict[str, Any]] = []
+        for worker, status, payload in await self.poll(
+            "POST", "/reload", timeout=300.0
+        ):
+            index = worker["shard"]
+            if status != 200:
+                shard_reports.append({
+                    "shard": index,
+                    "ok": False,
+                    "error": payload.get("error", "shard unavailable"),
+                })
+                continue
+            shard_swaps = payload.get("swapped", [])
+            shard_reports.append(
+                {"shard": index, "ok": True, "swapped": len(shard_swaps)}
+            )
+            swapped.extend({**swap, "shard": index} for swap in shard_swaps)
+            serving = serving or payload.get("serving", [])
+        ok = all(report["ok"] for report in shard_reports)
+        return (200 if ok else 500), {
+            "swapped": swapped,
+            "serving": serving,
+            "shards": shard_reports,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -765,8 +911,6 @@ def merge_latency_reservoirs(
     shards see different traffic — pinned against a flat single-sample
     computation in ``tests/serving/test_shards.py``.
     """
-    from .server import nearest_rank
-
     union = sorted(
         float(sample) for reservoir in reservoirs for sample in reservoir
     )

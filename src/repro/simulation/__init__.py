@@ -15,18 +15,6 @@ from .distributions import (
     uniform_distribution,
     validate_distribution,
 )
-from .channels import (
-    amplitude_damping,
-    bit_flip,
-    compose_channels,
-    depolarizing,
-    is_trace_preserving,
-    phase_damping,
-    phase_flip,
-    thermal_relaxation,
-    two_qubit_depolarizing,
-)
-from .density import DensityMatrix, simulate_density
 from .executor import (
     SEED_STRIDE,
     ExecutionResult,
@@ -47,7 +35,6 @@ from .statevector import (
 )
 
 __all__ = [
-    "DensityMatrix",
     "ExecutionResult",
     "QPUExecutor",
     "SEED_STRIDE",
@@ -61,11 +48,7 @@ __all__ = [
     "sample_indices",
     "bhattacharyya_coefficient",
     "circuit_unitary",
-    "amplitude_damping",
-    "bit_flip",
-    "compose_channels",
     "counts_to_distribution",
-    "depolarizing",
     "cross_entropy",
     "execute_and_label",
     "hellinger_distance",
@@ -78,13 +61,7 @@ __all__ = [
     "render_histogram",
     "sample_counts",
     "shannon_entropy",
-    "is_trace_preserving",
-    "phase_damping",
-    "phase_flip",
-    "simulate_density",
     "simulate_statevector",
-    "thermal_relaxation",
-    "two_qubit_depolarizing",
     "total_variation_distance",
     "uniform_distribution",
     "validate_distribution",

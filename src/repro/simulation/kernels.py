@@ -1,8 +1,8 @@
 """Vectorized gate-application kernels shared by every simulator.
 
 This module is the single hot path of the reproduction: statevector
-simulation, density-matrix evolution, and full-unitary construction all
-funnel their gate applications through it.  Four ideas carry the speedup:
+simulation and full-unitary construction both funnel their gate
+applications through it.  Four ideas carry the speedup:
 
 1. **Tensor contractions instead of slice arithmetic.**  The state is
    viewed as an ``n``-axis tensor; each gate moves its target qubit axes to
@@ -100,7 +100,7 @@ def apply_matrix(
         data: array with ``2**num_qubits * tail`` elements whose leading
             bits index the qubits (qubit ``num_qubits - 1`` is the
             most-significant) and whose trailing ``tail`` elements form a
-            batch axis (columns of a unitary, density-matrix columns, ...).
+            batch axis (e.g. the columns of a unitary).
         matrix: the gate unitary; index bit ``m`` corresponds to
             ``qubits[m]``.
         qubits: target qubits.

@@ -6,7 +6,8 @@ The tentpole contract: a daemon with ``--shards N`` answers with bytes
 content-length and streamed responses.  The matrix tests here compare
 raw response bytes — head and body — across shard counts {1, 2, 4},
 then exercise the operational paths: drain during a live stream,
-reload broadcast under traffic, and worker crash → 503 → respawn.
+reload broadcast under traffic, per-worker reload polling, and worker
+crash → 503 → respawn.
 
 Process tests spawn real workers (one registry + batcher each), so the
 shared matrix daemons are module-scoped; the destructive tests (drain,
@@ -578,6 +579,74 @@ def test_reload_broadcast_swaps_every_shard_under_traffic(
     )
     assert new["predictions"] == fresh.predict(circuits[:3]).tolist()
     assert new["predictions"] != old["predictions"]
+
+
+def test_reload_interval_polls_on_every_shard(tmp_path, model_path, circuits):
+    """reload_interval > 0 with two shards: each worker polls its own
+    registry, so an overwritten model file is picked up on both shards
+    with no POST /reload, and the swapped pool answers byte-for-byte
+    like a pool freshly booted on the new file."""
+    serving_path = tmp_path / "model.npz"
+    serving_path.write_bytes(model_path.read_bytes())
+    qasm = [to_qasm(circuit) for circuit in circuits]
+    requests = [
+        ("/predict", {"circuits": qasm[0:3]}),
+        ("/predict", {"circuits": qasm[1:4], "optimization_level": 0}),
+        ("/predict", {"circuits": qasm[2:5], "optimization_level": 1}),
+        ("/predict", {"circuits": qasm[3:6], "optimization_level": 3}),
+        ("/foms", {"circuits": qasm[4:6]}),
+    ]
+    lanes = {
+        shard_for(
+            (None, None, payload.get("optimization_level"), path == "/foms"),
+            2,
+        )
+        for path, payload in requests
+    }
+    assert lanes == {0, 1}  # the requests below reach both workers
+
+    thread = DaemonThread(
+        make_sharded(serving_path, 2, reload_interval=0.05)
+    )
+    thread.start()
+    try:
+        with ServingClient(thread.daemon.host, thread.daemon.port) as client:
+            old = client.predict(circuits[:3])
+            rng = np.random.default_rng(99)
+            successor = HellingerEstimator(
+                param_grid=TINY_GRID, seed=99
+            ).fit(rng.uniform(size=(60, 30)), rng.uniform(size=60))
+            staged = tmp_path / "staged.npz"
+            save_model(successor, staged)
+            os.replace(staged, serving_path)
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                _, health = client.healthz()
+                if health["reload"]["swaps"] >= 2:
+                    break
+                time.sleep(0.05)
+            assert health["reload"]["swaps"] == 2
+            assert health["reload"]["interval_s"] == 0.05
+            assert health["reload"]["checks"] >= 2
+        swapped = [
+            raw_exchange(thread.daemon, payload, path)
+            for path, payload in requests
+        ]
+    finally:
+        thread.stop()
+    assert response_body(swapped[0])["fingerprint"] != old["fingerprint"]
+    assert response_body(swapped[0])["predictions"] != old["predictions"]
+
+    fresh = DaemonThread(make_sharded(serving_path, 2))
+    fresh.start()
+    try:
+        booted = [
+            raw_exchange(fresh.daemon, payload, path)
+            for path, payload in requests
+        ]
+    finally:
+        fresh.stop()
+    assert swapped == booted
 
 
 def test_worker_crash_503_respawn_recovers(model_path, direct, circuits):

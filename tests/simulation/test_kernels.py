@@ -14,7 +14,6 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import gate_matrix
 from repro.circuits.random import random_circuit
-from repro.simulation.density import simulate_density
 from repro.simulation.kernels import (
     apply_matrix,
     block_ops,
@@ -113,15 +112,6 @@ def test_statevector_fused_matches_naive_across_seeds(seed):
     fast = simulate_statevector(circuit).data
     reference = naive_statevector(circuit)
     assert np.allclose(fast, reference, atol=1e-10)
-
-
-@pytest.mark.parametrize("num_qubits", range(2, 6))
-def test_density_fused_matches_naive(num_qubits):
-    circuit = _mixed_circuit(num_qubits, depth=8, seed=17 + num_qubits)
-    rho = simulate_density(circuit).data
-    state = naive_statevector(circuit)
-    reference = np.outer(state, state.conj())
-    assert np.allclose(rho, reference, atol=1e-10)
 
 
 @pytest.mark.parametrize("num_qubits", range(2, 6))
