@@ -369,13 +369,14 @@ def main() -> None:
 def sharded_phase(model_path: Path, qasm: list, args) -> None:
     """``--shards 2``: byte-identity through the dispatcher, streaming,
     and a SIGTERM landing mid-stream — the stream still completes, the
-    parent exits 0, and both worker processes are reaped."""
+    parent exits 0, and both worker processes are reaped.  This phase
+    boots with the default (work-conserving) batch deadline."""
     print("[smoke] starting sharded daemon (--shards 2)")
     daemon = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--model", str(model_path), "--device", args.device,
          "--level", str(args.level), "--port", "0", "--shards", "2",
-         "--batch-deadline-ms", "150", "--max-batch", "64"],
+         "--max-batch", "64"],
         stdout=subprocess.PIPE, text=True,
     )
     try:

@@ -798,8 +798,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="circuits per dynamic batch (size trigger)",
     )
     p_serve.add_argument(
-        "--batch-deadline-ms", type=float, default=10.0,
-        help="max milliseconds a partial batch waits for more requests",
+        "--batch-deadline-ms", type=float, default=0.0,
+        help="max milliseconds a partial batch waits for more requests "
+             "(0, the default, dispatches as soon as the runner is idle; "
+             "requests still coalesce while they queue behind a running "
+             "batch)",
     )
     p_serve.add_argument(
         "--queue-limit", type=int, default=1024,

@@ -8,12 +8,20 @@ has to rebuild the batches.  :class:`DynamicBatcher` is that someone:
 * Requests enqueue into **lanes** keyed by an opaque, hashable key (the
   daemon uses ``(model, fingerprint, level, panel?)``) — only requests
   whose results are computed identically may share a batch.
-* A lane dispatches when its queued weight (circuit count) reaches
-  ``max_batch`` (**size trigger**) or when its oldest request has waited
-  ``max_delay`` seconds (**deadline trigger**), whichever comes first.
-  Either trigger produces the same responses — batch composition only
+* Dispatch is **work-conserving** by default (``max_delay=0``): a lane
+  dispatches as soon as the runner is idle.  Requests coalesce while
+  they queue behind the batch already in flight, so batches grow with
+  load and a lone request on an idle daemon never waits for a partner.
+* A positive ``max_delay`` adds a **deadline trigger**: a partial lane
+  waits until its oldest request has waited ``max_delay`` seconds, or
+  until its queued weight (circuit count) reaches ``max_batch``
+  (**size trigger**), whichever comes first — larger batches at light
+  load for up to ``max_delay`` of added latency per request.
+  Every rule produces the same responses — batch composition only
   affects latency, never values (see
   :meth:`~repro.predictor.service.FomService.predict_at`).
+* A request whose awaiter gave up while it was queued (a per-request
+  timeout) is dropped at dispatch, never computed.
 * The queue is **bounded**: once ``max_queue`` circuits are waiting,
   :meth:`submit` raises :class:`BacklogFull` and the daemon answers 503
   instead of accumulating unbounded latency.
@@ -61,6 +69,16 @@ class _Request(NamedTuple):
     enqueued: float
 
 
+class _Lane:
+    """One key's queued requests and their running circuit weight."""
+
+    __slots__ = ("requests", "weight")
+
+    def __init__(self) -> None:
+        self.requests: Deque[_Request] = deque()
+        self.weight = 0
+
+
 class BatcherStats(NamedTuple):
     """A point-in-time snapshot of the batcher's counters."""
 
@@ -77,18 +95,21 @@ class BatcherStats(NamedTuple):
 
 
 class DynamicBatcher:
-    """Size-/deadline-triggered coalescing over keyed lanes.
+    """Work-conserving (optionally deadline-triggered) coalescing over
+    keyed lanes.
 
     Args:
         runner: ``runner(key, payloads, timings) -> results`` — called in
             a worker thread with every payload of one batch (all sharing
             ``key``); must return one result per payload, in order.  It
             may record per-stage seconds into the ``timings`` dict.
-        max_batch: dispatch a lane once this many circuits are queued in
-            it.  A single request larger than ``max_batch`` still
-            dispatches (alone).
-        max_delay: seconds the oldest queued request may wait before its
-            lane dispatches regardless of size.
+        max_batch: most circuits in one batch; with a positive
+            ``max_delay``, a lane this full dispatches without waiting.
+            A single request larger than ``max_batch`` still dispatches
+            (alone).
+        max_delay: seconds a partial lane holds its oldest request for
+            more work before dispatching.  ``0`` (the default) dispatches
+            as soon as the runner is idle.
         max_queue: bound on the total circuits waiting across lanes.
     """
 
@@ -97,7 +118,7 @@ class DynamicBatcher:
         runner: Callable[[Hashable, List[Any], Dict[str, float]], List[Any]],
         *,
         max_batch: int = 64,
-        max_delay: float = 0.010,
+        max_delay: float = 0.0,
         max_queue: int = 1024,
     ):
         if max_batch < 1:
@@ -110,7 +131,7 @@ class DynamicBatcher:
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.max_queue = max_queue
-        self._lanes: "OrderedDict[Hashable, Deque[_Request]]" = OrderedDict()
+        self._lanes: "OrderedDict[Hashable, _Lane]" = OrderedDict()
         self._queued_weight = 0
         self._in_flight = 0
         self._closing = False
@@ -165,8 +186,10 @@ class DynamicBatcher:
         Raises :class:`BatcherClosed` when draining and
         :class:`BacklogFull` when ``max_queue`` circuits are already
         waiting.  If the awaiting task is cancelled (e.g. a per-request
-        timeout), the batch still runs to completion — only the response
-        is abandoned, never the ordering of everyone else's.
+        timeout) while the request is queued, the request is dropped at
+        dispatch; once its batch runs, the batch still runs to completion
+        — only the response is abandoned, never the ordering of everyone
+        else's.
         """
         if weight < 1:
             raise ValueError("weight must be positive")
@@ -183,7 +206,9 @@ class DynamicBatcher:
             await self.start()
         loop = asyncio.get_running_loop()
         request = _Request(payload, weight, loop.create_future(), loop.time())
-        self._lanes.setdefault(key, deque()).append(request)
+        lane = self._lanes.setdefault(key, _Lane())
+        lane.requests.append(request)
+        lane.weight += weight
         self._queued_weight += weight
         self._requests_total += 1
         assert self._wake is not None
@@ -198,7 +223,9 @@ class DynamicBatcher:
         """Current counters (the daemon's ``/stats`` feed)."""
         return BatcherStats(
             queue_depth=self._queued_weight,
-            requests_waiting=sum(len(lane) for lane in self._lanes.values()),
+            requests_waiting=sum(
+                len(lane.requests) for lane in self._lanes.values()
+            ),
             in_flight=self._in_flight,
             batches_total=self._batches_total,
             requests_total=self._requests_total,
@@ -222,24 +249,40 @@ class DynamicBatcher:
         best_key = None
         best_enqueued = float("inf")
         for key, lane in self._lanes.items():
-            if sum(request.weight for request in lane) >= self.max_batch:
-                return key, lane[0].enqueued
-            if lane[0].enqueued < best_enqueued:
-                best_key, best_enqueued = key, lane[0].enqueued
+            enqueued = lane.requests[0].enqueued
+            if lane.weight >= self.max_batch:
+                return key, enqueued
+            if enqueued < best_enqueued:
+                best_key, best_enqueued = key, enqueued
         return best_key, best_enqueued
 
     def _take_batch(self, key: Hashable) -> List[_Request]:
-        """Pop whole requests from a lane head up to ``max_batch`` circuits."""
+        """Pop whole requests from a lane head up to ``max_batch`` circuits.
+
+        Requests whose future is already done — the awaiter timed out or
+        was cancelled while queued — are dropped, not run; the batch may
+        therefore come back empty.
+        """
         lane = self._lanes[key]
-        batch: List[_Request] = [lane.popleft()]
-        taken = batch[0].weight
-        while lane and taken + lane[0].weight <= self.max_batch:
-            request = lane.popleft()
+        requests = lane.requests
+        batch: List[_Request] = []
+        taken = 0
+        released = 0
+        while requests:
+            request = requests[0]
+            if request.future.done():
+                requests.popleft()
+                released += request.weight
+                continue
+            if batch and taken + request.weight > self.max_batch:
+                break
+            requests.popleft()
             batch.append(request)
             taken += request.weight
-        if not lane:
+        lane.weight -= taken + released
+        self._queued_weight -= taken + released
+        if not requests:
             del self._lanes[key]
-        self._queued_weight -= taken
         return batch
 
     async def _dispatch_loop(self) -> None:
@@ -256,27 +299,20 @@ class DynamicBatcher:
                     await self._wake.wait()
                 continue
             key, oldest = self._ripest_lane()
-            lane_weight = sum(
-                request.weight for request in self._lanes[key]
-            )
-            deadline = oldest + self.max_delay
-            now = loop.time()
-            if (
-                lane_weight < self.max_batch
-                and now < deadline
-                and not self._closing
-            ):
-                # Wait for more work (or the deadline), then re-evaluate.
-                self._wake.clear()
-                try:
-                    await asyncio.wait_for(
-                        self._wake.wait(), timeout=deadline - now
-                    )
-                except asyncio.TimeoutError:
-                    pass
-                continue
+            if self.max_delay > 0 and not self._closing:
+                hold = oldest + self.max_delay - loop.time()
+                if self._lanes[key].weight < self.max_batch and hold > 0:
+                    # Wait for more work (or the deadline), then
+                    # re-evaluate.
+                    self._wake.clear()
+                    try:
+                        await asyncio.wait_for(self._wake.wait(), timeout=hold)
+                    except asyncio.TimeoutError:
+                        pass
+                    continue
             batch = self._take_batch(key)
-            await self._run_batch(key, batch, dispatched_at=loop.time())
+            if batch:
+                await self._run_batch(key, batch, dispatched_at=loop.time())
 
     async def _run_batch(
         self, key: Hashable, batch: List[_Request], dispatched_at: float

@@ -178,7 +178,9 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 8377                  # 0 = pick a free port (tests)
     max_batch: int = 64               # circuits per dynamic batch (size trigger)
-    batch_deadline: float = 0.010     # seconds before a partial batch flushes
+    batch_deadline: float = 0.0       # seconds a partial batch waits for
+                                      # more work (0 = dispatch as soon as
+                                      # the runner is idle)
     queue_limit: int = 1024           # circuits waiting before 503
     request_timeout: float = 60.0     # seconds before a request gets 504
     max_body_bytes: int = 64 * 1024 * 1024

@@ -6,6 +6,7 @@ batch, when batches fire, and that every future resolves exactly once.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -296,3 +297,123 @@ def test_constructor_and_submit_validation():
         await batcher.close()
 
     run(main())
+
+
+def gated_runner(batches, gate):
+    """An echo runner that logs each batch, then blocks until ``gate``."""
+
+    def runner(key, payloads, timings):
+        batches.append(list(payloads))
+        gate.wait(timeout=30)
+        return list(payloads)
+
+    return runner
+
+
+async def wait_until(condition, timeout=10.0):
+    loop = asyncio.get_running_loop()
+    give_up = loop.time() + timeout
+    while not condition():
+        assert loop.time() < give_up, "condition never became true"
+        await asyncio.sleep(0.001)
+
+
+def test_idle_runner_dispatches_at_once_and_queued_requests_coalesce():
+    """Work-conserving default: a lone request never waits for a partner,
+    and requests that queue behind a running batch share the next one."""
+    batches = []
+    gate = threading.Event()
+
+    async def main():
+        batcher = DynamicBatcher(gated_runner(batches, gate))
+        await batcher.start()
+        first = asyncio.create_task(batcher.submit("lane", "A"))
+        await wait_until(lambda: batches == [["A"]])
+        rest = [
+            asyncio.create_task(batcher.submit("lane", payload))
+            for payload in ("B", "C")
+        ]
+        await wait_until(lambda: batcher.snapshot().requests_waiting == 2)
+        gate.set()
+        await first
+        after_first = batcher.snapshot()
+        results = await asyncio.gather(*rest)
+        await batcher.close()
+        return after_first, results
+
+    try:
+        after_first, results = run(main())
+    finally:
+        gate.set()
+    assert after_first.batches_total == 1
+    assert after_first.queue_wait_s_max < 0.010
+    assert results == ["B", "C"]
+    assert batches == [["A"], ["B", "C"]]
+
+
+def test_timed_out_queued_request_is_never_computed():
+    """A request whose awaiter gave up while queued (the daemon's 504)
+    is dropped at dispatch and its weight leaves ``queue_depth``."""
+    batches = []
+    gate = threading.Event()
+
+    async def main():
+        batcher = DynamicBatcher(gated_runner(batches, gate))
+        await batcher.start()
+        first = asyncio.create_task(batcher.submit("lane", "A"))
+        await wait_until(lambda: batches == [["A"]])
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(
+                batcher.submit("lane", "B", weight=2), timeout=0.01
+            )
+        last = asyncio.create_task(batcher.submit("lane", "C"))
+        await wait_until(lambda: batcher.snapshot().requests_waiting == 2)
+        gate.set()
+        results = await asyncio.gather(first, last)
+        await batcher.close()
+        return results, batcher.snapshot()
+
+    try:
+        results, stats = run(main())
+    finally:
+        gate.set()
+    assert results == ["A", "C"]
+    assert batches == [["A"], ["C"]]
+    assert stats.queue_depth == 0
+    assert stats.requests_waiting == 0
+    assert stats.batches_total == 2
+
+
+def test_batch_of_only_abandoned_requests_is_not_run():
+    batches = []
+    gate = threading.Event()
+
+    async def main():
+        batcher = DynamicBatcher(gated_runner(batches, gate))
+        await batcher.start()
+        first = asyncio.create_task(batcher.submit("lane", "A"))
+        await wait_until(lambda: batches == [["A"]])
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(batcher.submit("other", "B"), timeout=0.01)
+        gate.set()
+        await first
+        await batcher.close()
+        return batcher.snapshot()
+
+    try:
+        stats = run(main())
+    finally:
+        gate.set()
+    assert batches == [["A"]]
+    assert stats.batches_total == 1
+    assert stats.queue_depth == 0
+
+
+def test_default_batch_deadline_is_work_conserving():
+    from repro.cli import build_parser
+    from repro.serving import ServerConfig
+
+    assert DynamicBatcher(echo_runner()).max_delay == 0.0
+    assert ServerConfig().batch_deadline == 0.0
+    args = build_parser().parse_args(["serve", "--model", "model.npz"])
+    assert args.batch_deadline_ms == 0.0
