@@ -69,16 +69,6 @@ class _Request(NamedTuple):
     enqueued: float
 
 
-class _Lane:
-    """One key's queued requests and their running circuit weight."""
-
-    __slots__ = ("requests", "weight")
-
-    def __init__(self) -> None:
-        self.requests: Deque[_Request] = deque()
-        self.weight = 0
-
-
 class BatcherStats(NamedTuple):
     """A point-in-time snapshot of the batcher's counters."""
 
@@ -131,7 +121,7 @@ class DynamicBatcher:
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.max_queue = max_queue
-        self._lanes: "OrderedDict[Hashable, _Lane]" = OrderedDict()
+        self._lanes: "OrderedDict[Hashable, Deque[_Request]]" = OrderedDict()
         self._queued_weight = 0
         self._in_flight = 0
         self._closing = False
@@ -206,9 +196,7 @@ class DynamicBatcher:
             await self.start()
         loop = asyncio.get_running_loop()
         request = _Request(payload, weight, loop.create_future(), loop.time())
-        lane = self._lanes.setdefault(key, _Lane())
-        lane.requests.append(request)
-        lane.weight += weight
+        self._lanes.setdefault(key, deque()).append(request)
         self._queued_weight += weight
         self._requests_total += 1
         assert self._wake is not None
@@ -223,9 +211,7 @@ class DynamicBatcher:
         """Current counters (the daemon's ``/stats`` feed)."""
         return BatcherStats(
             queue_depth=self._queued_weight,
-            requests_waiting=sum(
-                len(lane.requests) for lane in self._lanes.values()
-            ),
+            requests_waiting=sum(len(lane) for lane in self._lanes.values()),
             in_flight=self._in_flight,
             batches_total=self._batches_total,
             requests_total=self._requests_total,
@@ -249,11 +235,10 @@ class DynamicBatcher:
         best_key = None
         best_enqueued = float("inf")
         for key, lane in self._lanes.items():
-            enqueued = lane.requests[0].enqueued
-            if lane.weight >= self.max_batch:
-                return key, enqueued
-            if enqueued < best_enqueued:
-                best_key, best_enqueued = key, enqueued
+            if sum(request.weight for request in lane) >= self.max_batch:
+                return key, lane[0].enqueued
+            if lane[0].enqueued < best_enqueued:
+                best_key, best_enqueued = key, lane[0].enqueued
         return best_key, best_enqueued
 
     def _take_batch(self, key: Hashable) -> List[_Request]:
@@ -264,24 +249,20 @@ class DynamicBatcher:
         therefore come back empty.
         """
         lane = self._lanes[key]
-        requests = lane.requests
         batch: List[_Request] = []
         taken = 0
-        released = 0
-        while requests:
-            request = requests[0]
-            if request.future.done():
-                requests.popleft()
-                released += request.weight
-                continue
-            if batch and taken + request.weight > self.max_batch:
+        while lane:
+            request = lane[0]
+            abandoned = request.future.done()
+            full = batch and taken + request.weight > self.max_batch
+            if full and not abandoned:
                 break
-            requests.popleft()
-            batch.append(request)
-            taken += request.weight
-        lane.weight -= taken + released
-        self._queued_weight -= taken + released
-        if not requests:
+            lane.popleft()
+            self._queued_weight -= request.weight
+            if not abandoned:
+                batch.append(request)
+                taken += request.weight
+        if not lane:
             del self._lanes[key]
         return batch
 
@@ -299,17 +280,22 @@ class DynamicBatcher:
                     await self._wake.wait()
                 continue
             key, oldest = self._ripest_lane()
-            if self.max_delay > 0 and not self._closing:
-                hold = oldest + self.max_delay - loop.time()
-                if self._lanes[key].weight < self.max_batch and hold > 0:
-                    # Wait for more work (or the deadline), then
-                    # re-evaluate.
-                    self._wake.clear()
-                    try:
-                        await asyncio.wait_for(self._wake.wait(), timeout=hold)
-                    except asyncio.TimeoutError:
-                        pass
-                    continue
+            # With ``max_delay == 0`` the hold is never positive (loop time
+            # is monotonic), so an idle runner takes the lane at once.
+            hold = oldest + self.max_delay - loop.time()
+            if (
+                not self._closing
+                and hold > 0
+                and sum(request.weight for request in self._lanes[key])
+                < self.max_batch
+            ):
+                # Wait for more work (or the deadline), then re-evaluate.
+                self._wake.clear()
+                try:
+                    await asyncio.wait_for(self._wake.wait(), timeout=hold)
+                except asyncio.TimeoutError:
+                    pass
+                continue
             batch = self._take_batch(key)
             if batch:
                 await self._run_batch(key, batch, dispatched_at=loop.time())
