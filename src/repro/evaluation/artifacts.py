@@ -9,7 +9,8 @@ try to load, treat *any* problem as a miss, rebuild, save.
 
 :class:`ArtifactStore` centralizes those moves behind a content-addressed
 ``get``/``put`` pair.  Entries are addressed by ``(kind, name,
-fingerprint)``: ``kind`` selects the serializer (see :data:`ARTIFACT_KINDS`),
+fingerprint)``: ``kind`` selects the file-name pattern and envelope codec
+(see :data:`ARTIFACT_KINDS` and :mod:`repro.evaluation.persistence`),
 ``name`` is a human-readable label (typically the device name), and
 ``fingerprint`` is the caller's content hash of every input that
 influenced the artifact (see
@@ -22,7 +23,8 @@ directories written before this refactor keep hitting, byte for byte.
 Failure policy (unchanged from the schemes it replaces): a missing,
 truncated, corrupted, foreign-format, wrong-version, or stale-fingerprint
 entry makes :meth:`ArtifactStore.get` return ``None`` — the caller
-rebuilds and overwrites.  A cache must never kill a long study.
+rebuilds and overwrites.  A cache must never kill a long study.  Every
+write replaces its entry atomically, so a reader never sees half of one.
 ``run_study``, ``run_cross_device_study``, ``build_device_datasets``, and
 :class:`~repro.predictor.service.FomService` model loading all sit on
 this store.
@@ -33,78 +35,31 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from ..predictor.estimator import HellingerEstimator
-from .persistence import (
-    PersistenceError,
-    load_dataset_cache,
-    load_drift_cache,
-    load_leaderboard_cache,
-    load_model,
-    load_report_cache,
-    save_dataset_cache,
-    save_drift_cache,
-    save_leaderboard_cache,
-    save_model,
-    save_report_cache,
-)
-
-def _save_estimator(model, path: Path, fingerprint: str) -> Path:
-    # Staleness of model checkpoints is enforced through the fingerprint
-    # embedded in the file name (the .npz format predates fingerprint
-    # metadata and must stay loadable by plain ``load_model``).
-    return save_model(model, path)
-
-
-def _load_estimator(path: Path, fingerprint: str):
-    model = load_model(path)
-    if not isinstance(model, HellingerEstimator):
-        raise PersistenceError(
-            f"{path} holds a {type(model).__name__}, not a HellingerEstimator"
-        )
-    return model
+from .persistence import DATASET, DRIFT, ESTIMATOR, LEADERBOARD, REPORT, Codec, PersistenceError
 
 
 class ArtifactKind(NamedTuple):
-    """Serialization recipe for one artifact kind."""
+    """File-name pattern and envelope codec of one artifact kind."""
 
-    pattern: str                       # file name: pattern.format(name=, fingerprint=)
-    save: Callable[..., Path]          # save(obj, path, fingerprint)
-    load: Callable[..., object]        # load(path, fingerprint) -> obj or raise
+    pattern: str  # file name: pattern.format(name=, fingerprint=)
+    codec: Codec
 
 
 #: The artifact kinds the pipelines persist, keyed by kind id.  File-name
 #: patterns are frozen: they are the pre-refactor cache names.
 ARTIFACT_KINDS: Dict[str, ArtifactKind] = {
-    "dataset": ArtifactKind(
-        "dataset_{name}_{fingerprint}.json",
-        save_dataset_cache,
-        load_dataset_cache,
-    ),
-    "report": ArtifactKind(
-        "report_{name}_{fingerprint}.json",
-        save_report_cache,
-        load_report_cache,
-    ),
-    "estimator": ArtifactKind(
-        "transfer-estimator_{name}_{fingerprint}.npz",
-        _save_estimator,
-        _load_estimator,
-    ),
+    "dataset": ArtifactKind("dataset_{name}_{fingerprint}.json", DATASET),
+    "report": ArtifactKind("report_{name}_{fingerprint}.json", REPORT),
+    # Model checkpoints carry their fingerprint in the file name only, so
+    # the file stays loadable by plain ``load_model``.
+    "estimator": ArtifactKind("transfer-estimator_{name}_{fingerprint}.npz", ESTIMATOR),
     # Compilation-search winners per (device-family, width-bucket); the
     # committed copies live under benchmarks/leaderboards/ (see
     # repro.compiler.search and docs/search.md).
-    "leaderboard": ArtifactKind(
-        "leaderboard_{name}_{fingerprint}.json",
-        save_leaderboard_cache,
-        load_leaderboard_cache,
-    ),
+    "leaderboard": ArtifactKind("leaderboard_{name}_{fingerprint}.json", LEADERBOARD),
     # Completed drift-study results (repro.evaluation.drift): the final
     # stage cache that makes a warm rerun a pure read.
-    "drift": ArtifactKind(
-        "drift_{name}_{fingerprint}.json",
-        save_drift_cache,
-        load_drift_cache,
-    ),
+    "drift": ArtifactKind("drift_{name}_{fingerprint}.json", DRIFT),
 }
 
 
@@ -151,16 +106,16 @@ class ArtifactStore:
         the caller rebuilds (and normally :meth:`put`s the fresh value
         over the bad entry).
         """
-        recipe = self._kind(kind)
+        codec = self._kind(kind).codec
         try:
-            return recipe.load(self.path(kind, name, fingerprint), fingerprint)
+            return codec.load(self.path(kind, name, fingerprint), fingerprint)
         except PersistenceError:
             return None
 
     def put(self, kind: str, artifact, name: str, fingerprint: str) -> Path:
         """Write (or overwrite) an entry; returns its path."""
-        recipe = self._kind(kind)
-        return recipe.save(artifact, self.path(kind, name, fingerprint), fingerprint)
+        codec = self._kind(kind).codec
+        return codec.save(artifact, self.path(kind, name, fingerprint), fingerprint)
 
     def fetch(
         self,

@@ -1,25 +1,36 @@
-"""Persistence: study archives, trained models, and stage caches.
+"""Persistence: one envelope codec for every on-disk artifact.
 
-Three layers, all file-based and dependency-free:
+Every stage cache, leaderboard row and model file is an *envelope*: a
+header around a per-kind body.  The header holds a ``format`` tag, a
+``version`` (the dataset and report kinds never wrote one) and the
+``fingerprint`` of every input that built the artifact (models carry
+theirs in the file name only).  A :class:`Codec` describes one kind:
 
-* **Study archives** (JSON): the numbers behind Table I / Fig. 3
-  (:func:`save_study` / :func:`load_study_data` / :func:`load_datasets`),
-  unchanged from the original interface.
-* **Models** (``.npz``): fitted trees, forests, and
-  :class:`~repro.predictor.estimator.HellingerEstimator` instances are
-  encoded as flat node arrays plus a JSON metadata blob
-  (:func:`save_model` / :func:`load_model`).  A loaded model predicts
-  bit-identically to the one that was saved.
-* **Stage caches** (JSON): per-device labelled datasets and estimator
-  reports keyed by a fingerprint of everything that influences them, so
-  ``run_study(cache_dir=...)`` skips compile/execute/train stages whose
-  inputs are unchanged (:func:`save_dataset_cache` & friends).  These
-  are the serialization primitives; the pipelines reach them through the
-  unified :class:`~repro.evaluation.artifacts.ArtifactStore`.
+* its header (format tag, version, whether it is fingerprinted);
+* its :class:`Layout` — compact JSON (dataset and report caches),
+  canonical JSON with sorted keys, two-space indent and a trailing
+  newline (drift results and leaderboard rows, so a rerun regenerates a
+  committed file byte for byte), or ``.npz`` (models: flat node arrays
+  plus a JSON ``meta`` member);
+* its body pair: ``encode`` (artifact to body) and ``decode`` (body to
+  artifact).
 
-Corrupted or foreign files raise :class:`PersistenceError` from the model
-loaders; the stage-cache readers raise it too, and ``run_study`` treats
-that as a cache miss (a stale cache must never kill a long study).
+:meth:`Codec.save` is the one writer.  It adds the header to the body
+and writes the bytes to a temp file in the target directory, which
+``os.replace`` then renames over the entry: a reader sees the old entry
+or the new one, never half of one.  :meth:`Codec.load` is the one
+reader.  It checks format, version and fingerprint and turns *every*
+problem (missing, unreadable, not UTF-8, not an object, foreign, wrong
+version, stale, or a body of the wrong shape) into
+:class:`PersistenceError`, which
+:class:`~repro.evaluation.artifacts.ArtifactStore` treats as a miss: a
+cache must never kill a long study.
+
+:func:`save_model` / :func:`load_model` are the :data:`MODEL` codec; a
+loaded model predicts bit-identically to the one that was saved.  Study
+archives (:func:`save_study` / :func:`load_study_data` /
+:func:`load_datasets`) are plain JSON with no envelope, unchanged from the
+original interface.
 """
 
 from __future__ import annotations
@@ -28,9 +39,12 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import threading
 import zipfile
+import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,13 +56,30 @@ from ..predictor.estimator import EstimatorReport, HellingerEstimator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study imports us)
     from .study import StudyResult
 
-#: Format tag + version embedded in every ``.npz`` model file.
-MODEL_FORMAT = "repro-model"
-MODEL_VERSION = 1
-
 
 class PersistenceError(ValueError):
     """A model or cache file is missing, corrupted, or incompatible."""
+
+
+def _replace(path: Path, data: bytes) -> Path:
+    """Write ``data`` to ``path`` through a temp file in its directory.
+
+    The rename is atomic, so concurrent readers and writers never see a
+    torn entry; a failed write removes the temp file and leaves the old
+    entry in place.  No fsync: a reader already treats a torn entry (as
+    left by a power cut) as a miss.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -84,10 +115,8 @@ def study_to_dict(result: "StudyResult") -> Dict:
 
 def save_study(result: "StudyResult", path: str | Path) -> Path:
     """Write a study result to ``path`` as JSON; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(study_to_dict(result), indent=1))
-    return path
+    text = json.dumps(study_to_dict(result), indent=1)
+    return _replace(Path(path), text.encode("utf-8"))
 
 
 def load_study_data(path: str | Path) -> Dict:
@@ -102,14 +131,10 @@ def load_datasets(path: str | Path) -> Dict[str, CircuitDataset]:
     Everything needed to retrain/score models (features, labels, FoM
     columns) is restored.
     """
-    data = load_study_data(path)
-    datasets: Dict[str, CircuitDataset] = {}
-    for name, entries in data["datasets"].items():
-        dataset = CircuitDataset(device_name=name)
-        for record in entries:
-            dataset.entries.append(_entry_from_dict(record))
-        datasets[name] = dataset
-    return datasets
+    return {
+        name: _dataset_from_body({"device_name": name, "entries": entries})
+        for name, entries in load_study_data(path)["datasets"].items()
+    }
 
 
 def _entry_to_dict(entry: DatasetEntry) -> Dict:
@@ -141,62 +166,326 @@ def _entry_from_dict(record: Dict) -> DatasetEntry:
 
 
 # ----------------------------------------------------------------------
-# Model persistence (.npz flat arrays + JSON metadata).
+# The envelope codec.
 
 
-def _tree_payload(tree: DecisionTreeRegressor, prefix: str) -> Dict[str, np.ndarray]:
+class Layout(NamedTuple):
+    """How a header and a body become file bytes, and back."""
+
+    dump: Callable[[Dict, Dict], bytes]  # (header, body) -> file bytes
+    parse: Callable[[bytes], Any]        # file bytes -> header and body
+
+
+def _dump_compact(header: Dict, body: Dict) -> bytes:
+    return json.dumps({**header, **body}).encode("utf-8")
+
+
+def _dump_canonical(header: Dict, body: Dict) -> bytes:
+    text = json.dumps({**body, **header}, sort_keys=True, indent=2) + "\n"
+    return text.encode("utf-8")
+
+
+def _parse_json(raw: bytes):
+    return json.loads(raw.decode("utf-8"))
+
+
+def _dump_npz(header: Dict, body: Dict) -> bytes:
+    """Array values become ``.npz`` members; the rest is JSON ``meta``."""
+    arrays = {k: v for k, v in body.items() if isinstance(v, np.ndarray)}
+    meta = {k: v for k, v in body.items() if k not in arrays}
+    encoded = json.dumps({**meta, **header}).encode("utf-8")
+    buffer = io.BytesIO()
+    np.savez_compressed(
+        buffer, meta=np.frombuffer(encoded, dtype=np.uint8), **arrays
+    )
+    return buffer.getvalue()
+
+
+def _parse_npz(raw: bytes) -> Dict:
+    with np.load(io.BytesIO(raw), allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
+    return {**arrays, **meta}  # meta last: no array can shadow the header
+
+
+COMPACT = Layout(_dump_compact, _parse_json)
+CANONICAL = Layout(_dump_canonical, _parse_json)
+NPZ = Layout(_dump_npz, _parse_npz)
+
+#: What a body of the wrong shape raises in a decode function.
+_SHAPE_ERRORS = (KeyError, IndexError, TypeError, ValueError)
+#: What an unreadable, damaged or foreign file raises while it is parsed.
+_PARSE_ERRORS = (OSError, EOFError, zipfile.BadZipFile, zlib.error, *_SHAPE_ERRORS)
+
+
+class Codec(NamedTuple):
+    """One artifact kind: its envelope header, layout and body pair."""
+
+    format: str                     # the header's "format" tag
+    version: Optional[int]          # the header's "version"; None: never written
+    layout: Layout
+    encode: Callable[[Any], Dict]   # artifact -> body
+    decode: Callable[[Dict], Any]   # body -> artifact; may raise on bad shape
+    fingerprinted: bool = True      # the header carries the inputs' fingerprint
+
+    @property
+    def label(self) -> str:
+        """Human name for messages: ``"dataset cache"``, ``"model"``, ..."""
+        return self.format[len("repro-"):].replace("-", " ")
+
+    def header(self, fingerprint: Optional[str]) -> Dict:
+        header: Dict[str, Any] = {"format": self.format}
+        if self.version is not None:
+            header["version"] = self.version
+        if self.fingerprinted:
+            header["fingerprint"] = fingerprint
+        return header
+
+    def save(
+        self, artifact, path: str | Path, fingerprint: Optional[str] = None
+    ) -> Path:
+        """Write ``artifact`` in its envelope to ``path``, atomically."""
+        data = self.layout.dump(self.header(fingerprint), self.encode(artifact))
+        return _replace(Path(path), data)
+
+    def load(self, path: str | Path, fingerprint: Optional[str] = None):
+        """The artifact at ``path``; :class:`PersistenceError` on any problem.
+
+        Missing, unreadable, foreign-format, wrong-version,
+        stale-fingerprint and wrongly shaped entries all raise.
+        """
+        path = Path(path)
+        try:
+            payload = self.layout.parse(path.read_bytes())
+        except FileNotFoundError:
+            raise PersistenceError(f"no {self.label} file at {path}") from None
+        except _PARSE_ERRORS as exc:
+            raise PersistenceError(
+                f"{path} is not a repro {self.label} file: {exc}"
+            ) from exc
+        if not isinstance(payload, dict) or payload.get("format") != self.format:
+            raise PersistenceError(f"{path} is not a repro {self.label} file")
+        if self.version is not None and payload.get("version") != self.version:
+            raise PersistenceError(
+                f"{path} has unsupported {self.label} version "
+                f"{payload.get('version')!r}"
+            )
+        if self.fingerprinted and payload.get("fingerprint") != fingerprint:
+            raise PersistenceError(
+                f"{path} was built from different inputs "
+                f"(fingerprint {payload.get('fingerprint')!r} != {fingerprint!r})"
+            )
+        header = self.header(fingerprint)
+        body = {k: v for k, v in payload.items() if k not in header}
+        try:
+            return self.decode(body)
+        except _SHAPE_ERRORS as exc:
+            raise PersistenceError(
+                f"corrupted {self.label} file {path}: {exc}"
+            ) from exc
+
+
+# ----------------------------------------------------------------------
+# Body functions: stage caches.
+
+
+def _dataset_body(dataset: CircuitDataset) -> Dict:
+    return {
+        "device_name": dataset.device_name,
+        "entries": [_entry_to_dict(entry) for entry in dataset.entries],
+    }
+
+
+def _dataset_from_body(body: Dict) -> CircuitDataset:
+    dataset = CircuitDataset(device_name=body["device_name"])
+    dataset.entries.extend(_entry_from_dict(record) for record in body["entries"])
+    return dataset
+
+
+def _report_body(report: EstimatorReport) -> Dict:
+    return {
+        "device_name": report.device_name,
+        "test_pearson": report.test_pearson,
+        "train_pearson": report.train_pearson,
+        "cv_score": report.cv_score,
+        "best_params": report.best_params,
+        "feature_importances": report.feature_importances.tolist(),
+        "y_test": report.y_test.tolist(),
+        "y_test_pred": report.y_test_pred.tolist(),
+        "test_indices": report.test_indices.tolist(),
+    }
+
+
+def _report_from_body(body: Dict) -> EstimatorReport:
+    return EstimatorReport(
+        device_name=body["device_name"],
+        test_pearson=float(body["test_pearson"]),
+        train_pearson=float(body["train_pearson"]),
+        cv_score=float(body["cv_score"]),
+        best_params=dict(body["best_params"]),
+        feature_importances=np.array(body["feature_importances"], dtype=float),
+        y_test=np.array(body["y_test"], dtype=float),
+        y_test_pred=np.array(body["y_test_pred"], dtype=float),
+        test_indices=np.array(body["test_indices"], dtype=int),
+    )
+
+
+def _drift_from_body(body: Dict) -> Dict:
+    if not isinstance(body.get("steps"), list):
+        raise ValueError("no steps list")
+    return body
+
+
+#: Version of committed compilation-search leaderboard rows (also part
+#: of the leaderboard fingerprint, see :mod:`repro.compiler.search`).
+LEADERBOARD_VERSION = 1
+
+#: The pass-configuration keys every leaderboard entry must carry
+#: (mirrors :class:`repro.compiler.search.PassConfig`; validated
+#: structurally here to keep evaluation free of compiler imports).
+_LEADERBOARD_CONFIG_KEYS = (
+    "layout",
+    "layout_seed_offset",
+    "routing_seed_offset",
+    "lookahead_size",
+    "opt_iterations",
+)
+
+
+def _leaderboard_from_body(body: Dict) -> Dict:
+    config = body.get("config")
+    if not isinstance(config, dict) or any(
+        key not in config for key in _LEADERBOARD_CONFIG_KEYS
+    ):
+        raise ValueError("incomplete pass config")
+    return body
+
+
+# ----------------------------------------------------------------------
+# Body functions: models (meta fields plus flat node arrays per tree).
+
+
+def _tree_body(tree: DecisionTreeRegressor, prefix: str) -> Dict[str, np.ndarray]:
     arrays = tree.to_arrays()
     return {f"{prefix}{key}": value for key, value in arrays.items()}
 
 
-def _tree_from_payload(
-    data, prefix: str, params: dict, num_features: int
+def _forest_body(forest: RandomForestRegressor) -> Dict:
+    if not forest.estimators_:
+        raise PersistenceError("cannot save an unfitted forest")
+    body = {
+        "kind": "forest",
+        "params": forest.get_params(),
+        "num_features": forest.estimators_[0]._num_features,
+        "num_trees": len(forest.estimators_),
+        "tree_params": [t.get_params() for t in forest.estimators_],
+        "forest_importances": forest.feature_importances_.copy(),
+    }
+    for index, tree in enumerate(forest.estimators_):
+        body.update(_tree_body(tree, f"tree{index}_"))
+    return body
+
+
+def _model_body(model) -> Dict:
+    if isinstance(model, HellingerEstimator):
+        if model.model is None:
+            raise PersistenceError("cannot save an unfitted estimator")
+        body = _forest_body(model.model)
+        body["kind"] = "hellinger_estimator"
+        body["estimator"] = {
+            "param_grid": model.param_grid,
+            "n_splits": model.n_splits,
+            "seed": model.seed,
+            "best_params": model.best_params_,
+            "cv_score": model.cv_score_,
+        }
+        return body
+    if isinstance(model, RandomForestRegressor):
+        return _forest_body(model)
+    if isinstance(model, DecisionTreeRegressor):
+        if model.feature_importances_ is None:
+            raise PersistenceError("cannot save an unfitted tree")
+        return {
+            "kind": "tree",
+            "params": model.get_params(),
+            "num_features": model._num_features,
+            **_tree_body(model, "tree_"),
+        }
+    raise PersistenceError(
+        f"cannot persist a {type(model).__name__}; expected a tree, "
+        "forest, or HellingerEstimator"
+    )
+
+
+def _tree_from_body(
+    body: Dict, prefix: str, params: dict, num_features: int
 ) -> DecisionTreeRegressor:
     try:
         arrays = {
-            key: data[f"{prefix}{key}"]
+            key: body[f"{prefix}{key}"]
             for key in (*TREE_ARRAY_KEYS, "importances")
         }
     except KeyError as exc:
-        raise PersistenceError(f"model file is missing array {exc}") from exc
-    try:
-        return DecisionTreeRegressor.from_arrays(params, num_features, arrays)
-    except ValueError as exc:
-        raise PersistenceError(str(exc)) from exc
+        raise ValueError(f"missing array {exc}") from None
+    return DecisionTreeRegressor.from_arrays(params, num_features, arrays)
 
 
-def _write_npz(path: Path, meta: Dict, arrays: Dict[str, np.ndarray]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"meta": np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )}
-    payload.update(arrays)
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **payload)
-    path.write_bytes(buffer.getvalue())
-    return path
+def _model_from_body(body: Dict):
+    kind = body.get("kind")
+    if kind == "tree":
+        return _tree_from_body(body, "tree_", body["params"], body["num_features"])
+    if kind not in ("forest", "hellinger_estimator"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    forest = RandomForestRegressor(**body["params"])
+    num_trees = int(body["num_trees"])
+    tree_params = body["tree_params"]
+    num_features = int(body["num_features"])
+    if len(tree_params) != num_trees:
+        raise ValueError("tree count mismatch")
+    forest.estimators_ = [
+        _tree_from_body(body, f"tree{i}_", tree_params[i], num_features)
+        for i in range(num_trees)
+    ]
+    forest.feature_importances_ = np.asarray(
+        body["forest_importances"], dtype=float
+    )
+    if kind == "forest":
+        return forest
+    info = body["estimator"]
+    estimator = HellingerEstimator(
+        param_grid=info["param_grid"],
+        n_splits=info["n_splits"],
+        seed=info["seed"],
+    )
+    estimator.model = forest
+    estimator.best_params_ = dict(info["best_params"])
+    estimator.cv_score_ = float(info["cv_score"])
+    return estimator
 
 
-def _read_npz(path: str | Path):
-    path = Path(path)
-    if not path.exists():
-        raise PersistenceError(f"no model file at {path}")
-    try:
-        data = np.load(path, allow_pickle=False)
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-    except (
-        ValueError, OSError, KeyError, EOFError,
-        zipfile.BadZipFile, json.JSONDecodeError, UnicodeDecodeError,
-    ) as exc:
-        raise PersistenceError(f"{path} is not a repro model file: {exc}") from exc
-    if meta.get("format") != MODEL_FORMAT:
-        raise PersistenceError(f"{path} is not a repro model file")
-    if meta.get("version") != MODEL_VERSION:
-        raise PersistenceError(
-            f"{path} has unsupported model version {meta.get('version')!r}"
+def _estimator_from_body(body: Dict) -> HellingerEstimator:
+    model = _model_from_body(body)
+    if not isinstance(model, HellingerEstimator):
+        raise ValueError(
+            f"holds a {type(model).__name__}, not a HellingerEstimator"
         )
-    return meta, data
+    return model
+
+
+# ----------------------------------------------------------------------
+# The codecs, one per artifact kind.
+
+DATASET = Codec("repro-dataset-cache", None, COMPACT, _dataset_body, _dataset_from_body)
+REPORT = Codec("repro-report-cache", None, COMPACT, _report_body, _report_from_body)
+DRIFT = Codec("repro-drift-cache", 1, CANONICAL, dict, _drift_from_body)
+LEADERBOARD = Codec(
+    "repro-leaderboard", LEADERBOARD_VERSION, CANONICAL, dict, _leaderboard_from_body
+)
+#: Trees, forests and estimators; the fingerprint, if any, lives in the
+#: file name, so plain :func:`load_model` reads every model file.
+MODEL = Codec("repro-model", 1, NPZ, _model_body, _model_from_body, fingerprinted=False)
+#: A model file that must hold a :class:`HellingerEstimator`.
+ESTIMATOR = MODEL._replace(decode=_estimator_from_body)
 
 
 def save_model(
@@ -209,55 +498,7 @@ def save_model(
     metadata entry (kind, hyper-parameters, grid-search outcome for
     estimators).  Load with :func:`load_model`.
     """
-    if isinstance(model, HellingerEstimator):
-        if model.model is None:
-            raise PersistenceError("cannot save an unfitted estimator")
-        meta, arrays = _forest_content(model.model)
-        meta["kind"] = "hellinger_estimator"
-        meta["estimator"] = {
-            "param_grid": model.param_grid,
-            "n_splits": model.n_splits,
-            "seed": model.seed,
-            "best_params": model.best_params_,
-            "cv_score": model.cv_score_,
-        }
-    elif isinstance(model, RandomForestRegressor):
-        meta, arrays = _forest_content(model)
-    elif isinstance(model, DecisionTreeRegressor):
-        if model.feature_importances_ is None:
-            raise PersistenceError("cannot save an unfitted tree")
-        meta = {
-            "kind": "tree",
-            "params": model.get_params(),
-            "num_features": model._num_features,
-        }
-        arrays = _tree_payload(model, "tree_")
-    else:
-        raise PersistenceError(
-            f"cannot persist a {type(model).__name__}; expected a tree, "
-            "forest, or HellingerEstimator"
-        )
-    meta["format"] = MODEL_FORMAT
-    meta["version"] = MODEL_VERSION
-    return _write_npz(Path(path), meta, arrays)
-
-
-def _forest_content(forest: RandomForestRegressor):
-    if not forest.estimators_:
-        raise PersistenceError("cannot save an unfitted forest")
-    meta = {
-        "kind": "forest",
-        "params": forest.get_params(),
-        "num_features": forest.estimators_[0]._num_features,
-        "num_trees": len(forest.estimators_),
-        "tree_params": [t.get_params() for t in forest.estimators_],
-    }
-    arrays: Dict[str, np.ndarray] = {
-        "forest_importances": forest.feature_importances_.copy()
-    }
-    for index, tree in enumerate(forest.estimators_):
-        arrays.update(_tree_payload(tree, f"tree{index}_"))
-    return meta, arrays
+    return MODEL.save(model, path)
 
 
 def load_model(path: str | Path):
@@ -267,50 +508,11 @@ def load_model(path: str | Path):
     feature importances are bit-identical to the original.  Raises
     :class:`PersistenceError` on missing, corrupted, or foreign files.
     """
-    meta, data = _read_npz(path)
-    kind = meta.get("kind")
-    if kind == "tree":
-        return _tree_from_payload(
-            data, "tree_", meta["params"], meta["num_features"]
-        )
-    if kind in ("forest", "hellinger_estimator"):
-        forest = _load_forest(meta, data)
-        if kind == "forest":
-            return forest
-        info = meta["estimator"]
-        estimator = HellingerEstimator(
-            param_grid=info["param_grid"],
-            n_splits=info["n_splits"],
-            seed=info["seed"],
-        )
-        estimator.model = forest
-        estimator.best_params_ = dict(info["best_params"])
-        estimator.cv_score_ = float(info["cv_score"])
-        return estimator
-    raise PersistenceError(f"unknown model kind {kind!r} in {path}")
-
-
-def _load_forest(meta: Dict, data) -> RandomForestRegressor:
-    try:
-        forest = RandomForestRegressor(**meta["params"])
-        num_trees = int(meta["num_trees"])
-        tree_params = meta["tree_params"]
-        num_features = int(meta["num_features"])
-        importances = np.asarray(data["forest_importances"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise PersistenceError(f"corrupted forest metadata: {exc}") from exc
-    if len(tree_params) != num_trees:
-        raise PersistenceError("corrupted forest metadata: tree count mismatch")
-    forest.estimators_ = [
-        _tree_from_payload(data, f"tree{i}_", tree_params[i], num_features)
-        for i in range(num_trees)
-    ]
-    forest.feature_importances_ = importances
-    return forest
+    return MODEL.load(path)
 
 
 # ----------------------------------------------------------------------
-# Stage caches: fingerprints, datasets, estimator reports.
+# Fingerprints: the cache keys.
 
 
 def config_fingerprint(payload: Dict) -> str:
@@ -350,236 +552,3 @@ def device_fingerprint(device) -> str:
         "true": calibration(device.true_calibration),
         "noise": dataclasses.asdict(device.noise),
     })
-
-
-def save_dataset_cache(
-    dataset: CircuitDataset, path: str | Path, fingerprint: str
-) -> Path:
-    """Write one device's labelled dataset as a cache entry."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({
-        "format": "repro-dataset-cache",
-        "fingerprint": fingerprint,
-        "device_name": dataset.device_name,
-        "entries": [_entry_to_dict(entry) for entry in dataset.entries],
-    }))
-    return path
-
-
-def load_dataset_cache(
-    path: str | Path, fingerprint: str
-) -> CircuitDataset:
-    """Load a cached dataset; raises :class:`PersistenceError` when the
-    file is unreadable, foreign, or was written for different inputs."""
-    path = Path(path)
-    if not path.exists():
-        raise PersistenceError(f"no dataset cache at {path}")
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PersistenceError(f"unreadable dataset cache {path}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("format") != "repro-dataset-cache":
-        raise PersistenceError(f"{path} is not a dataset cache file")
-    if data.get("fingerprint") != fingerprint:
-        raise PersistenceError(
-            f"{path} was built from different inputs "
-            f"(fingerprint {data.get('fingerprint')!r} != {fingerprint!r})"
-        )
-    dataset = CircuitDataset(device_name=data["device_name"])
-    try:
-        for record in data["entries"]:
-            dataset.entries.append(_entry_from_dict(record))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(f"corrupted dataset cache {path}: {exc}") from exc
-    return dataset
-
-
-def save_report_cache(
-    report: EstimatorReport, path: str | Path, fingerprint: str
-) -> Path:
-    """Write a trained-estimator report as a cache entry."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({
-        "format": "repro-report-cache",
-        "fingerprint": fingerprint,
-        "device_name": report.device_name,
-        "test_pearson": report.test_pearson,
-        "train_pearson": report.train_pearson,
-        "cv_score": report.cv_score,
-        "best_params": report.best_params,
-        "feature_importances": report.feature_importances.tolist(),
-        "y_test": report.y_test.tolist(),
-        "y_test_pred": report.y_test_pred.tolist(),
-        "test_indices": report.test_indices.tolist(),
-    }))
-    return path
-
-
-def load_report_cache(path: str | Path, fingerprint: str) -> EstimatorReport:
-    """Load a cached report; raises :class:`PersistenceError` when stale."""
-    path = Path(path)
-    if not path.exists():
-        raise PersistenceError(f"no report cache at {path}")
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PersistenceError(f"unreadable report cache {path}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("format") != "repro-report-cache":
-        raise PersistenceError(f"{path} is not a report cache file")
-    if data.get("fingerprint") != fingerprint:
-        raise PersistenceError(
-            f"{path} was built from different inputs "
-            f"(fingerprint {data.get('fingerprint')!r} != {fingerprint!r})"
-        )
-    try:
-        return EstimatorReport(
-            device_name=data["device_name"],
-            test_pearson=float(data["test_pearson"]),
-            train_pearson=float(data["train_pearson"]),
-            cv_score=float(data["cv_score"]),
-            best_params=dict(data["best_params"]),
-            feature_importances=np.array(
-                data["feature_importances"], dtype=float
-            ),
-            y_test=np.array(data["y_test"], dtype=float),
-            y_test_pred=np.array(data["y_test_pred"], dtype=float),
-            test_indices=np.array(data["test_indices"], dtype=int),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(f"corrupted report cache {path}: {exc}") from exc
-
-
-#: Format tag + version of cached drift-study results.
-DRIFT_FORMAT = "repro-drift-cache"
-DRIFT_VERSION = 1
-
-
-def save_drift_cache(result: Dict, path: str | Path, fingerprint: str) -> Path:
-    """Write a completed drift-study result (plain-dict form).
-
-    Same contract as the other stage caches: canonical JSON carrying a
-    format tag plus the fingerprint of every input, so a rerun with
-    unchanged inputs is a pure cache read and any input change is a miss.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = dict(result)
-    payload["format"] = DRIFT_FORMAT
-    payload["version"] = DRIFT_VERSION
-    payload["fingerprint"] = fingerprint
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    return path
-
-
-def load_drift_cache(path: str | Path, fingerprint: str) -> Dict:
-    """Load a drift-study cache entry; :class:`PersistenceError` when the
-    file is missing, unreadable, foreign, wrong-version, or stale."""
-    path = Path(path)
-    if not path.exists():
-        raise PersistenceError(f"no drift cache at {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise PersistenceError(f"unreadable drift cache {path}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("format") != DRIFT_FORMAT:
-        raise PersistenceError(f"{path} is not a drift cache file")
-    if data.get("version") != DRIFT_VERSION:
-        raise PersistenceError(
-            f"{path} has unsupported drift-cache version "
-            f"{data.get('version')!r}"
-        )
-    if data.get("fingerprint") != fingerprint:
-        raise PersistenceError(
-            f"{path} was built from different inputs "
-            f"(fingerprint {data.get('fingerprint')!r} != {fingerprint!r})"
-        )
-    if not isinstance(data.get("steps"), list):
-        raise PersistenceError(f"corrupted drift cache {path}: no steps list")
-    # Strip the envelope: callers get back exactly what they stored.
-    return {
-        key: value
-        for key, value in data.items()
-        if key not in ("format", "version", "fingerprint")
-    }
-
-
-#: Format tag + version of committed compilation-search leaderboard rows.
-LEADERBOARD_FORMAT = "repro-leaderboard"
-LEADERBOARD_VERSION = 1
-
-#: The pass-configuration keys every leaderboard entry must carry
-#: (mirrors :class:`repro.compiler.search.PassConfig`; validated
-#: structurally here to keep evaluation free of compiler imports).
-_LEADERBOARD_CONFIG_KEYS = (
-    "layout",
-    "layout_seed_offset",
-    "routing_seed_offset",
-    "lookahead_size",
-    "opt_iterations",
-)
-
-
-def save_leaderboard_cache(
-    entry: Dict, path: str | Path, fingerprint: str
-) -> Path:
-    """Write one (device-family, width-bucket) leaderboard row.
-
-    Canonical JSON — sorted keys, fixed indentation, trailing newline, no
-    timestamps — so re-running the same search over the same estimator
-    regenerates the committed file *byte for byte*.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = dict(entry)
-    payload["format"] = LEADERBOARD_FORMAT
-    payload["version"] = LEADERBOARD_VERSION
-    payload["fingerprint"] = fingerprint
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    return path
-
-
-def load_leaderboard_cache(path: str | Path, fingerprint: str) -> Dict:
-    """Load a leaderboard row; raises :class:`PersistenceError` when stale.
-
-    Missing, unreadable, foreign-format, wrong-version, structurally
-    invalid, and stale-fingerprint entries all raise — through the
-    :class:`~repro.evaluation.artifacts.ArtifactStore` that is a silent
-    miss, and the compiler searches fresh.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise PersistenceError(f"no leaderboard entry at {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise PersistenceError(
-            f"unreadable leaderboard entry {path}: {exc}"
-        ) from exc
-    if not isinstance(data, dict) or data.get("format") != LEADERBOARD_FORMAT:
-        raise PersistenceError(f"{path} is not a leaderboard entry")
-    if data.get("version") != LEADERBOARD_VERSION:
-        raise PersistenceError(
-            f"{path} has unsupported leaderboard version "
-            f"{data.get('version')!r}"
-        )
-    if data.get("fingerprint") != fingerprint:
-        raise PersistenceError(
-            f"{path} was built from different inputs "
-            f"(fingerprint {data.get('fingerprint')!r} != {fingerprint!r})"
-        )
-    config = data.get("config")
-    if not isinstance(config, dict) or any(
-        key not in config for key in _LEADERBOARD_CONFIG_KEYS
-    ):
-        raise PersistenceError(
-            f"corrupted leaderboard entry {path}: incomplete pass config"
-        )
-    return data

@@ -3,21 +3,27 @@
 Also pins backward compatibility: cache directories written by the
 pre-refactor ad-hoc schemes (``save_dataset_cache`` / ``save_report_cache``
 / ``save_model`` at the original file names) must keep hitting through
-the store, with bit-identical contents.
+the store, with bit-identical contents, and the envelope codec must write
+the same bytes as those frozen writers (``persistence_reference.py``).
 """
+
+import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.evaluation.artifacts import ARTIFACT_KINDS, ArtifactStore
-from repro.evaluation.persistence import (
-    save_dataset_cache,
-    save_model,
-    save_report_cache,
-)
+from repro.evaluation.persistence import save_model
 from repro.ml.forest import RandomForestRegressor
 from repro.predictor.dataset import CircuitDataset, DatasetEntry
 from repro.predictor.estimator import EstimatorReport, HellingerEstimator
+
+from . import persistence_reference as reference
+from .persistence_reference import save_dataset_cache, save_report_cache
+
+LEADERBOARD_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "leaderboards"
 
 
 def make_dataset(device_name="Q20-A", entries=3):
@@ -55,8 +61,8 @@ def make_report(device_name="Q20-A"):
     )
 
 
-def make_estimator():
-    rng = np.random.default_rng(2)
+def make_estimator(seed=2):
+    rng = np.random.default_rng(seed)
     X = rng.uniform(size=(40, 30))
     y = rng.uniform(size=40)
     estimator = HellingerEstimator(
@@ -72,6 +78,34 @@ def make_estimator():
     return estimator, X
 
 
+def make_artifact(kind, variant=0):
+    """A small artifact of ``kind``; different variants differ in content."""
+    if kind == "dataset":
+        return make_dataset(entries=3 + variant)
+    if kind == "report":
+        return make_report(device_name=f"Q20-{'AB'[variant]}")
+    if kind == "estimator":
+        return make_estimator(seed=2 + variant)[0]
+    if kind == "drift":
+        return {
+            "device_name": "zoo-line6",
+            "base_pearson": 0.9 - variant,
+            "steps": [{"step": 1, "stale_pearson": 0.7, "fine_tune": []}],
+        }
+    assert kind == "leaderboard"
+    return {
+        "config": {
+            "layout": "greedy",
+            "layout_seed_offset": variant,
+            "routing_seed_offset": 0,
+            "lookahead_size": 20,
+            "opt_iterations": 8,
+        },
+        "estimator_fingerprint": "22af416b7ee1cc09",
+        "expected_fidelity": 0.97,
+    }
+
+
 def assert_datasets_equal(a, b):
     assert a.device_name == b.device_name
     assert len(a) == len(b)
@@ -80,6 +114,56 @@ def assert_datasets_equal(a, b):
         assert np.array_equal(left.features, right.features)
         assert left.label == right.label
         assert left.fom_values == right.fom_values
+
+
+def assert_artifacts_equal(kind, loaded, expected):
+    assert loaded is not None
+    if kind == "dataset":
+        assert_datasets_equal(loaded, expected)
+    elif kind == "report":
+        for field in ("device_name", "test_pearson", "train_pearson", "cv_score",
+                      "best_params"):
+            assert getattr(loaded, field) == getattr(expected, field)
+        for field in ("feature_importances", "y_test", "y_test_pred", "test_indices"):
+            assert np.array_equal(getattr(loaded, field), getattr(expected, field))
+    elif kind == "estimator":
+        X = np.random.default_rng(5).uniform(size=(20, 30))
+        assert np.array_equal(loaded.predict(X), expected.predict(X))
+        assert loaded.best_params_ == expected.best_params_
+    else:
+        assert loaded == expected
+
+
+def edit_document(path, edit):
+    """Apply ``edit`` to an entry's JSON bytes: the whole file, or the
+    ``meta`` member of a model ``.npz``."""
+    if path.suffix != ".npz":
+        path.write_bytes(edit(path.read_bytes()))
+        return
+    with np.load(path) as npz:
+        members = {key: npz[key] for key in npz.files}
+    members["meta"] = np.frombuffer(edit(bytes(members["meta"])), dtype=np.uint8)
+    with path.open("wb") as handle:
+        np.savez(handle, **members)
+
+
+def drop_key(key):
+    def edit(raw):
+        document = json.loads(raw)
+        del document[key]
+        return json.dumps(document).encode()
+
+    return edit
+
+
+#: Required body keys per kind; an entry missing any of them is a miss.
+BODY_KEYS = {
+    "dataset": ("device_name", "entries"),
+    "report": ("device_name", "test_pearson"),
+    "estimator": ("params", "estimator", "num_trees"),
+    "leaderboard": ("config",),
+    "drift": ("steps",),
+}
 
 
 def test_dataset_roundtrip(tmp_path):
@@ -121,30 +205,60 @@ def test_missing_entry_is_a_miss(tmp_path):
         assert store.get(kind, "Q20-A", "nope") is None
 
 
-def test_corrupt_truncated_and_foreign_entries_rebuild_silently(tmp_path):
+@pytest.mark.parametrize("kind", sorted(ARTIFACT_KINDS))
+def test_corrupt_truncated_and_foreign_entries_rebuild_silently(tmp_path, kind):
     store = ArtifactStore(tmp_path)
-    dataset = make_dataset()
+    artifact = make_artifact(kind)
     fingerprint = "a1b2"
-    path = store.put("dataset", dataset, "Q20-A", fingerprint)
-
-    path.write_text("{ corrupted json")
-    assert store.get("dataset", "Q20-A", fingerprint) is None
-
-    full = store.put("dataset", dataset, "Q20-A", fingerprint)
-    full.write_text(full.read_text()[: len(full.read_text()) // 2])  # truncated
-    assert store.get("dataset", "Q20-A", fingerprint) is None
-
-    path.write_text('{"format": "another-tool-entirely"}')
-    assert store.get("dataset", "Q20-A", fingerprint) is None
-
+    path = store.put(kind, artifact, "Q20-A", fingerprint)
+    good = path.read_bytes()
     # A foreign artifact of the wrong *kind* at the right path.
-    report_bytes = store.put("report", make_report(), "X", "y").read_bytes()
-    path.write_bytes(report_bytes)
-    assert store.get("dataset", "Q20-A", fingerprint) is None
+    other = "report" if kind == "dataset" else "dataset"
+    wrong_kind = store.put(other, make_artifact(other), "X", "y").read_bytes()
+
+    for damaged in (
+        b"{ corrupted json",
+        good[: len(good) // 2],  # truncated
+        b'{"format": "another-tool-entirely"}',
+        wrong_kind,
+    ):
+        path.write_bytes(damaged)
+        assert store.get(kind, "Q20-A", fingerprint) is None
+
+    edits = {
+        "non-UTF-8 bytes": lambda raw: b"\xff" + raw,
+        "not an object": lambda raw: b"[" + raw + b"]",
+        **{f"no {key!r}": drop_key(key) for key in BODY_KEYS[kind]},
+    }
+    for damage, edit in edits.items():
+        path.write_bytes(good)
+        edit_document(path, edit)
+        assert store.get(kind, "Q20-A", fingerprint) is None, damage
 
     # Rebuild-and-put over the bad entry restores service.
-    store.put("dataset", dataset, "Q20-A", fingerprint)
-    assert_datasets_equal(store.get("dataset", "Q20-A", fingerprint), dataset)
+    store.put(kind, artifact, "Q20-A", fingerprint)
+    assert_artifacts_equal(kind, store.get(kind, "Q20-A", fingerprint), artifact)
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACT_KINDS))
+def test_failed_write_leaves_the_previous_entry(tmp_path, monkeypatch, kind):
+    store = ArtifactStore(tmp_path)
+    artifact = make_artifact(kind)
+    path = store.put(kind, artifact, "Q20-A", "fp")
+    before = path.read_bytes()
+
+    def interrupted(source, target):
+        assert Path(source).is_file()  # the new bytes were written aside
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        store.put(kind, make_artifact(kind, variant=1), "Q20-A", "fp")
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert_artifacts_equal(kind, store.get(kind, "Q20-A", "fp"), artifact)
+    assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
 
 
 def test_estimator_entry_of_wrong_model_kind_is_a_miss(tmp_path):
@@ -281,3 +395,40 @@ def test_drift_cache_invalidation(tmp_path):
     del payload["steps"]
     path.write_text(json.dumps(payload))
     assert store.get("drift", "dev", "fp1") is None
+
+
+# ----------------------------------------------------------------------
+# Byte identity with the frozen pre-codec writers.
+
+REFERENCE_WRITERS = {
+    "dataset": reference.save_dataset_cache,
+    "report": reference.save_report_cache,
+    "drift": reference.save_drift_cache,
+    "leaderboard": reference.save_leaderboard_cache,
+    "estimator": lambda model, path, fingerprint: reference.save_model(model, path),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACT_KINDS))
+def test_codec_matches_the_frozen_writers_byte_for_byte(tmp_path, kind):
+    artifact = make_artifact(kind)
+    written = ArtifactStore(tmp_path / "codec").put(kind, artifact, "Q20-A", "fp")
+    frozen_store = ArtifactStore(tmp_path / "frozen")
+    frozen = REFERENCE_WRITERS[kind](
+        artifact, frozen_store.path(kind, "Q20-A", "fp"), "fp"
+    )
+    assert written.read_bytes() == frozen.read_bytes()
+    # Entries the frozen writers left behind keep hitting.
+    assert_artifacts_equal(kind, frozen_store.get(kind, "Q20-A", "fp"), artifact)
+
+
+def test_committed_leaderboards_round_trip_byte_identical(tmp_path):
+    committed = ArtifactStore(LEADERBOARD_DIR)
+    refs = list(committed.refs("leaderboard"))
+    assert refs, f"no committed leaderboards under {LEADERBOARD_DIR}"
+    rewritten = ArtifactStore(tmp_path)
+    for ref in refs:
+        entry = committed.get("leaderboard", ref.name, ref.fingerprint)
+        assert entry is not None, ref.path.name
+        path = rewritten.put("leaderboard", entry, ref.name, ref.fingerprint)
+        assert path.read_bytes() == ref.path.read_bytes(), ref.path.name

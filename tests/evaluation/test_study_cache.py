@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 import repro.evaluation.study as study_module
-from repro.evaluation.persistence import (
-    PersistenceError,
-    load_dataset_cache,
-    load_report_cache,
-)
+from repro.evaluation.persistence import PersistenceError
 from repro.evaluation.study import StudyConfig, run_study
+
+from .persistence_reference import load_dataset_cache, load_report_cache
 
 TINY_CONFIG = StudyConfig(
     algorithms=["ghz", "bv", "qft"],
