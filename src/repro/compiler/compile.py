@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..hardware.device import Device
-from .cache import active_compile_cache
+from .cache import active_compile_cache, clear_compile_cache
 from .passes.base import Pass, PassManager, PropertySet
 from .passes.decompose import Decompose
 from .passes.layout import GreedySubgraphLayout, LineLayout, TrivialLayout
@@ -268,16 +268,18 @@ _WORKER_STATE: Optional[dict] = None
 def _init_compile_worker(
     device: Device, optimization_level: int, keep_final_rz: bool, num_trials: int
 ) -> None:
-    """Pool initializer: ship the batch invariants once per worker.
+    """Pool initializer: install the batch invariants in a worker.
 
-    The device pickles with its routing tables precomputed (see
+    Runs in each shared-pool worker before the first task of a batch it
+    serves.  The device pickles with its routing tables precomputed (see
     :meth:`~repro.hardware.coupling.CouplingMap.__getstate__`), so workers
-    skip the O(n^2) BFS rebuild.  Each spawned worker starts with its own
-    empty :class:`~repro.compiler.cache.CompileCache`; cached pass results
-    are immutable snapshots, so per-worker caches stay coherent without
-    any cross-process merging.
+    skip the O(n^2) BFS rebuild.  It also empties the worker's
+    :class:`~repro.compiler.cache.CompileCache`: workers outlive batches,
+    and entries from an earlier batch (another device) only cost memory,
+    so every batch starts from the empty cache a fresh worker had.
     """
     global _WORKER_STATE
+    clear_compile_cache()
     _WORKER_STATE = {
         "device": device,
         "optimization_level": optimization_level,
@@ -336,10 +338,12 @@ def compile_batch(
 
     Compilation is pure Python, so threads cannot speed it up — the GIL
     serializes them.  The default mode is therefore ``"process"``: the
-    batch fans out over spawned worker processes, each with its own
-    :class:`~repro.compiler.cache.CompileCache` (cache entries are
-    immutable snapshots, so per-worker caches need no merging; the
-    parent's cache is not warmed by pooled compiles).  Circuits,
+    batch fans out over the process's shared spawn pool
+    (:mod:`repro.parallel`), whose long-lived workers each hold their own
+    :class:`~repro.compiler.cache.CompileCache`, emptied when the worker
+    installs this batch's device (cache entries are immutable snapshots,
+    so per-worker caches need no merging; the parent's cache is not
+    warmed by pooled compiles).  Circuits,
     :class:`~repro.hardware.coupling.RoutingTables` and results cross the
     process boundary through cheap flat-array encodings.  Batches smaller
     than :data:`~repro.parallel.PROCESS_MIN_ITEMS` (or a resolved worker

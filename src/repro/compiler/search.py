@@ -42,6 +42,7 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..hardware.device import Device
+from .cache import clear_compile_cache
 from .passes.base import Pass, PropertySet
 from .passes.decompose import Decompose
 from .passes.optimization import OptimizationLoop
@@ -640,7 +641,10 @@ _SEARCH_WORKER_STATE: Optional[dict] = None
 
 
 def _init_search_worker(device: Device, estimator, options: dict) -> None:
+    """Pool initializer: install the batch invariants in a worker, on an
+    empty compile cache (see :func:`~.compile._init_compile_worker`)."""
     global _SEARCH_WORKER_STATE
+    clear_compile_cache()
     _SEARCH_WORKER_STATE = {
         "device": device,
         "estimator": estimator,

@@ -418,6 +418,7 @@ def run_cross_device_study(
             seed=config.seed,
             param_grid=config.param_grid,
             max_workers=config.max_workers,
+            workers_mode=config.workers_mode,
         )
         if store is not None:
             fingerprint = config.report_fingerprint(train_device)

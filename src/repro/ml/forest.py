@@ -11,8 +11,10 @@ every tree is an independent deterministic task and the fitted model is
 bit-identical for every ``max_workers`` value *and* execution mode — and
 to the sequential pre-vectorization implementation (pinned by the golden
 tests).  Tree fitting is pure Python (GIL-bound), so pooled fits default
-to a process pool (PR 6): each worker receives ``(X, y)`` once through
-the pool initializer and fitted trees return as flat numpy arrays.
+to the shared spawn pool of :mod:`repro.parallel`: each fit's ``(X, y)``
+is pickled once, installed by the pool initializer in every worker
+before the first tree it fits for that call, and fitted trees return as
+flat numpy arrays.
 
 Prediction descends every tree at once on one :class:`~.tree.FlatForest`,
 built whenever the member list is assigned (fit, refresh, model load),
@@ -41,7 +43,7 @@ _FIT_STATE: Optional[tuple] = None
 
 
 def _init_fit_worker(X: np.ndarray, y: np.ndarray, tree_params: dict) -> None:
-    """Pool initializer: ship the training matrix once per worker."""
+    """Pool initializer: install one fit's training matrix in a worker."""
     global _FIT_STATE
     _FIT_STATE = (X, y, tree_params)
 

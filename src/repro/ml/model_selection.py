@@ -42,7 +42,7 @@ Scorer = Callable[[np.ndarray, np.ndarray], float]
 #: Per-batch invariants installed in pool workers by the initializers
 #: below (``None`` outside a worker).  Fitting is GIL-bound pure Python,
 #: so pooled cross-validation and grid search default to process mode;
-#: each worker receives the training data and candidate models once, and
+#: each worker installs a call's training data and candidate models once, and
 #: tasks are plain index tuples.  Process mode therefore requires the
 #: estimator and scorer to be picklable (every estimator and scorer in
 #: this repo is).
@@ -153,8 +153,8 @@ def cross_val_score(
     Folds are independent deterministic tasks; ``max_workers`` fans them
     out without changing any score (``1`` = sequential, ``None`` = one
     worker per CPU).  Pooled runs default to ``workers_mode="process"``
-    (fitting is GIL-bound); each worker receives the data once through
-    the pool initializer.
+    (fitting is GIL-bound); each worker installs the data once per call
+    through the pool initializer.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -12,11 +12,31 @@ Two execution modes are supported:
 * ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`.
   Right for stages whose inner loops release the GIL (numpy-heavy
   simulation and noisy execution).
-* ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  over the ``spawn`` start method.  Right for the GIL-bound pure-Python
-  stages (compilation, feature extraction, tree fitting).  ``fn``,
-  ``initializer`` and every item/result must be picklable; per-process
-  module state (e.g. the compile cache) starts fresh in each worker.
+* ``"process"`` — a shared, long-lived
+  :class:`~concurrent.futures.ProcessPoolExecutor` over the ``spawn``
+  start method.  Right for the GIL-bound pure-Python stages
+  (compilation, feature extraction, tree fitting).  ``fn``,
+  ``initializer``/``initargs`` and every item/result must be picklable.
+
+**The shared pool.**  Starting a spawn pool whose workers import
+``repro`` costs about half a second on a 2-vCPU machine, so process mode
+does not start a pool per call.  The first pooled call with a given worker count creates a spawn
+pool of that size; every later call with the same count reuses it, and
+:func:`_shutdown_pools` shuts every pool down at interpreter exit.
+Workers are therefore long-lived: module state (the compile cache, an
+initializer's globals) survives from one call to the next in the same
+worker.  A per-call ``initializer`` cannot run at worker start-up, so
+each call pickles ``(initializer, initargs)`` once, tags it with a fresh
+token, and ships it with every task; a worker runs the initializer
+before the first task of each call it serves, i.e. whenever the token
+differs from the one it last installed.  Initializers that should start
+a batch from clean state reset it themselves (the compile initializers
+clear the compile cache).  An exception raised by ``fn`` or by the
+initializer fails only its own items.  A worker that dies (``os._exit``,
+OOM kill) breaks the executor: the batch raises
+:class:`~concurrent.futures.process.BrokenProcessPool`, ahead of any
+``fn`` error, and the broken pool leaves the registry so the next call
+builds a fresh one.
 
 The mode is an explicit argument everywhere; batched entry points accept
 ``workers_mode=None`` meaning "the :envvar:`REPRO_WORKERS_MODE`
@@ -47,14 +67,20 @@ names).
 
 from __future__ import annotations
 
+import atexit
+import functools
+import itertools
 import multiprocessing
 import os
+import pickle
+import threading
 from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     as_completed,
 )
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -72,6 +98,68 @@ WORKER_MODES = ("thread", "process")
 #: item batches stay in-process.  (Results are bit-identical either way;
 #: this is purely a perf guard.)
 PROCESS_MIN_ITEMS = 3
+
+#: The shared spawn pools, one per worker count (see the module docstring).
+_POOLS: Dict[int, ProcessPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+#: Per-call tokens naming each call's pickled initializer payload.
+_TOKENS = itertools.count(1)
+
+#: In a pool worker: the token of the call whose initializer last ran.
+_INSTALLED_TOKEN: Optional[int] = None
+
+
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The process's spawn pool of ``workers`` workers, created on first use."""
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            pool = _POOLS[workers] = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn"),
+            )
+        return pool
+
+
+def _drop_pool(workers: int, pool: ProcessPoolExecutor) -> None:
+    """Forget a broken pool so the next call with ``workers`` builds anew."""
+    with _POOLS_LOCK:
+        if _POOLS.get(workers) is pool:
+            del _POOLS[workers]
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _shutdown_pools() -> None:
+    """Shut every shared pool down, waiting for its workers to exit."""
+    with _POOLS_LOCK:
+        pools = list(_POOLS.values())
+        _POOLS.clear()
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
+atexit.register(_shutdown_pools)
+
+
+def _run_task(
+    fn: Callable[[_T], _R], setup: Optional[Tuple[int, bytes]], item: _T
+) -> _R:
+    """Run one shared-pool task, installing its call's state first if needed.
+
+    ``setup`` is ``(token, pickled (initializer, initargs))`` or ``None``.
+    The initializer runs when this worker last installed another call's
+    token; if it raises, the token stays uninstalled and the call's next
+    task in this worker retries it.
+    """
+    global _INSTALLED_TOKEN
+    if setup is not None and setup[0] != _INSTALLED_TOKEN:
+        token, payload = setup
+        _INSTALLED_TOKEN = None
+        initializer, initargs = pickle.loads(payload)
+        initializer(*initargs)
+        _INSTALLED_TOKEN = token
+    return fn(item)
 
 
 def resolve_workers(max_workers: Optional[int], num_items: int) -> int:
@@ -128,10 +216,13 @@ def parallel_map(
     returned list, which is always in input order; see the module
     docstring for the full callback/exception contract.
 
-    In ``"process"`` mode ``fn`` must be a picklable module-level
-    callable and items/results must pickle; ``initializer(*initargs)``
-    runs once per worker process (use it to ship large shared state once
-    instead of per item).
+    In ``"process"`` mode the batch runs on the shared spawn pool for
+    its worker count; ``fn`` must be a picklable module-level callable
+    and items/results must pickle.  ``initializer(*initargs)`` is
+    pickled once per call and runs in each worker before the first task
+    of this call it serves (use it to ship large shared state once per
+    call instead of per item).  In ``"thread"`` mode it runs once per
+    thread of a per-call pool.
     """
     items = list(items)
     workers = resolve_workers(max_workers, len(items))
@@ -157,28 +248,47 @@ def parallel_map(
             raise callback_error
         return results
 
-    if mode == "process":
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=initializer,
-            initargs=initargs,
-        )
-    else:
-        pool = ThreadPoolExecutor(
+    if mode == "thread":
+        with ThreadPoolExecutor(
             max_workers=workers, initializer=initializer, initargs=initargs
+        ) as pool:
+            return _drain(functools.partial(pool.submit, fn), items, on_result)
+
+    pool = _shared_pool(workers)
+    setup = None
+    if initializer is not None:
+        setup = (next(_TOKENS), pickle.dumps((initializer, initargs)))
+    try:
+        return _drain(
+            functools.partial(pool.submit, _run_task, fn, setup),
+            items,
+            on_result,
         )
-    results = [None] * len(items)  # type: ignore[list-item]
+    except BrokenProcessPool:
+        _drop_pool(workers, pool)
+        raise
+
+
+def _drain(
+    submit: Callable, items: List, on_result: Optional[Callable]
+) -> List:
+    """Submit every item, fire callbacks as they complete, then raise or
+    return per the module's callback/exception contract."""
+    results = [None] * len(items)
     fn_errors: dict = {}
     callback_error = None
-    with pool:
-        futures = {
-            pool.submit(fn, item): index for index, item in enumerate(items)
-        }
+    broken: Optional[BrokenProcessPool] = None
+    futures: dict = {}
+    try:
+        for index, item in enumerate(items):
+            futures[submit(item)] = index
         for future in as_completed(futures):
             index = futures[future]
             try:
                 results[index] = future.result()
+            except BrokenProcessPool as exc:
+                broken = exc
+                continue
             except BaseException as exc:
                 fn_errors[index] = exc
                 continue
@@ -188,6 +298,13 @@ def parallel_map(
                 except BaseException as exc:
                     if callback_error is None:
                         callback_error = exc
+    finally:
+        # An interrupted batch must not leave its tasks queued on the
+        # shared pool (a no-op for futures already done).
+        for future in futures:
+            future.cancel()
+    if broken is not None:
+        raise broken
     if fn_errors:
         raise fn_errors[min(fn_errors)]
     if callback_error is not None:

@@ -159,3 +159,15 @@ def test_datasets_reject_devices_below_min_qubits():
     tiny = make_zoo_device("line", 3, seed=0)
     with pytest.raises(ValueError, match="below the study's min_qubits"):
         build_device_datasets([tiny], config)
+
+
+def test_thread_mode_study_starts_no_process_pool(pool_constructions):
+    """``workers_mode="thread"`` reaches every stage, training included."""
+    train = make_zoo_device("grid", 8, tier="noisy", seed=0)
+    config = StudyConfig(
+        **TINY_CONFIG_KWARGS, max_workers=2, workers_mode="thread"
+    )
+    run_cross_device_study(
+        train, [make_zoo_device("ring", 8, seed=0)], config=config
+    )
+    assert pool_constructions == []

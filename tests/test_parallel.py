@@ -4,10 +4,14 @@ Pins the PR 6 guarantees: order preservation in thread *and* process
 pools, the parent-side ``on_result`` callback contract (exceptions
 propagate only after the batch drains), fn-error precedence, the
 small-batch process degradation, the ``REPRO_WORKERS_MODE`` override,
-and the single repo-wide ``max_workers=None`` -> one-per-CPU rule.
+and the single repo-wide ``max_workers=None`` -> one-per-CPU rule; and
+the shared spawn pool: reuse across calls, per-call initializer state,
+and recovery from a dead worker.
 """
 
 import os
+import sys
+import threading
 
 import pytest
 
@@ -48,6 +52,16 @@ def _remember(value):
 
 def _recall(_):
     return _INIT_VALUE
+
+
+def _refuse(_value):
+    raise ValueError("initializer refused")
+
+
+def _exit_in_worker(x):
+    if x == 0:
+        os._exit(1)
+    return os.getpid()
 
 
 @pytest.mark.parametrize("mode", WORKER_MODES)
@@ -200,3 +214,115 @@ def test_resolve_workers_none_means_one_per_cpu():
     assert resolve_workers(None, 0) == 1
     with pytest.raises(ValueError):
         resolve_workers(0, 5)
+
+
+def test_process_batches_reuse_one_pool(pool_constructions):
+    """Consecutive batches with one worker count share one spawn pool."""
+    items = list(range(8))
+    pids = set()
+    for _ in range(3):
+        pids |= set(
+            parallel_map(_worker_pid, items, max_workers=2, mode="process")
+        )
+    assert pool_constructions == [2]
+    # No batch started a worker: all three ran on the same two processes.
+    assert len(pids) <= 2
+    assert os.getpid() not in pids
+
+
+def test_initializer_state_is_per_call_on_a_shared_pool(pool_constructions):
+    """Interleaved calls on the same workers each see their own state."""
+    items = list(range(6))
+    for value in (1, 2, 1):
+        assert parallel_map(
+            _recall, items, max_workers=2, mode="process",
+            initializer=_remember, initargs=(value,),
+        ) == [value] * len(items)
+    assert pool_constructions == [2]
+    assert _INIT_VALUE is None
+
+
+def test_concurrent_calls_on_one_pool_keep_their_own_state(pool_constructions):
+    """Callers in several threads interleave tasks on the same workers;
+    every task still runs against its own call's initializer state."""
+    items = list(range(6))
+    outcomes = {}
+
+    def caller(value):
+        outcomes[value] = [
+            parallel_map(
+                _recall, items, max_workers=3, mode="process",
+                initializer=_remember, initargs=(value,),
+            )
+            for _ in range(3)
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=caller, args=(value,)) for value in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == {
+        value: [[value] * len(items)] * 3 for value in range(4)
+    }
+    assert pool_constructions == [3]
+
+
+def test_fn_and_initializer_errors_leave_the_pool_usable(pool_constructions):
+    items = list(range(6))
+    before = set(parallel_map(_worker_pid, items, max_workers=2, mode="process"))
+    with pytest.raises(ValueError, match="bad 0"):
+        parallel_map(_fail_on_even, items, max_workers=2, mode="process")
+    with pytest.raises(ValueError, match="initializer refused"):
+        parallel_map(
+            _recall, items, max_workers=2, mode="process",
+            initializer=_refuse, initargs=(1,),
+        )
+    after = set(parallel_map(_worker_pid, items, max_workers=2, mode="process"))
+    assert len(before | after) <= 2
+    assert pool_constructions == [2]
+
+
+def test_crashed_worker_does_not_poison_later_batches(pool_constructions):
+    """A dead worker fails its batch; the next batch gets a fresh pool."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    items = list(range(6))
+    before = set(parallel_map(_worker_pid, items, max_workers=2, mode="process"))
+    with pytest.raises(BrokenProcessPool):
+        parallel_map(_exit_in_worker, items, max_workers=2, mode="process")
+    after = set(parallel_map(_worker_pid, items, max_workers=2, mode="process"))
+    assert before.isdisjoint(after)
+    assert pool_constructions == [2, 2]
+
+
+def test_compile_initializers_start_batches_on_an_empty_cache(monkeypatch):
+    """Warm workers outlive batches; each batch still starts cache-cold."""
+    import repro.compiler.compile as compile_module
+    import repro.compiler.search as search_module
+    from repro.bench import build_suite
+    from repro.compiler import compile_cache_stats, compile_circuit
+    from repro.hardware import make_zoo_device
+
+    monkeypatch.setattr(compile_module, "_WORKER_STATE", None)
+    monkeypatch.setattr(search_module, "_SEARCH_WORKER_STATE", None)
+    device = make_zoo_device("ring", 6, seed=0)
+    circuit = build_suite(max_qubits=4)[0].circuit
+
+    compile_circuit(circuit, device, optimization_level=3, seed=0)
+    assert compile_cache_stats()["size"] > 0
+    compile_module._init_compile_worker(device, 3, False, 4)
+    assert compile_cache_stats()["size"] == 0
+
+    compile_circuit(circuit, device, optimization_level=3, seed=0)
+    assert compile_cache_stats()["size"] > 0
+    search_module._init_search_worker(device, None, {})
+    assert compile_cache_stats()["size"] == 0
