@@ -21,9 +21,13 @@ Keys combine three ingredients (assembled by
 
 Cached entries store an immutable snapshot of the output instructions plus
 the metadata/property *deltas* the pass produced, so a hit rebuilds a
-fresh, independently mutable circuit.  The cache is a bounded LRU shared
-process-wide; all operations take a lock, so concurrent
-:func:`~repro.compiler.compile.compile_batch` workers share work safely.
+fresh, independently mutable circuit.  Level-3 compilation also stores
+its trial choice here (an ``int`` under a ``"trial-choice"``-tagged key,
+see :func:`~repro.compiler.compile._trial_choice_key`), so the knobs,
+the counters and the LRU below govern those entries too.  The cache is
+a bounded LRU shared process-wide; all operations take a lock, so
+concurrent :func:`~repro.compiler.compile.compile_batch` workers share
+work safely.
 """
 
 from __future__ import annotations

@@ -25,8 +25,12 @@ skip entire passes).  Level-3 trials share their trial-invariant prefix —
 the decompose + optimization-loop "body" runs once, not once per trial —
 and candidates are scored with one vectorized
 :func:`~repro.fom.metrics.expected_fidelity_batch` sweep over the
-calibration arrays.  :func:`compile_batch` compiles many circuits through
-a worker pool with deterministic per-circuit seed streams, mirroring
+calibration arrays.  The winning trial's index is itself a cache entry,
+keyed on the prepared circuit, every trial suffix's pass keys and the
+content of the reported fidelities: a warm level-3 compile runs only the
+winner's suffix and scores nothing.  :func:`compile_batch` compiles many
+circuits through a worker pool with deterministic per-circuit seed
+streams, mirroring
 :meth:`repro.simulation.executor.QPUExecutor.run_batch` — and because
 compilation is pure Python (GIL-bound), the batch defaults to a *process*
 pool (:mod:`repro.parallel`), which scales with cores where threads
@@ -39,9 +43,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
+from ..hardware.calibration import Calibration
 from ..hardware.device import Device
 from .cache import active_compile_cache, clear_compile_cache
-from .passes.base import Pass, PassManager, PropertySet
+from .passes.base import (
+    Pass,
+    PassManager,
+    PropertySet,
+    circuit_cache_fingerprint,
+)
 from .passes.decompose import Decompose
 from .passes.layout import GreedySubgraphLayout, LineLayout, TrivialLayout
 from .passes.optimization import Merge1QRuns, OptimizationLoop, RemoveIdentities
@@ -482,7 +492,9 @@ def _run_trials(
     program body) runs once and every trial continues from its output;
     trials share the device's cached routing tables through their layout
     and routing passes, and all candidates are scored in one vectorized
-    expected-fidelity sweep.
+    expected-fidelity sweep.  The winner's index is memoized in the
+    compile cache (see :func:`_trial_choice_key`), so a warm compile runs
+    only the winning trial's suffix.
     """
     from ..fom.metrics import expected_fidelity_batch
 
@@ -491,14 +503,32 @@ def _run_trials(
     )
 
     layouts = ["greedy", "trivial", "line"] + ["greedy"] * max(0, num_trials - 3)
-    candidates: List[Tuple[QuantumCircuit, PropertySet]] = []
+    suffixes = []
     for trial in range(num_trials):
         layout = layouts[trial % len(layouts)]
-        suffix = _trial_suffix(
+        suffixes.append(_trial_suffix(
             device, seed + trial, keep_final_rz,
             layout if layout != "greedy" else None,
             routing_seed=seed * 1000 + trial,
-        )
+        ))
+
+    cache = active_compile_cache()
+    choice_key = (
+        _trial_choice_key(prepared, suffixes, device.reported_calibration)
+        if cache is not None
+        else None
+    )
+    if choice_key is not None:
+        best = cache.get(choice_key)
+        if best is not None:
+            # Re-running the winner's suffix rebuilds (or, after an
+            # eviction, recomputes) exactly the candidate that won.
+            properties = PropertySet()
+            compiled = _pass_manager(suffixes[best]).run(prepared, properties)
+            return compiled, properties
+
+    candidates: List[Tuple[QuantumCircuit, PropertySet]] = []
+    for suffix in suffixes:
         properties = PropertySet()
         compiled = _pass_manager(suffix).run(prepared, properties)
         candidates.append((compiled, properties))
@@ -511,4 +541,42 @@ def _run_trials(
     # First occurrence of the maximum mirrors the historical scan's
     # strict-greater-than update rule.
     best = int(scores.argmax())
+    if choice_key is not None:
+        cache.put(choice_key, best)
     return candidates[best]
+
+
+def _trial_choice_key(
+    prepared: QuantumCircuit,
+    suffixes: List[List[Pass]],
+    calibration: Calibration,
+) -> Optional[Tuple]:
+    """Compile-cache key of a level-3 trial choice, or ``None``.
+
+    The choice is a pure function of the prepared circuit, every trial
+    suffix's pass configuration (which includes the coupling map) and
+    the fidelities the trials are scored on.  Calibrations are mutable
+    dicts, so the key holds their content, never their identity; an
+    in-place edit changes the key and the trials are scored again.  The
+    suffix keys and the fidelities enter as content hashes, as the
+    circuit does in its fingerprint, so an entry holds a few ints rather
+    than a copy of the calibration.  The leading tag keeps these entries
+    apart from the pass-result keys.  ``None`` when some suffix pass is
+    uncacheable.
+    """
+    suffix_keys = tuple(
+        tuple(pass_.cache_key() for pass_ in suffix) for suffix in suffixes
+    )
+    if any(key is None for keys in suffix_keys for key in keys):
+        return None
+    fidelities = (
+        tuple(calibration.one_qubit_fidelity.items()),
+        tuple(calibration.two_qubit_fidelity.items()),
+        tuple(calibration.readout_fidelity.items()),
+    )
+    return (
+        "trial-choice",
+        circuit_cache_fingerprint(prepared),
+        hash(suffix_keys),
+        hash(fidelities),
+    )

@@ -62,6 +62,9 @@ Operational behavior:
 * **Per-request timeout** — a request that waits longer than
   ``request_timeout`` gets 504; the batch it joined still completes for
   everyone else.
+* **Failures are answered** — QASM the reader rejects, or a circuit
+  wider than the served device, gets 400 before it is queued; a batch
+  that raises answers 500 to every request coalesced into it.
 * **Graceful shutdown** — on SIGTERM/SIGINT the daemon stops accepting
   (503), drains every in-flight and queued batch (each queued request
   is answered exactly once, streams run to their terminator), then —
@@ -77,6 +80,7 @@ import math
 import os
 import signal
 import threading
+import traceback
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -856,6 +860,13 @@ class _InProcess:
             circuits = [from_qasm(qasm) for qasm in parsed.qasm]
         except Exception as exc:  # noqa: BLE001 - any parse failure is a 400
             return 400, {"error": f"bad QASM: {exc}"}
+        device = entry.service.device
+        for index, circuit in enumerate(circuits):
+            if circuit.num_qubits > device.num_qubits:
+                return 400, {
+                    "error": f"circuit {index} needs {circuit.num_qubits} "
+                    f"qubits; device {device.name} has {device.num_qubits}"
+                }
         level = (
             entry.service.optimization_level
             if parsed.level is None
@@ -884,6 +895,10 @@ class _InProcess:
                 "error": f"request timed out after "
                 f"{self.config.request_timeout}s in the batch queue"
             }
+        except Exception as exc:  # noqa: BLE001 - the batch itself failed
+            # Every request coalesced into the failed batch lands here.
+            traceback.print_exception(exc)
+            return 500, {"error": f"batch failed: {exc}"}
         self.daemon._latencies.append(loop.time() - started)
         response: Dict[str, Any] = {
             "model": entry.name,

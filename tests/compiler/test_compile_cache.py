@@ -21,7 +21,7 @@ from repro.compiler import (
     compile_circuit,
     configure_compile_cache,
 )
-from repro.compiler.cache import DEFAULT_MAXSIZE, CompileCache
+from repro.compiler.cache import DEFAULT_MAXSIZE, CompileCache, get_compile_cache
 from repro.compiler.passes.base import PassManager, PropertySet
 from repro.compiler.passes.decompose import Decompose
 from repro.compiler.passes.layout import GreedySubgraphLayout, LineLayout, TrivialLayout
@@ -95,11 +95,16 @@ def test_golden_digests_match_pre_cache_compiler():
     circuits = _case_circuits()
     devices = {"Q20-A": make_q20a(), "Q20-B": make_q20b()}
     for (name, level, device_name), expected in GOLDEN_DIGESTS.items():
-        result = compile_circuit(
-            circuits[name], devices[device_name],
-            optimization_level=level, seed=7,
-        )
-        assert result_digest(result) == expected, (name, level, device_name)
+        # Cold, then warm: the second compile takes every pass (and, at
+        # level 3, the trial choice) from the cache.
+        for run in ("cold", "warm"):
+            result = compile_circuit(
+                circuits[name], devices[device_name],
+                optimization_level=level, seed=7,
+            )
+            assert result_digest(result) == expected, (
+                name, level, device_name, run,
+            )
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -134,8 +139,10 @@ def test_cache_hit_counters_grow_on_repeated_compiles():
     compile_circuit(circuit, device, optimization_level=3, seed=0)
     after_warm = compile_cache_stats()
     assert after_warm["misses"] == after_cold["misses"]
-    # Warm rerun: every pass of every trial plus the shared prefix hits.
-    assert after_warm["hits"] >= after_cold["hits"] + 10
+    # Warm rerun: the 2 prefix passes, the memoized trial choice and the
+    # 6 passes of the winning trial's suffix hit; no other trial runs.
+    assert after_warm["hits"] == after_cold["hits"] + 2 + 1 + 6
+    assert after_warm["size"] == after_cold["size"]
 
 
 def test_cache_entries_are_isolated_from_caller_mutation():
@@ -240,3 +247,114 @@ def test_configure_compile_cache_shrinks_and_disables():
     assert compile_cache_stats()["size"] == before
     with pytest.raises(ValueError):
         configure_compile_cache(maxsize=0)
+
+
+# ----------------------------------------------------------------------
+# The memoized level-3 trial choice
+# ----------------------------------------------------------------------
+
+
+def _choice_keys():
+    cache = get_compile_cache()
+    return [
+        key for key in list(cache._data)
+        if isinstance(key, tuple) and key[:1] == ("trial-choice",)
+    ]
+
+
+def _count_scoring(monkeypatch):
+    """Count calls of the level-3 trial scorer."""
+    import repro.fom.metrics as metrics
+
+    calls = []
+    scorer = metrics.expected_fidelity_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scorer(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "expected_fidelity_batch", counted)
+    return calls
+
+
+def test_level3_stores_one_choice_and_warm_compile_skips_scoring(monkeypatch):
+    calls = _count_scoring(monkeypatch)
+    circuit = _case_circuits()["rand8"]
+    device = make_q20a()
+    cold = compile_circuit(circuit, device, optimization_level=3, seed=7)
+    assert len(calls) == 1
+    assert len(_choice_keys()) == 1
+    warm = compile_circuit(circuit, device, optimization_level=3, seed=7)
+    assert len(calls) == 1
+    assert result_digest(warm) == result_digest(cold) == GOLDEN_DIGESTS[
+        ("rand8", 3, "Q20-A")
+    ]
+
+
+def test_choice_is_keyed_on_calibration_content_across_devices():
+    """Q20-A and Q20-B share the coupling map, so after a Q20-A compile
+    every trial pass of the Q20-B compile hits; only the choice misses,
+    because the reported fidelities differ."""
+    circuit = _case_circuits()["rand8"]
+    q20a, q20b = make_q20a(), make_q20b()
+    assert q20a.coupling.fingerprint() == q20b.coupling.fingerprint()
+    for _ in range(2):
+        compile_circuit(circuit, q20a, optimization_level=3, seed=7)
+    before = compile_cache_stats()
+    result = compile_circuit(circuit, q20b, optimization_level=3, seed=7)
+    after = compile_cache_stats()
+    assert result_digest(result) == GOLDEN_DIGESTS[("rand8", 3, "Q20-B")]
+    assert after["misses"] == before["misses"] + 1
+    assert len(_choice_keys()) == 2
+
+
+def test_in_place_calibration_edit_rescores_trials(monkeypatch):
+    circuit = _case_circuits()["rand8"]
+    device = make_q20a()
+    first = compile_circuit(circuit, device, optimization_level=3, seed=7)
+    calls = _count_scoring(monkeypatch)
+    # Make every coupler the winner uses nearly useless, in place.
+    fidelities = device.reported_calibration.two_qubit_fidelity
+    for instruction in first.circuit.instructions:
+        if len(instruction.qubits) == 2:
+            fidelities[tuple(sorted(instruction.qubits))] = 0.05
+    edited = compile_circuit(circuit, device, optimization_level=3, seed=7)
+    assert len(calls) == 1
+    assert result_digest(edited) != result_digest(first)
+    configure_compile_cache(enabled=False)
+    uncached = compile_circuit(circuit, device, optimization_level=3, seed=7)
+    assert result_digest(edited) == result_digest(uncached)
+
+
+def test_disabled_cache_stores_no_choice():
+    circuit = _case_circuits()["rand8"]
+    configure_compile_cache(enabled=False)
+    result = compile_circuit(circuit, make_q20a(), optimization_level=3, seed=7)
+    configure_compile_cache(enabled=True)
+    assert _choice_keys() == []
+    assert compile_cache_stats()["size"] == 0
+    assert result_digest(result) == GOLDEN_DIGESTS[("rand8", 3, "Q20-A")]
+
+
+def test_uncacheable_suffix_pass_skips_the_memo(monkeypatch):
+    monkeypatch.setattr(VirtualRZ, "cache_key", lambda self: None)
+    circuit = _case_circuits()["rand8"]
+    device = make_q20a()
+    for _ in range(2):
+        result = compile_circuit(circuit, device, optimization_level=3, seed=7)
+        assert result_digest(result) == GOLDEN_DIGESTS[("rand8", 3, "Q20-A")]
+    assert _choice_keys() == []
+
+
+def test_choice_hit_recomputes_evicted_winner_suffix():
+    circuit = _case_circuits()["rand8"]
+    device = make_q20a()
+    cold = compile_circuit(circuit, device, optimization_level=3, seed=7)
+    cache = get_compile_cache()
+    choice_keys = set(_choice_keys())
+    with cache._lock:
+        for key in [key for key in cache._data if key not in choice_keys]:
+            del cache._data[key]
+    warm = compile_circuit(circuit, device, optimization_level=3, seed=7)
+    assert result_digest(warm) == result_digest(cold)
+    assert warm.final_layout == cold.final_layout

@@ -10,6 +10,7 @@ duplicating a response.
 import asyncio
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -296,6 +297,107 @@ def test_bad_requests_are_400s(client, circuits):
         status, body = client.request(method, path, payload)
         assert status == 400, (payload, body)
         assert "error" in body
+
+
+#: Parses, fits the device, and fails inside the batch: the compiler
+#: rejects a gate after a measurement.
+MID_CIRCUIT_MEASURE = (
+    "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"
+    "h q[0];\nmeasure q[0] -> c[0];\ncx q[0],q[1];\n"
+)
+
+
+def test_wide_circuits_and_hostile_angles_are_400s(client, circuits):
+    wide = "OPENQASM 2.0;\nqreg q[25];\nh q[24];\n"
+    hostile = [
+        "qreg q[1];\nrz(1e308*10) q[0];\n",
+        "qreg q[1];\nrz(9**9**9) q[0];\n",
+        "qreg q[1];\nrz(pi/0) q[0];\n",
+    ]
+    for qasm in [wide] + hostile:
+        for stream in (False, True):
+            payload = {"circuits": [to_qasm(circuits[0]), qasm]}
+            if stream:
+                payload["stream"] = True
+            status, body = client.request("POST", "/predict", payload)
+            assert status == 400, (qasm, body)
+            assert "error" in body
+    status, body = client.request("POST", "/predict", {"circuits": [wide]})
+    assert "needs 25 qubits" in body["error"]
+    # The daemon is still serving.
+    assert len(client.predict(circuits[:1])["predictions"]) == 1
+
+
+def test_failing_batch_is_answered_500(client, circuits):
+    status, body = client.request(
+        "POST", "/predict", {"circuits": [MID_CIRCUIT_MEASURE]}
+    )
+    assert status == 500
+    assert "mid-circuit measurement" in body["error"]
+    assert len(client.predict(circuits[:1])["predictions"]) == 1
+
+
+def test_failing_request_fails_its_whole_batch_with_500s(
+    model_path, direct, circuits
+):
+    """A gated runner holds the first batch, so a good request and a
+    failing one queue behind it and coalesce into one batch.  That batch
+    raises: both requests get a 500 (not a dropped connection), and the
+    daemon serves normally afterwards."""
+    daemon = make_daemon(model_path)
+    batcher = daemon._backend.batcher
+    run = batcher._runner
+    gate, entered = threading.Event(), threading.Event()
+    batches = []
+
+    def gated(key, payloads, timings):
+        batches.append(len(payloads))
+        if not gate.is_set():
+            entered.set()
+            gate.wait(timeout=60)
+        return run(key, payloads, timings)
+
+    batcher._runner = gated
+    good = to_qasm(circuits[1])
+    results = {}
+
+    def send(name, qasm):
+        with ServingClient(daemon.host, daemon.port) as client:
+            results[name] = client.request(
+                "POST", "/predict", {"circuits": [qasm]}
+            )
+
+    with DaemonThread(daemon):
+        blocker = threading.Thread(
+            target=send, args=("blocker", to_qasm(circuits[0]))
+        )
+        blocker.start()
+        assert entered.wait(timeout=60)
+        senders = [
+            threading.Thread(target=send, args=(name, qasm))
+            for name, qasm in (("good", good), ("bad", MID_CIRCUIT_MEASURE))
+        ]
+        for sender in senders:
+            sender.start()
+        with ServingClient(daemon.host, daemon.port) as client:
+            for _ in range(600):
+                if client.stats()["queue"]["requests_waiting"] == 2:
+                    break
+                time.sleep(0.01)
+            gate.set()
+            for thread in [blocker] + senders:
+                thread.join(timeout=120)
+            assert batches == [1, 2]
+            assert results["blocker"][0] == 200
+            for name in ("good", "bad"):
+                status, body = results[name]
+                assert status == 500, (name, body)
+                assert "mid-circuit measurement" in body["error"]
+            # Alone, the good request is answered as usual.
+            assert client.predict([good])["predictions"] == (
+                direct.predict([circuits[1]]).tolist()
+            )
+            assert client.stats()["responses"]["500"] == 2
 
 
 def test_routing_errors(client):
