@@ -96,7 +96,7 @@ def ideal_distributions(
     ``on_result(position, distribution)`` fires per freshly simulated
     circuit (positions index the not-yet-cached subset, in suite order).
     """
-    from ..simulation.executor import parallel_map
+    from ..parallel import parallel_map
     from ..simulation.statevector import ideal_distribution
 
     cache = cache if cache is not None else {}

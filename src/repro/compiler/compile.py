@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..circuits.circuit import QuantumCircuit
 from ..hardware.calibration import Calibration
 from ..hardware.device import Device
-from .cache import active_compile_cache, clear_compile_cache
+from .cache import active_compile_cache
 from .passes.base import (
     Pass,
     PassManager,
@@ -270,57 +270,74 @@ def compile_circuit(
     )
 
 
-#: Per-batch invariants installed in each pool worker by
-#: :func:`_init_compile_worker` (``None`` outside a worker).
-_WORKER_STATE: Optional[dict] = None
-
-
-def _init_compile_worker(
-    device: Device, optimization_level: int, keep_final_rz: bool, num_trials: int
-) -> None:
-    """Pool initializer: install the batch invariants in a worker.
-
-    Runs in each shared-pool worker before the first task of a batch it
-    serves.  The device pickles with its routing tables precomputed (see
-    :meth:`~repro.hardware.coupling.CouplingMap.__getstate__`), so workers
-    skip the O(n^2) BFS rebuild.  It also empties the worker's
-    :class:`~repro.compiler.cache.CompileCache`: workers outlive batches,
-    and entries from an earlier batch (another device) only cost memory,
-    so every batch starts from the empty cache a fresh worker had.
-    """
-    global _WORKER_STATE
-    clear_compile_cache()
-    _WORKER_STATE = {
-        "device": device,
-        "optimization_level": optimization_level,
-        "keep_final_rz": keep_final_rz,
-        "num_trials": num_trials,
-    }
-
-
-def _compile_in_worker(task: Tuple[QuantumCircuit, int]) -> Tuple:
-    """Compile one ``(circuit, seed)`` task against the worker state.
-
-    Returns the result *without* the device: shipping the device back on
-    every item would dominate the payload, and the parent re-attaches its
-    own instance when decoding.
-    """
+def _compile_task(
+    device: Device,
+    optimization_level: int,
+    keep_final_rz: bool,
+    num_trials: int,
+    task: Tuple[QuantumCircuit, int],
+) -> Tuple:
+    """Compile one ``(circuit, seed)`` task of a :func:`compile_batch`."""
     circuit, task_seed = task
-    state = _WORKER_STATE
-    result = compile_circuit(
-        circuit,
-        state["device"],
-        optimization_level=state["optimization_level"],
-        seed=task_seed,
-        keep_final_rz=state["keep_final_rz"],
-        num_trials=state["num_trials"],
-    )
+    return _payload(compile_circuit(
+        circuit, device, optimization_level=optimization_level,
+        seed=task_seed, keep_final_rz=keep_final_rz, num_trials=num_trials,
+    ))
+
+
+def _payload(result: CompilationResult) -> Tuple:
+    """A batch task's result *without* the device: shipping the device
+    back from a pool worker on every item would dominate the payload."""
     return (
         result.circuit,
         result.initial_layout,
         result.final_layout,
         result.properties,
     )
+
+
+def _map_compile(
+    task: Callable,
+    items: List,
+    shared: tuple,
+    device: Device,
+    optimization_level: "int | str",
+    max_workers: Optional[int],
+    workers_mode: Optional[str],
+    on_result: Optional[Callable[[int, CompilationResult], None]],
+) -> List[CompilationResult]:
+    """Fan a compile batch out and decode every task payload in the
+    parent, re-attaching the caller's ``device``.
+
+    ``on_result`` fires with the decoded result as each item completes.
+    """
+    from ..parallel import parallel_map, resolve_mode
+
+    device.routing_tables  # precompute once so pool workers inherit them
+    decoded: Dict[int, CompilationResult] = {}
+
+    def decode(index: int, payload: Tuple) -> None:
+        compiled, initial_layout, final_layout, properties = payload
+        decoded[index] = result = CompilationResult(
+            circuit=compiled,
+            initial_layout=initial_layout,
+            final_layout=final_layout,
+            device=device,
+            optimization_level=optimization_level,
+            properties=properties,
+        )
+        if on_result is not None:
+            on_result(index, result)
+
+    parallel_map(
+        task,
+        items,
+        max_workers=max_workers,
+        on_result=decode,
+        mode=resolve_mode(workers_mode, default="process"),
+        shared=shared,
+    )
+    return [decoded[index] for index in range(len(items))]
 
 
 def compile_batch(
@@ -351,13 +368,14 @@ def compile_batch(
     batch fans out over the process's shared spawn pool
     (:mod:`repro.parallel`), whose long-lived workers each hold their own
     :class:`~repro.compiler.cache.CompileCache`, emptied when the worker
-    installs this batch's device (cache entries are immutable snapshots,
-    so per-worker caches need no merging; the parent's cache is not
-    warmed by pooled compiles).  Circuits,
+    installs this batch's invariants (cache entries are immutable
+    snapshots, so per-worker caches need no merging; the parent's cache
+    is not warmed by pooled compiles).  Circuits,
     :class:`~repro.hardware.coupling.RoutingTables` and results cross the
-    process boundary through cheap flat-array encodings.  Batches smaller
-    than :data:`~repro.parallel.PROCESS_MIN_ITEMS` (or a resolved worker
-    count of 1) run in-process, where the shared cache still applies.
+    process boundary through cheap flat-array encodings.  Batches that
+    :func:`~repro.parallel.parallel_map` keeps in-process (too few
+    circuits, or a resolved worker count of 1) use and warm the caller's
+    cache.
 
     Args:
         circuits: program circuits to compile.
@@ -387,12 +405,7 @@ def compile_batch(
     Returns:
         One :class:`CompilationResult` per circuit, in input order.
     """
-    from ..parallel import (
-        PROCESS_MIN_ITEMS,
-        parallel_map,
-        resolve_mode,
-        resolve_workers,
-    )
+    from ..parallel import resolve_workers
 
     if optimization_level == "search":
         from .search import compile_search
@@ -415,50 +428,15 @@ def compile_batch(
     elif len(seeds) != n:
         raise ValueError("seeds must match circuits in length")
 
-    workers = resolve_workers(max_workers, n)
-    mode = resolve_mode(workers_mode, default="process")
-
-    if mode == "process" and workers > 1 and n >= PROCESS_MIN_ITEMS:
-        device.routing_tables  # precompute once so workers inherit them
-        decoded: Dict[int, CompilationResult] = {}
-
-        def _decode(index: int, payload: Tuple) -> None:
-            compiled, initial_layout, final_layout, properties = payload
-            result = CompilationResult(
-                circuit=compiled,
-                initial_layout=initial_layout,
-                final_layout=final_layout,
-                device=device,
-                optimization_level=optimization_level,
-                properties=properties,
-            )
-            decoded[index] = result
-            if on_result is not None:
-                on_result(index, result)
-
-        parallel_map(
-            _compile_in_worker,
-            [(circuit, s) for circuit, s in zip(circuits, seeds)],
-            max_workers=workers,
-            mode="process",
-            on_result=_decode,
-            initializer=_init_compile_worker,
-            initargs=(device, optimization_level, keep_final_rz, num_trials),
-        )
-        return [decoded[index] for index in range(n)]
-
-    def job(index: int) -> CompilationResult:
-        return compile_circuit(
-            circuits[index],
-            device,
-            optimization_level=optimization_level,
-            seed=seeds[index],
-            keep_final_rz=keep_final_rz,
-            num_trials=num_trials,
-        )
-
-    return parallel_map(
-        job, range(n), max_workers=workers, on_result=on_result, mode="thread"
+    return _map_compile(
+        _compile_task,
+        list(zip(circuits, seeds)),
+        (device, optimization_level, keep_final_rz, num_trials),
+        device,
+        optimization_level,
+        resolve_workers(max_workers, n),
+        workers_mode,
+        on_result,
     )
 
 

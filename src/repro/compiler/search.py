@@ -42,7 +42,6 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..hardware.device import Device
-from .cache import clear_compile_cache
 from .passes.base import Pass, PropertySet
 from .passes.decompose import Decompose
 from .passes.optimization import OptimizationLoop
@@ -462,6 +461,29 @@ def search_circuit(
     predicted distance, exact expected fidelity, and per-circuit counter
     deltas (also accumulated into :func:`search_stats`).
     """
+    result = _search_circuit(
+        circuit, device, estimator, seed=seed, beam_width=beam_width,
+        generations=generations, num_trials=num_trials,
+        keep_final_rz=keep_final_rz, incumbent=incumbent,
+    )
+    _bump_stats(result.properties["search"]["stats"])
+    return result
+
+
+def _search_circuit(
+    circuit: QuantumCircuit,
+    device: Device,
+    estimator,
+    *,
+    seed: int,
+    beam_width: int,
+    generations: int,
+    num_trials: int,
+    keep_final_rz: bool,
+    incumbent: Optional[PassConfig],
+):
+    """:func:`search_circuit` without folding its counter deltas into
+    :func:`search_stats` (batch callers fold them in the parent)."""
     from ..fom.features import feature_vector
     from ..fom.metrics import expected_fidelity_batch
     from .compile import (
@@ -595,7 +617,6 @@ def search_circuit(
     delta["exact_rescores"] += len(bodies)
     best = int(fidelities.argmax())
     winner = evaluated[rescore_keys[best]]
-    _bump_stats({key: value for key, value in delta.items() if value})
 
     compiled = winner["compiled"]
     properties = winner["properties"]
@@ -636,47 +657,17 @@ def search_circuit(
 # ----------------------------------------------------------------------
 # Batch entry point (the compile_batch analogue).
 
-#: Per-batch invariants installed in each pool worker (``None`` outside).
-_SEARCH_WORKER_STATE: Optional[dict] = None
 
+def _search_task(device: Device, estimator, options: dict, task: Tuple):
+    """Search one ``(circuit, seed, incumbent)`` task of a
+    :func:`compile_search` batch; the parent folds its counter deltas."""
+    from .compile import _payload
 
-def _init_search_worker(device: Device, estimator, options: dict) -> None:
-    """Pool initializer: install the batch invariants in a worker, on an
-    empty compile cache (see :func:`~.compile._init_compile_worker`)."""
-    global _SEARCH_WORKER_STATE
-    clear_compile_cache()
-    _SEARCH_WORKER_STATE = {
-        "device": device,
-        "estimator": estimator,
-        "options": options,
-    }
-
-
-def _search_in_worker(task: Tuple) -> Tuple:
-    """Search one ``(circuit, seed, incumbent_dict)`` task.
-
-    Stats land in the worker's counters; the parent re-aggregates from
-    the returned per-circuit deltas (``properties["search"]["stats"]``),
-    so :func:`search_stats` in the parent is pool-mode independent.
-    """
     circuit, task_seed, incumbent = task
-    state = _SEARCH_WORKER_STATE
-    result = search_circuit(
-        circuit,
-        state["device"],
-        state["estimator"],
-        seed=task_seed,
-        incumbent=(
-            PassConfig.from_dict(incumbent) if incumbent is not None else None
-        ),
-        **state["options"],
-    )
-    return (
-        result.circuit,
-        result.initial_layout,
-        result.final_layout,
-        result.properties,
-    )
+    return _payload(_search_circuit(
+        circuit, device, estimator,
+        seed=task_seed, incumbent=incumbent, **options,
+    ))
 
 
 def compile_search(
@@ -717,13 +708,7 @@ def compile_search(
     Returns one ``CompilationResult`` per circuit; each carries its
     search outcome in ``result.properties["search"]``.
     """
-    from ..parallel import (
-        PROCESS_MIN_ITEMS,
-        parallel_map,
-        resolve_mode,
-        resolve_workers,
-    )
-    from .compile import SEED_STRIDE, CompilationResult
+    from .compile import SEED_STRIDE, _map_compile
 
     n = len(circuits)
     if seeds is None:
@@ -749,63 +734,23 @@ def compile_search(
         "keep_final_rz": keep_final_rz,
     }
 
-    workers = resolve_workers(max_workers, n)
-    mode = resolve_mode(workers_mode, default="process")
-    results: List[CompilationResult]
+    def fold(index: int, result) -> None:
+        # Fold each circuit's counter deltas into this process's totals,
+        # whichever process searched it.
+        _bump_stats(result.properties["search"]["stats"])
+        if on_result is not None:
+            on_result(index, result)
 
-    if mode == "process" and workers > 1 and n >= PROCESS_MIN_ITEMS:
-        device.routing_tables  # precompute once so workers inherit them
-        decoded: Dict[int, CompilationResult] = {}
-
-        def _decode(index: int, payload: Tuple) -> None:
-            compiled, initial_layout, final_layout, properties = payload
-            result = CompilationResult(
-                circuit=compiled,
-                initial_layout=initial_layout,
-                final_layout=final_layout,
-                device=device,
-                optimization_level="search",
-                properties=properties,
-            )
-            # Worker processes kept their own counters; fold the
-            # per-circuit deltas into this process's totals.
-            _bump_stats(properties["search"].get("stats", {}))
-            decoded[index] = result
-            if on_result is not None:
-                on_result(index, result)
-
-        parallel_map(
-            _search_in_worker,
-            [
-                (
-                    circuit, s,
-                    incumbent.to_dict() if incumbent is not None else None,
-                )
-                for circuit, s, incumbent in zip(circuits, seeds, incumbents)
-            ],
-            max_workers=workers,
-            mode="process",
-            on_result=_decode,
-            initializer=_init_search_worker,
-            initargs=(device, estimator, options),
-        )
-        results = [decoded[index] for index in range(n)]
-    else:
-
-        def job(index: int) -> CompilationResult:
-            return search_circuit(
-                circuits[index],
-                device,
-                estimator,
-                seed=seeds[index],
-                incumbent=incumbents[index],
-                **options,
-            )
-
-        results = parallel_map(
-            job, range(n), max_workers=workers, on_result=on_result,
-            mode="thread",
-        )
+    results = _map_compile(
+        _search_task,
+        list(zip(circuits, seeds, incumbents)),
+        (device, estimator, options),
+        device,
+        "search",
+        max_workers,
+        workers_mode,
+        fold,
+    )
 
     # Deferred leaderboard writes, in input order: the lowest-index
     # circuit that ran a full search crowns its row.

@@ -12,9 +12,9 @@ bit-identical for every ``max_workers`` value *and* execution mode — and
 to the sequential pre-vectorization implementation (pinned by the golden
 tests).  Tree fitting is pure Python (GIL-bound), so pooled fits default
 to the shared spawn pool of :mod:`repro.parallel`: each fit's ``(X, y)``
-is pickled once, installed by the pool initializer in every worker
-before the first tree it fits for that call, and fitted trees return as
-flat numpy arrays.
+travels as the call's ``shared`` payload, pickled once and installed in
+every worker before the first tree it fits for that call, and fitted
+trees return as flat numpy arrays.
 
 Prediction descends every tree at once on one :class:`~.tree.FlatForest`,
 built whenever the member list is assigned (fit, refresh, model load),
@@ -28,30 +28,18 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..parallel import (
-    PROCESS_MIN_ITEMS,
-    parallel_map,
-    resolve_mode,
-    resolve_workers,
-)
+from ..parallel import parallel_map, resolve_mode
 from .tree import DecisionTreeRegressor, FlatForest
 
 
-#: Per-batch invariants installed in each pool worker by
-#: :func:`_init_fit_worker` (``None`` outside a worker).
-_FIT_STATE: Optional[tuple] = None
-
-
-def _init_fit_worker(X: np.ndarray, y: np.ndarray, tree_params: dict) -> None:
-    """Pool initializer: install one fit's training matrix in a worker."""
-    global _FIT_STATE
-    _FIT_STATE = (X, y, tree_params)
-
-
-def _fit_tree_in_worker(draw: Tuple[int, np.ndarray]) -> DecisionTreeRegressor:
-    """Fit one bootstrap draw against the worker's training matrix."""
+def _fit_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    tree_params: dict,
+    draw: Tuple[int, np.ndarray],
+) -> DecisionTreeRegressor:
+    """Fit one bootstrap ``(seed, rows)`` draw of a forest."""
     seed, rows = draw
-    X, y, tree_params = _FIT_STATE
     return DecisionTreeRegressor(random_state=seed, **tree_params).fit(
         X[rows], y[rows]
     )
@@ -188,36 +176,9 @@ class RandomForestRegressor:
             raise ValueError("X and y length mismatch")
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        draws = bootstrap_draws(
-            self.random_state, self.n_estimators, len(X), self.bootstrap
+        self.estimators_ = self.fit_new_trees(
+            X, y, self.n_estimators, self.random_state
         )
-
-        workers = resolve_workers(self.max_workers, len(draws))
-        mode = resolve_mode(self.workers_mode, default="process")
-        if mode == "process" and workers > 1 and len(draws) >= PROCESS_MIN_ITEMS:
-            tree_params = {
-                "max_depth": self.max_depth,
-                "min_samples_split": self.min_samples_split,
-                "min_samples_leaf": self.min_samples_leaf,
-                "max_features": self.max_features,
-            }
-            self.estimators_ = parallel_map(
-                _fit_tree_in_worker,
-                draws,
-                max_workers=workers,
-                mode="process",
-                initializer=_init_fit_worker,
-                initargs=(X, y, tree_params),
-            )
-        else:
-
-            def fit_one(draw: Tuple[int, np.ndarray]) -> DecisionTreeRegressor:
-                seed, rows = draw
-                return self.tree_template(seed).fit(X[rows], y[rows])
-
-            self.estimators_ = parallel_map(
-                fit_one, draws, max_workers=workers, mode="thread"
-            )
         self._finalize_importances(X.shape[1])
         return self
 
@@ -238,8 +199,8 @@ class RandomForestRegressor:
         the prefix property holds: the first ``k`` trees of an ``n``-tree
         call equal the ``k``-tree call — a refresh sweep over tree counts
         fits ``max(n)`` trees once and slices prefixes.  Results are
-        bit-identical for every worker count and pool mode (same
-        construction as :meth:`fit`).
+        bit-identical for every worker count and pool mode; :meth:`fit`
+        is this with the forest's own tree count, seed and pool knobs.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -247,35 +208,22 @@ class RandomForestRegressor:
             raise ValueError("X and y length mismatch")
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        draws = bootstrap_draws(random_state, n_trees, len(X), self.bootstrap)
-
-        if max_workers is None:
-            max_workers = self.max_workers
-        if workers_mode is None:
-            workers_mode = self.workers_mode
-        workers = resolve_workers(max_workers, len(draws))
-        mode = resolve_mode(workers_mode, default="process")
-        if mode == "process" and workers > 1 and len(draws) >= PROCESS_MIN_ITEMS:
-            tree_params = {
-                "max_depth": self.max_depth,
-                "min_samples_split": self.min_samples_split,
-                "min_samples_leaf": self.min_samples_leaf,
-                "max_features": self.max_features,
-            }
-            return parallel_map(
-                _fit_tree_in_worker,
-                draws,
-                max_workers=workers,
-                mode="process",
-                initializer=_init_fit_worker,
-                initargs=(X, y, tree_params),
-            )
-
-        def fit_one(draw: Tuple[int, np.ndarray]) -> DecisionTreeRegressor:
-            seed, rows = draw
-            return self.tree_template(seed).fit(X[rows], y[rows])
-
-        return parallel_map(fit_one, draws, max_workers=workers, mode="thread")
+        tree_params = {
+            "max_depth": self.max_depth,
+            "min_samples_split": self.min_samples_split,
+            "min_samples_leaf": self.min_samples_leaf,
+            "max_features": self.max_features,
+        }
+        return parallel_map(
+            _fit_tree,
+            bootstrap_draws(random_state, n_trees, len(X), self.bootstrap),
+            max_workers=self.max_workers if max_workers is None else max_workers,
+            mode=resolve_mode(
+                self.workers_mode if workers_mode is None else workers_mode,
+                default="process",
+            ),
+            shared=(X, y, tree_params),
+        )
 
     def refreshed(
         self,

@@ -27,70 +27,28 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..parallel import (
-    PROCESS_MIN_ITEMS,
-    parallel_map,
-    resolve_mode,
-    resolve_workers,
-)
+from ..parallel import parallel_map, resolve_mode
 from .forest import RandomForestRegressor, bootstrap_draws, tree_mean
 from .metrics import pearson_r
 from .tree import FlatForest
 
 Scorer = Callable[[np.ndarray, np.ndarray], float]
 
-#: Per-batch invariants installed in pool workers by the initializers
-#: below (``None`` outside a worker).  Fitting is GIL-bound pure Python,
-#: so pooled cross-validation and grid search default to process mode;
-#: each worker installs a call's training data and candidate models once, and
-#: tasks are plain index tuples.  Process mode therefore requires the
-#: estimator and scorer to be picklable (every estimator and scorer in
-#: this repo is).
-_CV_STATE: Optional[tuple] = None
-_GRID_STATE: Optional[tuple] = None
-_FOREST_GRID_STATE: Optional[tuple] = None
+# Fitting is GIL-bound pure Python, so pooled cross-validation and grid
+# search default to process mode: a call's training data and candidate
+# models travel once per worker as its ``shared`` payload, and tasks are
+# plain index tuples.  Process mode therefore requires the estimator and
+# scorer to be picklable (every estimator and scorer in this repo is).
 
 
-def _init_cv_worker(model, X, y, splits, scorer) -> None:
-    global _CV_STATE
-    _CV_STATE = (model, X, y, splits, scorer)
-
-
-def _run_fold_in_worker(fold_index: int) -> float:
-    model, X, y, splits, scorer = _CV_STATE
-    train_idx, test_idx = splits[fold_index]
-    fold_model = model.clone()
-    fold_model.fit(X[train_idx], y[train_idx])
-    return scorer(y[test_idx], fold_model.predict(X[test_idx]))
-
-
-def _init_grid_worker(models, X, y, splits, scorer) -> None:
-    global _GRID_STATE
-    _GRID_STATE = (models, X, y, splits, scorer)
-
-
-def _run_grid_task_in_worker(task: Tuple[int, int]) -> float:
+def _fit_and_score(models, X, y, splits, scorer, task: Tuple[int, int]) -> float:
+    """Fit ``models[index]`` on fold ``fold_index``'s training rows and
+    score it on the held-out rows."""
     index, fold_index = task
-    models, X, y, splits, scorer = _GRID_STATE
     train_idx, test_idx = splits[fold_index]
     fold_model = models[index].clone()
     fold_model.fit(X[train_idx], y[train_idx])
     return scorer(y[test_idx], fold_model.predict(X[test_idx]))
-
-
-def _init_forest_grid_worker(groups, splits, X, y, n_by_index, scorer) -> None:
-    global _FOREST_GRID_STATE
-    _FOREST_GRID_STATE = (groups, splits, X, y, n_by_index, scorer)
-
-
-def _run_forest_grid_task_in_worker(
-    task: Tuple[int, int],
-) -> List[Tuple[int, float]]:
-    fold_index, group_pos = task
-    groups, splits, X, y, n_by_index, scorer = _FOREST_GRID_STATE
-    return _score_forest_group(
-        groups[group_pos], splits[fold_index], X, y, n_by_index, scorer
-    )
 
 
 def train_test_split(
@@ -154,35 +112,18 @@ def cross_val_score(
     out without changing any score (``1`` = sequential, ``None`` = one
     worker per CPU).  Pooled runs default to ``workers_mode="process"``
     (fitting is GIL-bound); each worker installs the data once per call
-    through the pool initializer.
+    as the call's ``shared`` payload.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     splits = list(KFold(n_splits, seed).split(len(X)))
-    workers = resolve_workers(max_workers, len(splits))
-    mode = resolve_mode(workers_mode, default="process")
-
-    if mode == "process" and workers > 1 and len(splits) >= PROCESS_MIN_ITEMS:
-        scores = parallel_map(
-            _run_fold_in_worker,
-            range(len(splits)),
-            max_workers=workers,
-            mode="process",
-            initializer=_init_cv_worker,
-            initargs=(model, X, y, splits, scorer),
-        )
-        return np.array(scores)
-
-    def run_fold(split: Tuple[np.ndarray, np.ndarray]) -> float:
-        train_idx, test_idx = split
-        fold_model = model.clone()
-        fold_model.fit(X[train_idx], y[train_idx])
-        predictions = fold_model.predict(X[test_idx])
-        return scorer(y[test_idx], predictions)
-
-    return np.array(
-        parallel_map(run_fold, splits, max_workers=workers, mode="thread")
-    )
+    return np.array(parallel_map(
+        _fit_and_score,
+        [(0, fold_index) for fold_index in range(len(splits))],
+        max_workers=max_workers,
+        mode=resolve_mode(workers_mode, default="process"),
+        shared=([model], X, y, splits, scorer),
+    ))
 
 
 @dataclass
@@ -244,33 +185,16 @@ def grid_search(
             for index in range(len(candidates))
             for fold_index in range(len(splits))
         ]
-        workers = resolve_workers(max_workers, len(tasks))
-        mode = resolve_mode(workers_mode, default="process")
-
-        if mode == "process" and workers > 1 and len(tasks) >= PROCESS_MIN_ITEMS:
-            flat = parallel_map(
-                _run_grid_task_in_worker,
-                tasks,
-                max_workers=workers,
-                mode="process",
-                initializer=_init_grid_worker,
-                initargs=(
-                    [candidate for _, candidate in candidates],
-                    X, y, splits, scorer,
-                ),
-            )
-        else:
-
-            def run_task(task) -> float:
-                index, fold_index = task
-                train_idx, test_idx = splits[fold_index]
-                fold_model = candidates[index][1].clone()
-                fold_model.fit(X[train_idx], y[train_idx])
-                return scorer(y[test_idx], fold_model.predict(X[test_idx]))
-
-            flat = parallel_map(
-                run_task, tasks, max_workers=workers, mode="thread"
-            )
+        flat = parallel_map(
+            _fit_and_score,
+            tasks,
+            max_workers=max_workers,
+            mode=resolve_mode(workers_mode, default="process"),
+            shared=(
+                [candidate for _, candidate in candidates],
+                X, y, splits, scorer,
+            ),
+        )
         fold_scores = [
             flat[i * len(splits):(i + 1) * len(splits)]
             for i in range(len(candidates))
@@ -346,6 +270,16 @@ def _score_forest_group(
     return scored
 
 
+def _forest_grid_task(
+    groups, splits, X, y, n_by_index, scorer, task: Tuple[int, int]
+) -> List[Tuple[int, float]]:
+    """Score the ``(fold_index, group_pos)`` task of a forest grid."""
+    fold_index, group_pos = task
+    return _score_forest_group(
+        groups[group_pos], splits[fold_index], X, y, n_by_index, scorer
+    )
+
+
 def _forest_grid_fold_scores(
     candidates: List[Tuple[Dict[str, object], RandomForestRegressor]],
     X: np.ndarray,
@@ -390,30 +324,13 @@ def _forest_grid_fold_scores(
         for fold_index in range(len(splits))
         for group_pos in range(len(group_list))
     ]
-    workers = resolve_workers(max_workers, len(tasks))
-    mode = resolve_mode(workers_mode, default="process")
-
-    if mode == "process" and workers > 1 and len(tasks) >= PROCESS_MIN_ITEMS:
-        task_results = parallel_map(
-            _run_forest_grid_task_in_worker,
-            tasks,
-            max_workers=workers,
-            mode="process",
-            initializer=_init_forest_grid_worker,
-            initargs=(group_list, splits, X, y, n_by_index, scorer),
-        )
-    else:
-
-        def run_task(task) -> List[Tuple[int, float]]:
-            fold_index, group_pos = task
-            return _score_forest_group(
-                group_list[group_pos], splits[fold_index],
-                X, y, n_by_index, scorer,
-            )
-
-        task_results = parallel_map(
-            run_task, tasks, max_workers=workers, mode="thread"
-        )
+    task_results = parallel_map(
+        _forest_grid_task,
+        tasks,
+        max_workers=max_workers,
+        mode=resolve_mode(workers_mode, default="process"),
+        shared=(group_list, splits, X, y, n_by_index, scorer),
+    )
 
     fold_scores: List[List[Optional[float]]] = [
         [None] * len(splits) for _ in candidates

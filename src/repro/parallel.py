@@ -15,25 +15,31 @@ Two execution modes are supported:
 * ``"process"`` — a shared, long-lived
   :class:`~concurrent.futures.ProcessPoolExecutor` over the ``spawn``
   start method.  Right for the GIL-bound pure-Python stages
-  (compilation, feature extraction, tree fitting).  ``fn``,
-  ``initializer``/``initargs`` and every item/result must be picklable.
+  (compilation, feature extraction, tree fitting).  ``fn``, ``shared``
+  and every item/result must be picklable.
+
+**Batch invariants.**  A batch's per-call invariants (device, estimator,
+training matrix) travel as ``shared``: every mode calls
+``fn(*shared, item)``.  The in-process loop and thread mode pass the
+tuple as is, so nothing is pickled.
 
 **The shared pool.**  Starting a spawn pool whose workers import
 ``repro`` costs about half a second on a 2-vCPU machine, so process mode
-does not start a pool per call.  The first pooled call with a given worker count creates a spawn
-pool of that size; every later call with the same count reuses it, and
-:func:`_shutdown_pools` shuts every pool down at interpreter exit.
-Workers are therefore long-lived: module state (the compile cache, an
-initializer's globals) survives from one call to the next in the same
-worker.  A per-call ``initializer`` cannot run at worker start-up, so
-each call pickles ``(initializer, initargs)`` once, tags it with a fresh
-token, and ships it with every task; a worker runs the initializer
-before the first task of each call it serves, i.e. whenever the token
-differs from the one it last installed.  Initializers that should start
-a batch from clean state reset it themselves (the compile initializers
-clear the compile cache).  An exception raised by ``fn`` or by the
-initializer fails only its own items.  A worker that dies (``os._exit``,
-OOM kill) breaks the executor: the batch raises
+does not start a pool per call.  The first pooled call with a given
+worker count creates a spawn pool of that size; every later call with
+the same count reuses it, and :func:`_shutdown_pools` shuts every pool
+down at interpreter exit.  Workers are therefore long-lived and keep
+their module state from one call to the next, so each call pickles its
+``shared`` tuple once, tags it with a fresh token, and ships it with
+every task; a worker installs the payload before the first task of
+each call it serves, i.e. whenever the token differs from the one it
+last installed.  Installing a payload also empties the worker's compile
+cache, so every process-mode call starts from the cold cache a fresh
+worker had and worker memory does not grow across devices (the
+in-process path never does this: the caller's cache stays warm).  An
+exception raised by ``fn`` or while installing a payload fails only its
+own items.  A worker that dies (``os._exit``, OOM kill) breaks the
+executor: the batch raises
 :class:`~concurrent.futures.process.BrokenProcessPool`, ahead of any
 ``fn`` error, and the broken pool leaves the registry so the next call
 builds a fresh one.
@@ -58,11 +64,6 @@ raised *by fn itself* takes precedence over callback exceptions, and the
 one belonging to the lowest input index is the one propagated; pooled
 modes drain the remaining items first (their callbacks still fire),
 while the sequential path stops at the first failing item.
-
-Historically these helpers lived in ``repro.simulation.executor``; they
-moved here so the ML layer can reuse them without importing the
-simulator.  The old import path still works (the executor re-exports the
-names).
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import sys
 import threading
 from concurrent.futures import (
     ProcessPoolExecutor,
@@ -93,21 +95,22 @@ WORKERS_MODE_ENV = "REPRO_WORKERS_MODE"
 WORKER_MODES = ("thread", "process")
 
 #: Below this many items a requested process pool degrades to the plain
-#: in-process loop: spawning interpreters costs more than the work buys.
-#: Three keeps the paper's 3-fold cross-validation poolable while 1-2
-#: item batches stay in-process.  (Results are bit-identical either way;
-#: this is purely a perf guard.)
+#: in-process loop: the pool's workers are already running, but pickling
+#: the ``shared`` payload and the items and shipping them to a worker and
+#: back costs more than one or two items of work buy.  Three keeps the
+#: paper's 3-fold cross-validation poolable.  (Results are bit-identical
+#: either way; this is purely a perf guard.)
 PROCESS_MIN_ITEMS = 3
 
 #: The shared spawn pools, one per worker count (see the module docstring).
 _POOLS: Dict[int, ProcessPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
 
-#: Per-call tokens naming each call's pickled initializer payload.
+#: Per-call tokens naming each call's pickled ``shared`` payload.
 _TOKENS = itertools.count(1)
 
-#: In a pool worker: the token of the call whose initializer last ran.
-_INSTALLED_TOKEN: Optional[int] = None
+#: In a pool worker: ``(token, shared)`` of the call last installed.
+_INSTALLED: Optional[Tuple[int, tuple]] = None
 
 
 def _shared_pool(workers: int) -> ProcessPoolExecutor:
@@ -142,24 +145,22 @@ def _shutdown_pools() -> None:
 atexit.register(_shutdown_pools)
 
 
-def _run_task(
-    fn: Callable[[_T], _R], setup: Optional[Tuple[int, bytes]], item: _T
-) -> _R:
-    """Run one shared-pool task, installing its call's state first if needed.
+def _run_task(fn: Callable[..., _R], token: int, payload: bytes, item) -> _R:
+    """Run one shared-pool task, installing its call's payload first if
+    this worker last installed another call's.
 
-    ``setup`` is ``(token, pickled (initializer, initargs))`` or ``None``.
-    The initializer runs when this worker last installed another call's
-    token; if it raises, the token stays uninstalled and the call's next
-    task in this worker retries it.
+    Installing empties the compile cache (a worker that never imported
+    it has nothing cached) and unpickles ``shared``; if that raises, the
+    call stays uninstalled and its next task in this worker retries.
     """
-    global _INSTALLED_TOKEN
-    if setup is not None and setup[0] != _INSTALLED_TOKEN:
-        token, payload = setup
-        _INSTALLED_TOKEN = None
-        initializer, initargs = pickle.loads(payload)
-        initializer(*initargs)
-        _INSTALLED_TOKEN = token
-    return fn(item)
+    global _INSTALLED
+    if _INSTALLED is None or _INSTALLED[0] != token:
+        _INSTALLED = None
+        cache = sys.modules.get("repro.compiler.cache")
+        if cache is not None:
+            cache.clear_compile_cache()
+        _INSTALLED = (token, pickle.loads(payload))
+    return fn(*_INSTALLED[1], item)
 
 
 def resolve_workers(max_workers: Optional[int], num_items: int) -> int:
@@ -194,21 +195,21 @@ def resolve_mode(mode: Optional[str], default: str = "thread") -> str:
 
 
 def parallel_map(
-    fn: Callable[[_T], _R],
+    fn: Callable[..., _R],
     items: Sequence[_T],
     max_workers: Optional[int] = None,
     on_result: Optional[Callable[[int, _R], None]] = None,
     mode: Optional[str] = "thread",
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple = (),
+    *,
+    shared: tuple = (),
 ) -> List[_R]:
-    """Order-preserving map over a thread or process pool.
+    """Order-preserving ``[fn(*shared, item) for item in items]`` over a
+    thread or process pool.
 
     Falls back to a plain in-process loop for a single worker, a single
     item, or a process-mode batch smaller than
     :data:`PROCESS_MIN_ITEMS`, so results are identical across worker
     counts and modes — the per-item work must itself be deterministic.
-    In the degenerate case any ``initializer`` runs once in the parent.
 
     ``on_result(index, result)`` fires in the parent as each item
     completes (completion order), giving batch callers per-item liveness
@@ -218,11 +219,10 @@ def parallel_map(
 
     In ``"process"`` mode the batch runs on the shared spawn pool for
     its worker count; ``fn`` must be a picklable module-level callable
-    and items/results must pickle.  ``initializer(*initargs)`` is
-    pickled once per call and runs in each worker before the first task
-    of this call it serves (use it to ship large shared state once per
-    call instead of per item).  In ``"thread"`` mode it runs once per
-    thread of a per-call pool.
+    and items/results must pickle.  ``shared`` holds the batch
+    invariants: it is pickled once per call and installed in each worker
+    before the first task of this call it serves, instead of riding
+    along with every item (see the module docstring).
     """
     items = list(items)
     workers = resolve_workers(max_workers, len(items))
@@ -231,12 +231,10 @@ def parallel_map(
     if mode == "process" and len(items) < PROCESS_MIN_ITEMS:
         pooled = False
     if not pooled:
-        if initializer is not None:
-            initializer(*initargs)
         results = []
         callback_error: Optional[BaseException] = None
         for index, item in enumerate(items):
-            result = fn(item)
+            result = fn(*shared, item)
             results.append(result)
             if on_result is not None:
                 try:
@@ -249,18 +247,18 @@ def parallel_map(
         return results
 
     if mode == "thread":
-        with ThreadPoolExecutor(
-            max_workers=workers, initializer=initializer, initargs=initargs
-        ) as pool:
-            return _drain(functools.partial(pool.submit, fn), items, on_result)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return _drain(
+                functools.partial(pool.submit, fn, *shared), items, on_result
+            )
 
     pool = _shared_pool(workers)
-    setup = None
-    if initializer is not None:
-        setup = (next(_TOKENS), pickle.dumps((initializer, initargs)))
+    payload = pickle.dumps(shared)
     try:
         return _drain(
-            functools.partial(pool.submit, _run_task, fn, setup),
+            functools.partial(
+                pool.submit, _run_task, fn, next(_TOKENS), payload
+            ),
             items,
             on_result,
         )

@@ -20,8 +20,6 @@ from .executor import (
     ExecutionResult,
     QPUExecutor,
     execute_and_label,
-    parallel_map,
-    resolve_workers,
 )
 from .histogram import render_comparison, render_histogram
 from .kernels import apply_matrix, cached_gate_matrix, fuse_instructions
@@ -43,8 +41,6 @@ __all__ = [
     "apply_matrix",
     "cached_gate_matrix",
     "fuse_instructions",
-    "parallel_map",
-    "resolve_workers",
     "sample_indices",
     "bhattacharyya_coefficient",
     "circuit_unitary",

@@ -49,7 +49,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.dag import CircuitDag
 from ..hardware.device import Device
-from ..parallel import parallel_map, resolve_workers  # noqa: F401  (re-export)
+from ..parallel import parallel_map
 from .kernels import circuit_fingerprint
 from .statevector import bitstring_keys, ideal_distribution, sample_indices
 

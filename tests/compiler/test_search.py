@@ -344,6 +344,23 @@ def test_compile_search_process_pool_aggregates_stats(device, estimator):
     assert stats["configs_evaluated"] > 0
 
 
+def test_compile_search_stats_deltas_match_across_pools(device, estimator):
+    """Every circuit's counter deltas are folded exactly once, whichever
+    process searched it."""
+    circuits = small_suite(4)
+    deltas = {}
+    for mode, workers in (("thread", 1), ("thread", 2), ("process", 2)):
+        reset_search_stats()
+        compile_search(
+            circuits, device, estimator, beam_width=2, generations=1,
+            max_workers=workers, workers_mode=mode,
+        )
+        deltas[(mode, workers)] = search_stats()
+    assert deltas[("thread", 1)]["searches"] == len(circuits)
+    assert deltas[("thread", 2)] == deltas[("thread", 1)]
+    assert deltas[("process", 2)] == deltas[("thread", 1)]
+
+
 def test_compile_search_seeds_must_match(device, estimator):
     with pytest.raises(ValueError, match="seeds"):
         compile_search(

@@ -5,12 +5,8 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler import compile_circuit
 from repro.hardware import make_q20a
-from repro.simulation.executor import (
-    SEED_STRIDE,
-    QPUExecutor,
-    parallel_map,
-    resolve_workers,
-)
+from repro.parallel import parallel_map, resolve_workers
+from repro.simulation.executor import SEED_STRIDE, QPUExecutor
 from repro.simulation.statevector import ideal_distribution
 
 

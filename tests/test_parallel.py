@@ -5,8 +5,8 @@ pools, the parent-side ``on_result`` callback contract (exceptions
 propagate only after the batch drains), fn-error precedence, the
 small-batch process degradation, the ``REPRO_WORKERS_MODE`` override,
 and the single repo-wide ``max_workers=None`` -> one-per-CPU rule; and
-the shared spawn pool: reuse across calls, per-call initializer state,
-and recovery from a dead worker.
+the shared spawn pool: reuse across calls, per-call ``shared`` payloads,
+a cold compile cache per call, and recovery from a dead worker.
 """
 
 import os
@@ -42,20 +42,28 @@ def _worker_pid(_):
     return os.getpid()
 
 
-_INIT_VALUE = None
+def _tag(value, item):
+    return (value, item)
 
 
-def _remember(value):
-    global _INIT_VALUE
-    _INIT_VALUE = value
+def _refuse():
+    raise ValueError("payload refused")
 
 
-def _recall(_):
-    return _INIT_VALUE
+class _Unloadable:
+    """Pickles in the parent; unpickling it in a worker raises."""
+
+    def __reduce__(self):
+        return (_refuse, ())
 
 
-def _refuse(_value):
-    raise ValueError("initializer refused")
+def _cache_size_then_compile(device, circuit, seed):
+    """The compile-cache size a task finds, then warm it with a compile."""
+    from repro.compiler import compile_cache_stats, compile_circuit
+
+    size = compile_cache_stats()["size"]
+    compile_circuit(circuit, device, optimization_level=3, seed=seed)
+    return os.getpid(), size
 
 
 def _exit_in_worker(x):
@@ -155,31 +163,25 @@ def test_process_pool_actually_leaves_the_parent():
     assert all(pid != os.getpid() for pid in pids)
 
 
-def test_initializer_ships_state_to_process_workers():
+def test_shared_ships_to_process_workers():
     items = list(range(max(PROCESS_MIN_ITEMS, 4)))
-    results = parallel_map(
-        _recall,
-        items,
-        max_workers=2,
-        mode="process",
-        initializer=_remember,
-        initargs=(42,),
-    )
-    assert results == [42] * len(items)
-    # Parent state untouched: the initializer ran in the workers only.
-    assert _INIT_VALUE is None
+    assert parallel_map(
+        _tag, items, max_workers=2, mode="process", shared=(42,)
+    ) == [(42, item) for item in items]
 
 
-def test_initializer_runs_in_parent_on_degenerate_path():
-    global _INIT_VALUE
-    try:
+def test_in_process_paths_pass_shared_without_pickling():
+    """The loop and thread mode hand over the very objects: an
+    unpicklable payload is fine there."""
+    lock = threading.Lock()
+    for mode, workers, items in (
+        ("thread", 1, [0, 1, 2]),
+        ("thread", 2, [0, 1, 2]),
+        ("process", 2, [0]),
+    ):
         assert parallel_map(
-            _recall, [0], max_workers=4, mode="process",
-            initializer=_remember, initargs=(7,),
-        ) == [7]
-        assert _INIT_VALUE == 7
-    finally:
-        _INIT_VALUE = None
+            _tag, items, max_workers=workers, mode=mode, shared=(lock,)
+        ) == [(lock, item) for item in items]
 
 
 def test_resolve_mode_precedence(monkeypatch):
@@ -230,29 +232,26 @@ def test_process_batches_reuse_one_pool(pool_constructions):
     assert os.getpid() not in pids
 
 
-def test_initializer_state_is_per_call_on_a_shared_pool(pool_constructions):
-    """Interleaved calls on the same workers each see their own state."""
+def test_shared_payload_is_per_call_on_a_shared_pool(pool_constructions):
+    """Interleaved calls on the same workers each see their own payload."""
     items = list(range(6))
     for value in (1, 2, 1):
         assert parallel_map(
-            _recall, items, max_workers=2, mode="process",
-            initializer=_remember, initargs=(value,),
-        ) == [value] * len(items)
+            _tag, items, max_workers=2, mode="process", shared=(value,)
+        ) == [(value, item) for item in items]
     assert pool_constructions == [2]
-    assert _INIT_VALUE is None
 
 
 def test_concurrent_calls_on_one_pool_keep_their_own_state(pool_constructions):
     """Callers in several threads interleave tasks on the same workers;
-    every task still runs against its own call's initializer state."""
+    every task still runs against its own call's payload."""
     items = list(range(6))
     outcomes = {}
 
     def caller(value):
         outcomes[value] = [
             parallel_map(
-                _recall, items, max_workers=3, mode="process",
-                initializer=_remember, initargs=(value,),
+                _tag, items, max_workers=3, mode="process", shared=(value,)
             )
             for _ in range(3)
         ]
@@ -271,20 +270,20 @@ def test_concurrent_calls_on_one_pool_keep_their_own_state(pool_constructions):
     finally:
         sys.setswitchinterval(interval)
     assert outcomes == {
-        value: [[value] * len(items)] * 3 for value in range(4)
+        value: [[(value, item) for item in items]] * 3 for value in range(4)
     }
     assert pool_constructions == [3]
 
 
-def test_fn_and_initializer_errors_leave_the_pool_usable(pool_constructions):
+def test_fn_and_payload_errors_leave_the_pool_usable(pool_constructions):
     items = list(range(6))
     before = set(parallel_map(_worker_pid, items, max_workers=2, mode="process"))
     with pytest.raises(ValueError, match="bad 0"):
         parallel_map(_fail_on_even, items, max_workers=2, mode="process")
-    with pytest.raises(ValueError, match="initializer refused"):
+    with pytest.raises(ValueError, match="payload refused"):
         parallel_map(
-            _recall, items, max_workers=2, mode="process",
-            initializer=_refuse, initargs=(1,),
+            _tag, items, max_workers=2, mode="process",
+            shared=(_Unloadable(),),
         )
     after = set(parallel_map(_worker_pid, items, max_workers=2, mode="process"))
     assert len(before | after) <= 2
@@ -304,25 +303,43 @@ def test_crashed_worker_does_not_poison_later_batches(pool_constructions):
     assert pool_constructions == [2, 2]
 
 
-def test_compile_initializers_start_batches_on_an_empty_cache(monkeypatch):
-    """Warm workers outlive batches; each batch still starts cache-cold."""
-    import repro.compiler.compile as compile_module
-    import repro.compiler.search as search_module
+def test_process_calls_start_cache_cold_and_local_calls_keep_the_cache():
+    """Warm workers outlive calls, yet every process-mode call starts on
+    an empty compile cache; an in-process compile keeps the caller's."""
     from repro.bench import build_suite
-    from repro.compiler import compile_cache_stats, compile_circuit
+    from repro.compiler import compile_batch, compile_cache_stats
     from repro.hardware import make_zoo_device
 
-    monkeypatch.setattr(compile_module, "_WORKER_STATE", None)
-    monkeypatch.setattr(search_module, "_SEARCH_WORKER_STATE", None)
     device = make_zoo_device("ring", 6, seed=0)
     circuit = build_suite(max_qubits=4)[0].circuit
+    seeds = list(range(8))
 
-    compile_circuit(circuit, device, optimization_level=3, seed=0)
-    assert compile_cache_stats()["size"] > 0
-    compile_module._init_compile_worker(device, 3, False, 4)
-    assert compile_cache_stats()["size"] == 0
+    def sizes_by_worker():
+        found = {}
+        for pid, size in parallel_map(
+            _cache_size_then_compile, seeds, max_workers=2, mode="process",
+            shared=(device, circuit),
+        ):
+            found.setdefault(pid, []).append(size)
+        return found
 
-    compile_circuit(circuit, device, optimization_level=3, seed=0)
-    assert compile_cache_stats()["size"] > 0
-    search_module._init_search_worker(device, None, {})
-    assert compile_cache_stats()["size"] == 0
+    first = sizes_by_worker()
+    second = sizes_by_worker()
+    # Each worker's first task of a call found the cache empty, and later
+    # tasks of the same call found it warmed.
+    for found in (first, second):
+        assert all(min(sizes) == 0 for sizes in found.values())
+    assert any(max(sizes) > 0 for sizes in first.values())
+    assert set(first) & set(second), "no worker served both calls"
+
+    compile_batch([circuit], device, optimization_level=3, max_workers=1)
+    before = compile_cache_stats()
+    assert before["size"] > 0
+    compile_batch(
+        [circuit], device, optimization_level=3, max_workers=1,
+        workers_mode="process",
+    )
+    after = compile_cache_stats()
+    assert after["size"] == before["size"]
+    assert after["misses"] == before["misses"]
+    assert after["hits"] > before["hits"]
