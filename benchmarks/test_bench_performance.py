@@ -233,24 +233,23 @@ def test_perf_serving_qps(benchmark, tmp_path):
 
     The full network path: 6 concurrent clients x 5 keep-alive requests
     of 4 circuits each (the 120-circuit serving suite) against an
-    in-process daemon — HTTP framing, dynamic batching (5ms deadline),
+    in-process daemon — HTTP framing, work-conserving dynamic batching,
     and the warm FomService pipeline.  The benchmark mean is the
     wall-clock of one whole load run; ``extra_info`` records the derived
     QPS and client-observed p50/p99 request latency, so the smoke-bench
     artifact doubles as the serving tail-latency report.
     """
     from repro.circuits.qasm import to_qasm
-    from repro.serving import ModelRegistry, ServerConfig, ServingClient
+    from repro.serving import ModelSource, ServerConfig, ServingClient
     from repro.serving.server import DaemonThread, ServingDaemon
 
     model_path = tmp_path / "model.npz"
     save_model(_tiny_estimator(), model_path)
-    registry = ModelRegistry()
-    registry.add_model_file(
-        model_path, make_q20a(), optimization_level=3, seed=0
+    source = ModelSource(
+        "file", model_path, make_q20a(), {"optimization_level": 3, "seed": 0}
     )
-    daemon = ServingDaemon(registry, ServerConfig(
-        port=0, max_batch=64, batch_deadline=0.005, queue_limit=4096,
+    daemon = ServingDaemon([source], ServerConfig(
+        port=0, max_batch=64, queue_limit=4096,
     ))
     qasm = [to_qasm(entry.circuit) for entry in _serving_suite()]
     n_clients, requests_per_client, request_size = 6, 5, 4
@@ -323,13 +322,13 @@ def test_perf_serving_sharded_qps(benchmark, tmp_path):
     serving QPS is no longer capped by one GIL).
     """
     from repro.circuits.qasm import to_qasm
-    from repro.serving import RegistrySpec, ServerConfig, ServingClient
+    from repro.serving import ModelSource, ServerConfig, ServingClient
     from repro.serving.server import DaemonThread, ServingDaemon
 
     model_path = tmp_path / "model.npz"
     save_model(_tiny_estimator(), model_path)
-    spec = RegistrySpec().add_model_file(
-        model_path, "q20a", optimization_level=3, seed=0
+    source = ModelSource(
+        "file", model_path, "q20a", {"optimization_level": 3, "seed": 0}
     )
     qasm = [to_qasm(entry.circuit) for entry in _serving_suite()]
     n_clients, requests_per_client, request_size = 6, 5, 4
@@ -381,9 +380,8 @@ def test_perf_serving_sharded_qps(benchmark, tmp_path):
         }
 
     def make_daemon(shards):
-        return ServingDaemon(spec, ServerConfig(
-            port=0, shards=shards,
-            max_batch=64, batch_deadline=0.005, queue_limit=4096,
+        return ServingDaemon([source], ServerConfig(
+            port=0, shards=shards, max_batch=64, queue_limit=4096,
         ))
 
     report = {}

@@ -6,8 +6,9 @@ behind, it:
 
 1. starts ``python -m repro serve`` as a real subprocess on a free port,
 2. drives it with :class:`~repro.serving.client.ServingClient` —
-   ``healthz``, several **concurrent** ``predict`` requests (so dynamic
-   batching actually coalesces), a ``foms`` panel, and ``stats``,
+   ``healthz``, several **concurrent** ``predict`` requests (those that
+   queue behind a running batch coalesce), a ``foms`` panel, and
+   ``stats``,
 3. asserts every daemon response is **bit-identical** to a direct
    :class:`~repro.predictor.service.FomService` call on the same inputs
    (float64 values survive the JSON round-trip exactly),
@@ -17,8 +18,10 @@ behind, it:
    request drops, the superseded fingerprint stays pinnable with its old
    answers, and post-swap responses are bit-identical to both a direct
    service on the new file and a freshly restarted daemon,
-5. sends SIGTERM while a request is in flight and asserts the response
-   still arrives (graceful drain), the process exits 0, and
+5. sends a corpus-sized request at an optimization level the daemon
+   has not compiled yet, SIGTERMs the daemon once ``/stats`` reports it
+   in flight, and asserts the response still arrives bit-identical
+   (graceful drain) and the process exits 0, and
 6. verifies nothing is left behind: the port is closed and no stray
    process still references the workdir.
 
@@ -96,8 +99,7 @@ def main() -> None:
     daemon = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--model", str(model_path), "--device", args.device,
-         "--level", str(args.level), "--port", "0",
-         "--batch-deadline-ms", "150", "--max-batch", "64"],
+         "--level", str(args.level), "--port", "0", "--max-batch", "64"],
         stdout=subprocess.PIPE, text=True,
     )
     try:
@@ -114,8 +116,8 @@ def main() -> None:
             fail(f"healthz: {status} {health}")
         print(f"[smoke] healthz OK ({health['models']})")
 
-        # Concurrent predict requests: the 150ms deadline lets them
-        # coalesce into one dynamic batch.
+        # Concurrent predict requests: those that arrive while a batch
+        # runs queue behind it and coalesce into the next one.
         responses = [None] * len(requests)
         errors = []
 
@@ -284,8 +286,7 @@ def main() -> None:
         restarted = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--model", str(model_path), "--device", args.device,
-             "--level", str(args.level), "--port", "0",
-             "--batch-deadline-ms", "150", "--max-batch", "64"],
+             "--level", str(args.level), "--port", "0", "--max-batch", "64"],
             stdout=subprocess.PIPE, text=True,
         )
         try:
@@ -317,14 +318,18 @@ def main() -> None:
         service = refreshed_service  # the drain check below uses v2
         client.close()
 
-        # Graceful drain: submit a request, SIGTERM while it waits out
-        # the 150ms batch deadline, and the response must still arrive.
+        # Graceful drain: a corpus-sized request at a level the daemon
+        # has not compiled yet keeps its batch running long enough to
+        # SIGTERM mid-batch; the response must still arrive.
+        drain_level = 2 if args.level == 3 else 3
         drain_result = {}
 
         def drain_request() -> None:
             drain_client = ServingClient(port=port)
             try:
-                drain_result["response"] = drain_client.predict(qasm[:2])
+                drain_result["response"] = drain_client.predict(
+                    qasm, optimization_level=drain_level
+                )
             except Exception as exc:  # noqa: BLE001 - reported below
                 drain_result["error"] = exc
             finally:
@@ -332,16 +337,24 @@ def main() -> None:
 
         drain_thread = threading.Thread(target=drain_request)
         drain_thread.start()
-        time.sleep(0.05)  # inside the 150ms deadline window
+        with ServingClient(port=port) as stats_client:
+            while stats_client.stats()["queue"]["in_flight"] == 0:
+                if not drain_thread.is_alive():
+                    fail("drain request finished before SIGTERM could land "
+                         "mid-batch")
+                time.sleep(0.005)
         daemon.send_signal(signal.SIGTERM)
         drain_thread.join(timeout=600)
         if "error" in drain_result:
             fail(f"in-flight request dropped during drain: "
                  f"{drain_result['error']}")
-        direct = service.predict([from_qasm(text) for text in qasm[:2]])
+        direct = service.predict(
+            [from_qasm(text) for text in qasm], optimization_level=drain_level
+        )
         if drain_result["response"]["predictions"] != direct.tolist():
             fail("drained response not bit-identical")
-        print("[smoke] SIGTERM drain answered the in-flight request")
+        print(f"[smoke] SIGTERM drain answered the in-flight request "
+              f"({len(qasm)} circuits at level {drain_level})")
 
         returncode = daemon.wait(timeout=120)
         if returncode != 0:
@@ -369,8 +382,7 @@ def main() -> None:
 def sharded_phase(model_path: Path, qasm: list, args) -> None:
     """``--shards 2``: byte-identity through the dispatcher, streaming,
     and a SIGTERM landing mid-stream — the stream still completes, the
-    parent exits 0, and both worker processes are reaped.  This phase
-    boots with the default (work-conserving) batch deadline."""
+    parent exits 0, and both worker processes are reaped."""
     print("[smoke] starting sharded daemon (--shards 2)")
     daemon = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",

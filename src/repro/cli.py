@@ -241,39 +241,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .evaluation.persistence import PersistenceError
-    from .serving import RegistrySpec, ServerConfig, ServingDaemon
+    from .serving import ModelSource, ServerConfig, ServingDaemon
 
     _load_device(args.device)  # fail fast on a bad device spec
-    # A picklable spec rather than a built registry: sharded daemons
-    # ship it to each spawn worker, which builds its own copy
-    # (shared-nothing); unsharded daemons build it in-process.
-    spec = RegistrySpec()
+    # Sources rather than a built registry: sharded daemons ship them to
+    # each spawn worker, which builds its own registry (shared-nothing);
+    # unsharded daemons build it in-process.
     service_kwargs = dict(
         optimization_level=args.level, seed=args.seed,
         num_trials=args.num_trials,
     )
     if args.model is not None:
-        spec.add_model_file(args.model, args.device, **service_kwargs)
+        source = ModelSource("file", args.model, args.device, service_kwargs)
     else:
-        spec.add_store(
-            args.store, args.device,
+        source = ModelSource(
+            "store", args.store, args.device, service_kwargs,
             name=args.name, fingerprint=args.fingerprint,
-            **service_kwargs,
         )
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        max_batch=args.max_batch,
-        batch_deadline=args.batch_deadline_ms / 1000.0,
-        queue_limit=args.queue_limit,
-        request_timeout=args.request_timeout,
-        max_workers=args.max_workers,
-        workers_mode=args.workers_mode,
-        reload_interval=args.reload_interval,
-        shards=args.shards,
-    )
     try:
-        daemon = ServingDaemon(spec, config)
+        config = ServerConfig(
+            host=args.host,
+            port=args.port,
+            max_batch=args.max_batch,
+            queue_limit=args.queue_limit,
+            request_timeout=args.request_timeout,
+            max_workers=args.max_workers,
+            workers_mode=args.workers_mode,
+            reload_interval=args.reload_interval,
+            shards=args.shards,
+        )
+        daemon = ServingDaemon([source], config)
     except (PersistenceError, ValueError) as exc:
         raise SystemExit(str(exc))
     asyncio.run(daemon.serve_forever())
@@ -795,14 +792,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-batch", type=int, default=64,
-        help="circuits per dynamic batch (size trigger)",
-    )
-    p_serve.add_argument(
-        "--batch-deadline-ms", type=float, default=0.0,
-        help="max milliseconds a partial batch waits for more requests "
-             "(0, the default, dispatches as soon as the runner is idle; "
-             "requests still coalesce while they queue behind a running "
-             "batch)",
+        help="most circuits in one dynamic batch (a batch starts as soon "
+             "as the pipeline is idle; requests coalesce while they queue "
+             "behind a running batch)",
     )
     p_serve.add_argument(
         "--queue-limit", type=int, default=1024,

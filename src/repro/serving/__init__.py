@@ -5,12 +5,14 @@ iterable; production traffic is many concurrent small requests.  This
 package puts a network front end on that machinery:
 
 * :mod:`repro.serving.registry` — :class:`ModelRegistry`, the daemon's
-  set of (device, estimator) pairs, loaded **once** from model files or
-  an :class:`~repro.evaluation.artifacts.ArtifactStore` and addressed by
+  set of (device, estimator) pairs, loaded **once** from the
+  :class:`ModelSource` records it is given (model files or an
+  :class:`~repro.evaluation.artifacts.ArtifactStore`) and addressed by
   name and/or fingerprint.
 * :mod:`repro.serving.batcher` — :class:`DynamicBatcher`, which
-  coalesces concurrent requests into size- or deadline-triggered batches
-  with a bounded queue (backpressure) and an orderly drain.
+  coalesces concurrent requests into work-conserving batches of at most
+  ``max_batch`` circuits, with a bounded queue (backpressure) and an
+  orderly drain.
 * :mod:`repro.serving.server` — :class:`ServingDaemon`, a stdlib-only
   asyncio HTTP daemon exposing ``/predict``, ``/foms``, ``/healthz``,
   ``/stats`` and ``/reload``, with per-request timeouts, chunked
@@ -19,11 +21,10 @@ package puts a network front end on that machinery:
   two backends, picked at construction: the in-process registry +
   batcher, or a shard pool.
 * :mod:`repro.serving.shards` — the shard-pool backend used when
-  ``shards > 1``: :class:`RegistrySpec` (a picklable registry
-  description) plus :class:`~repro.serving.shards.ShardManager`, the
-  spawn-worker pool —
-  one registry + batcher + GIL per worker, consistent-hash routing,
-  byte-for-byte relay, merged stats, broadcast reload, crash respawn.
+  ``shards > 1``: :class:`~repro.serving.shards.ShardManager`, the
+  spawn-worker pool — one registry (built from the daemon's sources) +
+  batcher + GIL per worker, consistent-hash routing, byte-for-byte
+  relay, merged stats, broadcast reload, crash respawn.
 * :mod:`repro.serving.client` — :class:`ServingClient`, the matching
   stdlib HTTP client (also the ``python -m repro client`` backend),
   including incremental chunked-stream decoding
@@ -44,9 +45,9 @@ from .client import (
     ServingError,
     StreamInterrupted,
 )
-from .registry import ModelEntry, ModelRegistry
+from .registry import ModelEntry, ModelRegistry, ModelSource
 from .server import ServerConfig, ServingDaemon
-from .shards import RegistrySpec, resolve_shards, shard_for
+from .shards import resolve_shards, shard_for
 
 __all__ = [
     "BacklogFull",
@@ -54,8 +55,8 @@ __all__ = [
     "DynamicBatcher",
     "ModelEntry",
     "ModelRegistry",
+    "ModelSource",
     "PredictionStream",
-    "RegistrySpec",
     "ServerConfig",
     "ServingClient",
     "ServingDaemon",

@@ -8,16 +8,11 @@ has to rebuild the batches.  :class:`DynamicBatcher` is that someone:
 * Requests enqueue into **lanes** keyed by an opaque, hashable key (the
   daemon uses ``(model, fingerprint, level, panel?)``) — only requests
   whose results are computed identically may share a batch.
-* Dispatch is **work-conserving** by default (``max_delay=0``): a lane
-  dispatches as soon as the runner is idle.  Requests coalesce while
-  they queue behind the batch already in flight, so batches grow with
-  load and a lone request on an idle daemon never waits for a partner.
-* A positive ``max_delay`` adds a **deadline trigger**: a partial lane
-  waits until its oldest request has waited ``max_delay`` seconds, or
-  until its queued weight (circuit count) reaches ``max_batch``
-  (**size trigger**), whichever comes first — larger batches at light
-  load for up to ``max_delay`` of added latency per request.
-  Every rule produces the same responses — batch composition only
+* Dispatch is **work-conserving**: whenever the runner is idle, the
+  lane whose head request is oldest dispatches, up to ``max_batch``
+  circuits.  Requests coalesce while they queue behind the batch
+  already in flight, so batches grow with load and a lone request on an
+  idle daemon never waits for a partner.  Batch composition only
   affects latency, never values (see
   :meth:`~repro.predictor.service.FomService.predict_at`).
 * A request whose awaiter gave up while it was queued (a per-request
@@ -38,7 +33,7 @@ the CPU-bound pipeline runs; the runner itself may fan out further
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict, deque
+from collections import deque
 from typing import (
     Any,
     Callable,
@@ -48,7 +43,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Tuple,
 )
 
 __all__ = ["BacklogFull", "BatcherClosed", "BatcherStats", "DynamicBatcher"]
@@ -85,21 +79,15 @@ class BatcherStats(NamedTuple):
 
 
 class DynamicBatcher:
-    """Work-conserving (optionally deadline-triggered) coalescing over
-    keyed lanes.
+    """Work-conserving coalescing over keyed lanes.
 
     Args:
         runner: ``runner(key, payloads, timings) -> results`` — called in
             a worker thread with every payload of one batch (all sharing
             ``key``); must return one result per payload, in order.  It
             may record per-stage seconds into the ``timings`` dict.
-        max_batch: most circuits in one batch; with a positive
-            ``max_delay``, a lane this full dispatches without waiting.
-            A single request larger than ``max_batch`` still dispatches
-            (alone).
-        max_delay: seconds a partial lane holds its oldest request for
-            more work before dispatching.  ``0`` (the default) dispatches
-            as soon as the runner is idle.
+        max_batch: most circuits in one batch.  A single request larger
+            than ``max_batch`` still dispatches (alone).
         max_queue: bound on the total circuits waiting across lanes.
     """
 
@@ -108,20 +96,16 @@ class DynamicBatcher:
         runner: Callable[[Hashable, List[Any], Dict[str, float]], List[Any]],
         *,
         max_batch: int = 64,
-        max_delay: float = 0.0,
         max_queue: int = 1024,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if max_delay < 0:
-            raise ValueError("max_delay must be non-negative")
         if max_queue < 1:
             raise ValueError("max_queue must be positive")
         self._runner = runner
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self.max_queue = max_queue
-        self._lanes: "OrderedDict[Hashable, Deque[_Request]]" = OrderedDict()
+        self._lanes: Dict[Hashable, Deque[_Request]] = {}
         self._queued_weight = 0
         self._in_flight = 0
         self._closing = False
@@ -151,8 +135,7 @@ class DynamicBatcher:
     async def close(self) -> None:
         """Drain: reject new work, run every queued batch, stop the loop.
 
-        Every request queued before the call resolves exactly once (the
-        deadline is waived — pending lanes dispatch immediately); no
+        Every request queued before the call resolves exactly once; no
         request is dropped or run twice.
         """
         self._closing = True
@@ -226,21 +209,6 @@ class DynamicBatcher:
     # Dispatch
     # ------------------------------------------------------------------
 
-    def _ripest_lane(self) -> Tuple[Hashable, float]:
-        """The lane to dispatch next and its oldest enqueue time.
-
-        Size-triggered lanes win immediately; otherwise the lane whose
-        head request has waited longest.
-        """
-        best_key = None
-        best_enqueued = float("inf")
-        for key, lane in self._lanes.items():
-            if sum(request.weight for request in lane) >= self.max_batch:
-                return key, lane[0].enqueued
-            if lane[0].enqueued < best_enqueued:
-                best_key, best_enqueued = key, lane[0].enqueued
-        return best_key, best_enqueued
-
     def _take_batch(self, key: Hashable) -> List[_Request]:
         """Pop whole requests from a lane head up to ``max_batch`` circuits.
 
@@ -279,23 +247,10 @@ class DynamicBatcher:
                 if not self._lanes and not self._closing:
                     await self._wake.wait()
                 continue
-            key, oldest = self._ripest_lane()
-            # With ``max_delay == 0`` the hold is never positive (loop time
-            # is monotonic), so an idle runner takes the lane at once.
-            hold = oldest + self.max_delay - loop.time()
-            if (
-                not self._closing
-                and hold > 0
-                and sum(request.weight for request in self._lanes[key])
-                < self.max_batch
-            ):
-                # Wait for more work (or the deadline), then re-evaluate.
-                self._wake.clear()
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=hold)
-                except asyncio.TimeoutError:
-                    pass
-                continue
+            # The lane whose head request has waited longest.
+            key = min(
+                self._lanes, key=lambda lane: self._lanes[lane][0].enqueued
+            )
             batch = self._take_batch(key)
             if batch:
                 await self._run_batch(key, batch, dispatched_at=loop.time())

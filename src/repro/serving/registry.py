@@ -16,6 +16,11 @@ Two loaders cover the repo's two artifact shapes:
   :class:`~repro.evaluation.artifacts.ArtifactStore` (optionally
   filtered by name/fingerprint), reusing the store's own fingerprints.
 
+:class:`ModelSource` is the picklable record of one such load, and
+:meth:`ModelRegistry.from_sources` replays a sequence of them through
+the two loaders — how the daemon, and each shard worker, builds its
+registry.
+
 Lookup (:meth:`resolve`) mirrors ``FomService.from_store``: ``None``
 filters match everything, and ambiguity is an error rather than a guess
 — a daemon silently serving the wrong model helps nobody.
@@ -29,7 +34,9 @@ registered as a *new version* of the same name.  Superseded entries are
 retained, so in-flight batches pinned to the old fingerprint still
 resolve and finish on the old model; unpinned lookups prefer the highest
 version.  The swap is an atomic dict rebind, safe against concurrent
-readers on the daemon's event loop.
+readers on the daemon's event loop.  A store checkpoint that fails to
+load is skipped until its file changes, so a corrupt newcomer does not
+make every staleness probe answer "stale".
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..predictor.service import FomService
 
-__all__ = ["ModelEntry", "ModelRegistry", "ModelSource"]
+__all__ = ["ModelEntry", "ModelRegistry", "ModelSource", "check_source"]
 
 
 def _file_fingerprint(path: Path) -> str:
@@ -58,22 +65,53 @@ def _file_stat(path: Path) -> "Tuple[int, int]":
 
 
 class ModelSource(NamedTuple):
-    """Where an entry came from — enough to reload it bit-identically.
+    """Where models come from: the one picklable record of what a
+    registry serves.
 
-    ``stat`` is the ``(size, mtime_ns)`` of the model file when its
-    fingerprint was computed: the cheap staleness guard that gates the
-    rehash.  Store-backed entries carry the add-time name/fingerprint
-    filters instead, so :meth:`ModelRegistry.refresh` can rescan for
-    newer checkpoints.
+    A ``"file"`` source is a ``save_model`` ``.npz`` file, registered as
+    ``name`` (``None`` = the file stem).  A ``"store"`` source is every
+    estimator artifact in an :class:`~repro.evaluation.artifacts.
+    ArtifactStore` root matching ``name``/``fingerprint`` (``None``
+    matches all), so :meth:`ModelRegistry.refresh` can rescan it for
+    newer checkpoints.  ``device`` is a zoo spec string or any picklable
+    ``Device``, resolved when a model loads; ``service_kwargs`` are
+    forwarded to :class:`FomService`.  ``stat`` is the
+    ``(size, mtime_ns)`` of a model file when the registry computed its
+    fingerprint: the cheap staleness guard that gates the rehash.
     """
 
     kind: str  # "file" | "store"
-    path: Path  # model file, or the store root
+    path: "str | Path"  # model file, or the store root
     device: object
     service_kwargs: dict
+    name: Optional[str] = None
+    fingerprint: Optional[str] = None
     stat: Optional[Tuple[int, int]] = None
-    name_filter: Optional[str] = None
-    fingerprint_filter: Optional[str] = None
+
+
+def check_source(source: ModelSource) -> list:
+    """Raise :class:`ValueError` unless ``source`` has a model to load.
+
+    Returns the store artifacts a store source matches (``[]`` for a
+    file).  A sharded daemon calls it in the parent so a bad source
+    fails before any worker boots.
+    """
+    if source.kind == "file":
+        if not Path(source.path).is_file():
+            raise ValueError(f"no model file at {source.path}")
+        return []
+    from ..evaluation.artifacts import ArtifactStore
+
+    store = ArtifactStore.coerce(source.path)
+    refs = store.find(
+        "estimator", name=source.name, fingerprint=source.fingerprint
+    )
+    if not refs:
+        raise ValueError(
+            f"no estimator artifact matching name={source.name!r} "
+            f"fingerprint={source.fingerprint!r} in {store.root}"
+        )
+    return refs
 
 
 class ModelEntry(NamedTuple):
@@ -118,6 +156,9 @@ class ModelRegistry:
 
     def __init__(self):
         self._entries: "Dict[tuple[str, str], ModelEntry]" = {}
+        # Store checkpoints that failed to load, as (name, fingerprint,
+        # mtime_ns): skipped by refresh until their file changes.
+        self._rejected: "set[tuple[str, str, int]]" = set()
         #: completed :meth:`refresh` passes and entries swapped in by them.
         self.refreshes = 0
         self.swaps = 0
@@ -141,13 +182,35 @@ class ModelRegistry:
         self._entries[entry.key] = entry
         return entry
 
-    def _next_version(self, name: str) -> int:
+    def _next_version(
+        self, name: str, changes: "Dict[tuple[str, str], ModelEntry]"
+    ) -> int:
+        """One past the highest version of ``name``, counting the
+        refresh's pending ``changes``."""
         versions = [
             entry.version
-            for entry in self._entries.values()
+            for entry in [*self._entries.values(), *changes.values()]
             if entry.name == name
         ]
         return max(versions, default=0) + 1
+
+    @classmethod
+    def from_sources(cls, sources: Iterable[ModelSource]) -> "ModelRegistry":
+        """A registry loaded from ``sources``, in order, through
+        :meth:`add_model_file` and :meth:`add_store`."""
+        registry = cls()
+        for source in sources:
+            if source.kind == "file":
+                registry.add_model_file(
+                    source.path, source.device, name=source.name,
+                    **source.service_kwargs,
+                )
+            else:
+                registry.add_store(
+                    source.path, source.device, name=source.name,
+                    fingerprint=source.fingerprint, **source.service_kwargs,
+                )
+        return registry
 
     # ------------------------------------------------------------------
     # Loaders
@@ -167,13 +230,12 @@ class ModelRegistry:
         ``num_trials``, ...) are forwarded to :class:`FomService`.
         """
         path = Path(path)
-        if not path.is_file():
-            raise ValueError(f"no model file at {path}")
-        stat = _file_stat(path)
-        service = FomService.load(path, device, **service_kwargs)
         source = ModelSource(
-            "file", path, device, dict(service_kwargs), stat=stat
+            "file", path, device, dict(service_kwargs), name=name
         )
+        check_source(source)
+        source = source._replace(stat=_file_stat(path))
+        service = FomService.load(path, device, **service_kwargs)
         return self._add(
             ModelEntry(
                 name or path.stem,
@@ -202,22 +264,16 @@ class ModelRegistry:
         from ..evaluation.artifacts import ArtifactStore
 
         store = ArtifactStore.coerce(store)
-        refs = store.find("estimator", name=name, fingerprint=fingerprint)
-        if not refs:
-            raise ValueError(
-                f"no estimator artifact matching name={name!r} "
-                f"fingerprint={fingerprint!r} in {store.root}"
-            )
         source = ModelSource(
             "store",
             store.root,
             device,
             dict(service_kwargs),
-            name_filter=name,
-            fingerprint_filter=fingerprint,
+            name=name,
+            fingerprint=fingerprint,
         )
         loaded = []
-        for ref in refs:
+        for ref in check_source(source):
             estimator = store.get("estimator", ref.name, ref.fingerprint)
             if estimator is None:
                 raise ValueError(
@@ -269,24 +325,33 @@ class ModelRegistry:
                 except OSError:
                     continue
             elif source.kind == "store":
-                for ref in self._store_refs(source):
-                    if (ref.name, ref.fingerprint) not in self._entries:
-                        return True
+                if self._newcomers(source):
+                    return True
         return False
 
-    def _store_refs(self, source: ModelSource):
+    def _newcomers(self, source: ModelSource):
+        """``(ref, mtime_ns)`` of the store's unregistered checkpoints,
+        less those already rejected in their current state."""
         from ..evaluation.artifacts import ArtifactStore
 
         store = ArtifactStore.coerce(source.path)
-        refs = store.find(
-            "estimator",
-            name=source.name_filter,
-            fingerprint=source.fingerprint_filter,
-        )
+        found = []
+        for ref in store.find(
+            "estimator", name=source.name, fingerprint=source.fingerprint
+        ):
+            if (ref.name, ref.fingerprint) in self._entries:
+                continue
+            try:
+                mtime = ref.path.stat().st_mtime_ns
+            except OSError:
+                continue  # removed since the scan
+            if (ref.name, ref.fingerprint, mtime) not in self._rejected:
+                found.append((ref, mtime))
         # Chronological: versions of newly-arrived checkpoints follow
         # file modification order, deterministically tie-broken.
         return sorted(
-            refs, key=lambda r: (r.path.stat().st_mtime_ns, r.name, r.fingerprint)
+            found,
+            key=lambda item: (item[1], item[0].name, item[0].fingerprint),
         )
 
     def refresh(
@@ -321,7 +386,7 @@ class ModelRegistry:
                     # just remember the new stat.
                     changes[entry.key] = entry._replace(source=fresh_source)
                     continue
-                version = self._next_version(entry.name)
+                version = self._next_version(entry.name, changes)
                 existing = self._entries.get((entry.name, fingerprint))
                 if existing is not None:
                     # The file reverted to previously-served content:
@@ -343,36 +408,30 @@ class ModelRegistry:
                 changes[successor.key] = successor
                 swapped.append((entry, successor))
             elif source.kind == "store":
-                ident = (
-                    str(source.path),
-                    source.name_filter,
-                    source.fingerprint_filter,
-                )
+                ident = (str(source.path), source.name, source.fingerprint)
                 if ident in seen_store_sources:
                     continue
                 seen_store_sources.add(ident)
                 from ..evaluation.artifacts import ArtifactStore
 
                 store = ArtifactStore.coerce(source.path)
-                for ref in self._store_refs(source):
+                for ref, mtime in self._newcomers(source):
                     key = (ref.name, ref.fingerprint)
-                    if key in self._entries or key in changes:
+                    if key in changes:
                         continue
                     estimator = store.get("estimator", ref.name, ref.fingerprint)
                     if estimator is None:
-                        continue  # corrupt newcomer: ignore, keep serving
-                    versions = [
-                        e.version
-                        for e in list(self._entries.values()) + list(changes.values())
-                        if e.name == ref.name
-                    ]
+                        # Corrupt newcomer: keep serving, and skip it
+                        # until its file changes.
+                        self._rejected.add((*key, mtime))
+                        continue
                     successor = ModelEntry(
                         ref.name,
                         ref.fingerprint,
                         FomService(
                             estimator, source.device, **source.service_kwargs
                         ),
-                        version=max(versions, default=0) + 1,
+                        version=self._next_version(ref.name, changes),
                         source=source,
                     )
                     changes[key] = successor

@@ -83,12 +83,14 @@ import threading
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any, Awaitable, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..circuits.qasm import from_qasm
 from ..fom.metrics import PROPOSED_LABEL
 from .batcher import BacklogFull, BatcherClosed, DynamicBatcher
-from .registry import ModelRegistry
+from .registry import ModelRegistry, ModelSource, check_source
 
 __all__ = [
     "CHUNK_TERMINATOR",
@@ -181,10 +183,7 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8377                  # 0 = pick a free port (tests)
-    max_batch: int = 64               # circuits per dynamic batch (size trigger)
-    batch_deadline: float = 0.0       # seconds a partial batch waits for
-                                      # more work (0 = dispatch as soon as
-                                      # the runner is idle)
+    max_batch: int = 64               # most circuits in one dynamic batch
     queue_limit: int = 1024           # circuits waiting before 503
     request_timeout: float = 60.0     # seconds before a request gets 504
     max_body_bytes: int = 64 * 1024 * 1024
@@ -195,6 +194,22 @@ class ServerConfig:
                                       # probes (0 = only explicit /reload)
     shards: int = 1                   # worker processes (1 = in-process,
                                       # 0 = one per CPU)
+
+    def __post_init__(self):
+        # A non-positive timeout would answer every batched request 504.
+        if self.request_timeout <= 0:
+            raise ValueError(
+                f"request_timeout must be positive, got {self.request_timeout}"
+            )
+        if self.reload_interval < 0:
+            raise ValueError(
+                "reload_interval must be non-negative (0 = only explicit "
+                f"/reload), got {self.reload_interval}"
+            )
+        if self.max_body_bytes < 1:
+            raise ValueError(
+                f"max_body_bytes must be positive, got {self.max_body_bytes}"
+            )
 
 
 class ParsedPredict(NamedTuple):
@@ -294,9 +309,9 @@ class StreamResponse(NamedTuple):
 class ServingDaemon:
     """A long-lived predict server over a model registry.
 
-    Construct with a loaded :class:`ModelRegistry` (in-process mode) or
-    a picklable :class:`~repro.serving.shards.RegistrySpec` (required
-    when ``config.shards > 1``, accepted either way), then either
+    Construct with the :class:`~repro.serving.registry.ModelSource`
+    records to serve — in-process the daemon builds its registry from
+    them; sharded, each worker process builds its own — then either
     ``await start()`` / ``await stop()`` from an event loop (tests), use
     :class:`DaemonThread` from synchronous code, or call
     :meth:`serve_forever` as the process main (the CLI path — installs
@@ -310,30 +325,24 @@ class ServingDaemon:
     """
 
     def __init__(
-        self, registry, config: Optional[ServerConfig] = None
+        self,
+        sources: Sequence[ModelSource],
+        config: Optional[ServerConfig] = None,
     ):
-        from .shards import RegistrySpec, ShardManager, resolve_shards
+        from .shards import ShardManager, resolve_shards
 
         self.config = config or ServerConfig()
+        sources = tuple(sources)
+        if not sources:
+            raise ValueError("cannot serve an empty model registry")
         shard_count = resolve_shards(self.config.shards)
         self.registry: Optional[ModelRegistry] = None
         if shard_count > 1:
-            if not isinstance(registry, RegistrySpec):
-                raise ValueError(
-                    "sharded serving (shards > 1) needs a RegistrySpec so "
-                    "each worker process can build its own registry; got "
-                    f"{type(registry).__name__}"
-                )
-            registry.validate()
-            self._backend = ShardManager(
-                registry, self.config, shard_count
-            )
+            for source in sources:
+                check_source(source)  # fail fast, before any worker boots
+            self._backend = ShardManager(sources, self.config, shard_count)
         else:
-            if isinstance(registry, RegistrySpec):
-                registry = registry.build()
-            if len(registry) == 0:
-                raise ValueError("cannot serve an empty model registry")
-            self.registry = registry
+            self.registry = ModelRegistry.from_sources(sources)
             self._backend = _InProcess(self)
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: "set[asyncio.StreamWriter]" = set()
@@ -647,7 +656,6 @@ class ServingDaemon:
             **sections,
             "batch": {
                 "max_batch": self.config.max_batch,
-                "deadline_ms": self.config.batch_deadline * 1000.0,
                 "queue_limit": self.config.queue_limit,
                 "request_timeout_s": self.config.request_timeout,
             },
@@ -704,7 +712,6 @@ class _InProcess:
         self.batcher = DynamicBatcher(
             daemon._run_batch,
             max_batch=self.config.max_batch,
-            max_delay=self.config.batch_deadline,
             max_queue=self.config.queue_limit,
         )
         self.reload_checks = 0

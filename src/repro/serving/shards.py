@@ -15,11 +15,12 @@ construction; the contract is pinned in ``tests/serving/test_shards.py``.
 
 Pieces:
 
-* :class:`RegistrySpec` — a picklable description of what a registry
-  serves (model files / artifact stores + device specs).  Spawned
-  workers cannot cheaply inherit a built registry (forests are large,
-  and ``spawn`` pickles everything), so each worker builds its own from
-  the spec — the shared-nothing property falls out of that.
+* The daemon's :class:`~repro.serving.registry.ModelSource` records
+  (model files / artifact stores + device specs) travel to every
+  worker.  Spawned workers cannot cheaply inherit a built registry
+  (forests are large, and ``spawn`` pickles everything), so each worker
+  builds its own from the sources — the shared-nothing property falls
+  out of that.
 * :func:`shard_for` — consistent lane hashing: SHA-256 of the literal
   ``(model, fingerprint, level, panel?)`` request fields, so a lane's
   compile and pass caches stay hot on one worker across requests and
@@ -57,7 +58,6 @@ import os
 import signal
 import threading
 from collections import deque
-from pathlib import Path
 from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .server import (
@@ -73,7 +73,6 @@ from .server import (
 )
 
 __all__ = [
-    "RegistrySpec",
     "ShardDown",
     "ShardManager",
     "ShardReply",
@@ -152,109 +151,6 @@ def choose_shard(
 
 
 # ----------------------------------------------------------------------
-# Registry specs (picklable registry descriptions)
-# ----------------------------------------------------------------------
-
-
-class _SourceSpec(NamedTuple):
-    kind: str                      # "file" | "store"
-    path: str                      # model file, or the store root
-    device: Any                    # zoo spec string or a picklable Device
-    name: Optional[str]
-    fingerprint: Optional[str]
-    service_kwargs: Dict[str, Any]
-
-
-class RegistrySpec:
-    """What a registry serves, as data — picklable into spawn workers.
-
-    Mirrors the two :class:`~repro.serving.registry.ModelRegistry`
-    loaders; :meth:`build` replays them in whatever process calls it.
-    Devices are carried as their spec strings (or any picklable
-    ``Device``) and resolved at build time, once per worker.
-    """
-
-    def __init__(self):
-        self.sources: List[_SourceSpec] = []
-
-    def add_model_file(
-        self, path, device, *, name: Optional[str] = None, **service_kwargs
-    ) -> "RegistrySpec":
-        self.sources.append(
-            _SourceSpec(
-                "file", str(path), device, name, None, dict(service_kwargs)
-            )
-        )
-        return self
-
-    def add_store(
-        self,
-        store,
-        device,
-        *,
-        name: Optional[str] = None,
-        fingerprint: Optional[str] = None,
-        **service_kwargs,
-    ) -> "RegistrySpec":
-        root = getattr(store, "root", store)
-        self.sources.append(
-            _SourceSpec(
-                "store", str(root), device, name, fingerprint,
-                dict(service_kwargs),
-            )
-        )
-        return self
-
-    def validate(self) -> None:
-        """Fail fast in the parent, before any worker pays a boot."""
-        if not self.sources:
-            raise ValueError("registry spec has no model sources")
-        for source in self.sources:
-            if source.kind == "file":
-                if not Path(source.path).is_file():
-                    raise ValueError(f"no model file at {source.path}")
-            else:
-                from ..evaluation.artifacts import ArtifactStore
-
-                store = ArtifactStore.coerce(source.path)
-                if not store.find(
-                    "estimator",
-                    name=source.name,
-                    fingerprint=source.fingerprint,
-                ):
-                    raise ValueError(
-                        f"no estimator artifact matching "
-                        f"name={source.name!r} "
-                        f"fingerprint={source.fingerprint!r} in {source.path}"
-                    )
-
-    def build(self):
-        """Replay the sources into a fresh, fully-booted registry."""
-        from .registry import ModelRegistry
-
-        registry = ModelRegistry()
-        for source in self.sources:
-            if source.kind == "file":
-                registry.add_model_file(
-                    source.path,
-                    source.device,
-                    name=source.name,
-                    **source.service_kwargs,
-                )
-            else:
-                registry.add_store(
-                    source.path,
-                    source.device,
-                    name=source.name,
-                    fingerprint=source.fingerprint,
-                    **source.service_kwargs,
-                )
-        if len(registry) == 0:
-            raise ValueError("cannot serve an empty model registry")
-        return registry
-
-
-# ----------------------------------------------------------------------
 # Worker process main
 # ----------------------------------------------------------------------
 
@@ -266,7 +162,7 @@ def _send_quietly(conn, payload: Dict[str, Any]) -> None:
         pass
 
 
-def _shard_worker_main(index: int, spec, config_kwargs, conn) -> None:
+def _shard_worker_main(index: int, sources, config_kwargs, conn) -> None:
     """Entry point of one spawn worker: a quiet single-process daemon.
 
     Module-level (spawn pickles the target by qualified name).  Reports
@@ -276,8 +172,7 @@ def _shard_worker_main(index: int, spec, config_kwargs, conn) -> None:
     orphans).
     """
     try:
-        registry = spec.build()
-        daemon = ServingDaemon(registry, ServerConfig(**config_kwargs))
+        daemon = ServingDaemon(sources, ServerConfig(**config_kwargs))
     except BaseException as exc:  # noqa: BLE001 - report, then die
         _send_quietly(conn, {"error": f"{type(exc).__name__}: {exc}"})
         raise SystemExit(1)
@@ -410,8 +305,8 @@ class ShardManager:
     #: seconds a worker gets to build its registry and report ready
     READY_TIMEOUT = 300.0
 
-    def __init__(self, spec: RegistrySpec, config, count: int):
-        self.spec = spec
+    def __init__(self, sources: Tuple, config, count: int):
+        self.sources = sources
         self.config = config
         self.count = count
         self.shards: List[Optional[_Shard]] = [None] * count
@@ -450,7 +345,7 @@ class ShardManager:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_shard_worker_main,
-            args=(index, self.spec, self._worker_config(), child_conn),
+            args=(index, self.sources, self._worker_config(), child_conn),
             name=f"repro-serve-shard-{index}",
             daemon=True,
         )

@@ -1,8 +1,11 @@
-"""DynamicBatcher semantics: triggers, lanes, backpressure, drain.
+"""DynamicBatcher semantics: dispatch order, lanes, backpressure, drain.
 
 These tests drive the batcher with synthetic runners (no FomService), so
 they pin the *concurrency* contract in isolation: which requests share a
-batch, when batches fire, and that every future resolves exactly once.
+batch, which lane dispatches next, and that every future resolves
+exactly once.  Coalescing is forced without timers: a runner blocked on
+a :class:`threading.Event` holds one batch in flight while the requests
+under test queue behind it.
 """
 
 import asyncio
@@ -11,6 +14,8 @@ import threading
 import pytest
 
 from repro.serving.batcher import BacklogFull, BatcherClosed, DynamicBatcher
+
+from .gating import behind_a_running_batch, gated, wait_until
 
 
 def run(coroutine):
@@ -28,112 +33,151 @@ def echo_runner(batches=None):
     return runner
 
 
+def gated_runner(batches, gate):
+    """An echo runner that logs each batch, then blocks until ``gate``."""
+
+    def runner(key, payloads, timings):
+        batches.append(list(payloads))
+        gate.wait(timeout=30)
+        return list(payloads)
+
+    return runner
+
+
+async def turns_until(condition, turns=50):
+    """Yield to the event loop until ``condition()`` holds.
+
+    Counts loop turns, not seconds, so a stalled machine cannot fail it;
+    a batcher that sleeps on a timer before dispatching never gets there.
+    """
+    for _ in range(turns):
+        if condition():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError(f"condition not reached within {turns} loop turns")
+
+
+def run_gated(main):
+    """Run ``main(gate)``; the gate opens afterwards even on failure."""
+    gate = threading.Event()
+    try:
+        return run(main(gate))
+    finally:
+        gate.set()
+
+
 def test_size_trigger_coalesces_exactly_max_batch():
     batches = []
 
-    async def main():
+    async def main(gate):
         batcher = DynamicBatcher(
-            echo_runner(batches), max_batch=4, max_delay=30.0
+            gated(echo_runner(batches), gate), max_batch=4
         )
-        await batcher.start()
-        results = await asyncio.gather(
-            *(batcher.submit("lane", index) for index in range(4))
+        hold, tasks = await behind_a_running_batch(
+            batcher, gate, [("lane", index, 1) for index in range(6)]
         )
+        results = await asyncio.gather(*tasks)
+        await hold
         await batcher.close()
         return results
 
-    results = run(main())
-    # One batch of four — the 30s deadline never fired, size did.
-    assert [payloads for _, payloads in batches] == [[0, 1, 2, 3]]
-    assert results == [("lane", index) for index in range(4)]
-
-
-def test_deadline_trigger_flushes_partial_batch():
-    batches = []
-
-    async def main():
-        batcher = DynamicBatcher(
-            echo_runner(batches), max_batch=100, max_delay=0.02
-        )
-        await batcher.start()
-        results = await asyncio.gather(
-            *(batcher.submit("lane", index) for index in range(3))
-        )
-        await batcher.close()
-        return results
-
-    results = run(main())
-    # Far below max_batch, so only the deadline could have dispatched.
-    assert [payloads for _, payloads in batches] == [[0, 1, 2]]
-    assert results == [("lane", index) for index in range(3)]
+    results = run_gated(main)
+    # Six queued circuits leave as a full batch of four, then the rest.
+    assert [payloads for _, payloads in batches] == [
+        ["hold"], [0, 1, 2, 3], [4, 5],
+    ]
+    assert results == [("lane", index) for index in range(6)]
 
 
 def test_trigger_choice_does_not_change_results():
-    """Size- and deadline-triggered runs answer identically (only batch
+    """Small and large ``max_batch`` answer identically (only batch
     composition differs) — the daemon's latency/throughput knob must
     never be a correctness knob."""
 
-    async def main(max_batch, max_delay):
-        batcher = DynamicBatcher(
-            echo_runner(), max_batch=max_batch, max_delay=max_delay
-        )
-        await batcher.start()
-        results = await asyncio.gather(
-            *(batcher.submit("lane", index) for index in range(6))
-        )
-        await batcher.close()
-        return results
+    def answers(max_batch):
+        batches = []
 
-    by_size = run(main(max_batch=2, max_delay=30.0))
-    by_deadline = run(main(max_batch=100, max_delay=0.01))
-    assert by_size == by_deadline
+        async def main(gate):
+            batcher = DynamicBatcher(
+                gated(echo_runner(batches), gate), max_batch=max_batch
+            )
+            hold, tasks = await behind_a_running_batch(
+                batcher, gate, [("lane", index, 1) for index in range(6)]
+            )
+            results = await asyncio.gather(*tasks)
+            await hold
+            await batcher.close()
+            return results
+
+        return run_gated(main), len(batches)
+
+    (small, small_batches), (large, large_batches) = answers(2), answers(100)
+    assert (small_batches, large_batches) == (4, 2)
+    assert small == large
 
 
 def test_lanes_never_share_a_batch():
     batches = []
 
-    async def main():
+    async def main(gate):
         batcher = DynamicBatcher(
-            echo_runner(batches), max_batch=100, max_delay=0.01
+            gated(echo_runner(batches), gate), max_batch=100
         )
-        await batcher.start()
-        await asyncio.gather(
-            batcher.submit("a", 1),
-            batcher.submit("b", 2),
-            batcher.submit("a", 3),
+        hold, tasks = await behind_a_running_batch(
+            batcher, gate, [("a", 1, 1), ("b", 2, 1), ("a", 3, 1)]
         )
+        await asyncio.gather(hold, *tasks)
         await batcher.close()
 
-    run(main())
-    assert sorted(batches) == [("a", [1, 3]), ("b", [2])]
+    run_gated(main)
+    assert batches == [("hold", ["hold"]), ("a", [1, 3]), ("b", [2])]
+
+
+def test_oldest_lane_head_dispatches_first():
+    """The next batch is the lane whose head request is oldest, even when
+    a younger lane already holds a full ``max_batch``."""
+    batches = []
+
+    async def main(gate):
+        batcher = DynamicBatcher(
+            gated(echo_runner(batches), gate), max_batch=2
+        )
+        hold, tasks = await behind_a_running_batch(
+            batcher, gate, [("b", "old", 1), ("a", 0, 1), ("a", 1, 1)]
+        )
+        await asyncio.gather(hold, *tasks)
+        await batcher.close()
+
+    run_gated(main)
+    assert batches == [("hold", ["hold"]), ("b", ["old"]), ("a", [0, 1])]
 
 
 def test_weight_counts_circuits_not_requests():
     batches = []
 
-    async def main():
+    async def main(gate):
         batcher = DynamicBatcher(
-            echo_runner(batches), max_batch=4, max_delay=30.0
+            gated(echo_runner(batches), gate), max_batch=4
         )
-        await batcher.start()
-        await asyncio.gather(
-            batcher.submit("lane", "two", weight=2),
-            batcher.submit("lane", "one", weight=1),
-            batcher.submit("lane", "uno", weight=1),
+        hold, tasks = await behind_a_running_batch(
+            batcher, gate,
+            [("lane", "two", 2), ("lane", "one", 1), ("lane", "uno", 1),
+             ("lane", "next", 1)],
         )
+        await asyncio.gather(hold, *tasks)
         await batcher.close()
 
-    run(main())
-    assert [payloads for _, payloads in batches] == [["two", "one", "uno"]]
+    run_gated(main)
+    assert [payloads for _, payloads in batches] == [
+        ["hold"], ["two", "one", "uno"], ["next"],
+    ]
 
 
 def test_oversized_request_dispatches_alone():
     batches = []
 
     async def main():
-        batcher = DynamicBatcher(
-            echo_runner(batches), max_batch=2, max_delay=30.0
-        )
+        batcher = DynamicBatcher(echo_runner(batches), max_batch=2)
         await batcher.start()
         result = await batcher.submit("lane", "big", weight=5)
         await batcher.close()
@@ -144,25 +188,28 @@ def test_oversized_request_dispatches_alone():
 
 
 def test_backlog_full_rejects_without_touching_queued_work():
-    async def main():
+    async def main(gate):
         batcher = DynamicBatcher(
-            echo_runner(), max_batch=100, max_delay=30.0, max_queue=2
+            gated(echo_runner(), gate), max_batch=100, max_queue=2
         )
-        await batcher.start()
+        hold = asyncio.create_task(batcher.submit("hold", "hold"))
+        await wait_until(lambda: batcher.snapshot().in_flight == 1)
         queued = [
             asyncio.create_task(batcher.submit("lane", index))
             for index in range(2)
         ]
-        await asyncio.sleep(0)  # let both enqueue
+        await wait_until(lambda: batcher.snapshot().queue_depth == 2)
         with pytest.raises(BacklogFull):
             await batcher.submit("lane", 99)
+        gate.set()
+        await hold
         await batcher.close()  # drains the two queued requests
         return await asyncio.gather(*queued), batcher.snapshot()
 
-    results, stats = run(main())
+    results, stats = run_gated(main)
     assert results == [("lane", 0), ("lane", 1)]
     assert stats.rejected_total == 1
-    assert stats.requests_total == 2
+    assert stats.requests_total == 3
 
 
 def test_submit_after_close_raises_closed():
@@ -178,26 +225,34 @@ def test_submit_after_close_raises_closed():
 
 
 def test_drain_answers_every_queued_request_exactly_once():
-    """close() waives the deadline: everything queued runs, nothing is
+    """close() runs everything queued when it is called: nothing is
     dropped or duplicated, across multiple lanes."""
     batches = []
 
-    async def main():
+    async def main(gate):
         batcher = DynamicBatcher(
-            echo_runner(batches), max_batch=100, max_delay=30.0
+            gated(echo_runner(batches), gate), max_batch=100
         )
-        await batcher.start()
+        hold = asyncio.create_task(batcher.submit("hold", "hold"))
+        await wait_until(lambda: batcher.snapshot().in_flight == 1)
         tasks = [
             asyncio.create_task(batcher.submit(index % 3, index))
             for index in range(9)
         ]
-        await asyncio.sleep(0)  # everything enqueues, deadline far away
-        await batcher.close()
+        await wait_until(lambda: batcher.snapshot().requests_waiting == 9)
+        closing = asyncio.create_task(batcher.close())
+        await wait_until(lambda: batcher.closing)
+        gate.set()
+        await closing
+        await hold
         return await asyncio.gather(*tasks)
 
-    results = run(main())
+    results = run_gated(main)
     assert results == [(index % 3, index) for index in range(9)]
-    served = [payload for _, payloads in batches for payload in payloads]
+    served = [
+        payload for key, payloads in batches if key != "hold"
+        for payload in payloads
+    ]
     assert sorted(served) == list(range(9))  # exactly once each
 
 
@@ -205,18 +260,17 @@ def test_runner_exception_propagates_to_every_request():
     def broken(key, payloads, timings):
         raise RuntimeError("pipeline exploded")
 
-    async def main():
-        batcher = DynamicBatcher(broken, max_batch=2, max_delay=30.0)
-        await batcher.start()
-        results = await asyncio.gather(
-            batcher.submit("lane", 1),
-            batcher.submit("lane", 2),
-            return_exceptions=True,
+    async def main(gate):
+        batcher = DynamicBatcher(gated(broken, gate), max_batch=2)
+        hold, tasks = await behind_a_running_batch(
+            batcher, gate, [("lane", 1, 1), ("lane", 2, 1)]
         )
+        results = await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.gather(hold, return_exceptions=True)
         await batcher.close()
         return results
 
-    results = run(main())
+    results = run_gated(main)
     assert all(isinstance(result, RuntimeError) for result in results)
 
 
@@ -224,40 +278,47 @@ def test_wrong_result_count_is_an_error_not_a_misdelivery():
     def short(key, payloads, timings):
         return payloads[:-1]
 
-    async def main():
-        batcher = DynamicBatcher(short, max_batch=2, max_delay=30.0)
-        await batcher.start()
-        results = await asyncio.gather(
-            batcher.submit("lane", 1),
-            batcher.submit("lane", 2),
-            return_exceptions=True,
+    async def main(gate):
+        batcher = DynamicBatcher(gated(short, gate), max_batch=2)
+        hold, tasks = await behind_a_running_batch(
+            batcher, gate, [("lane", 1, 1), ("lane", 2, 1)]
         )
+        results = await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.gather(hold, return_exceptions=True)
         await batcher.close()
         return results
 
-    results = run(main())
+    results = run_gated(main)
     assert all(isinstance(result, RuntimeError) for result in results)
     assert all("2 requests" in str(result) for result in results)
 
 
 def test_cancelled_awaiter_does_not_break_the_batch():
-    """A per-request timeout cancels one awaiter; everyone else in the
-    batch still gets their answer."""
+    """A per-request timeout cancels one awaiter; everyone else queued
+    with it still gets their answer."""
+    batches = []
 
-    async def main():
-        batcher = DynamicBatcher(echo_runner(), max_batch=100, max_delay=0.05)
-        await batcher.start()
+    async def main(gate):
+        batcher = DynamicBatcher(
+            gated(echo_runner(batches), gate), max_batch=100
+        )
+        hold = asyncio.create_task(batcher.submit("hold", "hold"))
+        await wait_until(lambda: batcher.snapshot().in_flight == 1)
         doomed = asyncio.create_task(
-            asyncio.wait_for(batcher.submit("lane", "slow"), timeout=0.001)
+            asyncio.wait_for(batcher.submit("lane", "slow"), timeout=0.01)
         )
         survivor = asyncio.create_task(batcher.submit("lane", "ok"))
+        await asyncio.gather(doomed, return_exceptions=True)
+        gate.set()
         results = await asyncio.gather(doomed, survivor, return_exceptions=True)
+        await hold
         await batcher.close()
         return results
 
-    doomed_result, survivor_result = run(main())
+    doomed_result, survivor_result = run_gated(main)
     assert isinstance(doomed_result, asyncio.TimeoutError)
     assert survivor_result == ("lane", "ok")
+    assert batches == [("hold", ["hold"]), ("lane", ["ok"])]
 
 
 def test_snapshot_counters_and_stage_timings():
@@ -265,28 +326,28 @@ def test_snapshot_counters_and_stage_timings():
         timings["stage_s"] = timings.get("stage_s", 0.0) + 0.5
         return list(payloads)
 
-    async def main():
-        batcher = DynamicBatcher(timed, max_batch=2, max_delay=30.0)
-        await batcher.start()
-        await asyncio.gather(*(batcher.submit("lane", i) for i in range(4)))
+    async def main(gate):
+        batcher = DynamicBatcher(gated(timed, gate), max_batch=2)
+        hold, tasks = await behind_a_running_batch(
+            batcher, gate, [("lane", index, 1) for index in range(4)]
+        )
+        await asyncio.gather(hold, *tasks)
         await batcher.close()
         return batcher.snapshot()
 
-    stats = run(main())
-    assert stats.batches_total == 2
-    assert stats.requests_total == 4
-    assert stats.batch_size_histogram == {2: 2}
+    stats = run_gated(main)
+    assert stats.batches_total == 3
+    assert stats.requests_total == 5
+    assert stats.batch_size_histogram == {1: 1, 2: 2}
     assert stats.queue_depth == 0
     assert stats.in_flight == 0
     assert stats.queue_wait_s_total >= 0.0
-    assert stats.stage_s == {"stage_s": 1.0}
+    assert stats.stage_s == {"stage_s": 1.5}
 
 
 def test_constructor_and_submit_validation():
     with pytest.raises(ValueError, match="max_batch"):
         DynamicBatcher(echo_runner(), max_batch=0)
-    with pytest.raises(ValueError, match="max_delay"):
-        DynamicBatcher(echo_runner(), max_delay=-1.0)
     with pytest.raises(ValueError, match="max_queue"):
         DynamicBatcher(echo_runner(), max_queue=0)
 
@@ -297,38 +358,6 @@ def test_constructor_and_submit_validation():
         await batcher.close()
 
     run(main())
-
-
-def gated_runner(batches, gate):
-    """An echo runner that logs each batch, then blocks until ``gate``."""
-
-    def runner(key, payloads, timings):
-        batches.append(list(payloads))
-        gate.wait(timeout=30)
-        return list(payloads)
-
-    return runner
-
-
-async def wait_until(condition, timeout=10.0):
-    loop = asyncio.get_running_loop()
-    give_up = loop.time() + timeout
-    while not condition():
-        assert loop.time() < give_up, "condition never became true"
-        await asyncio.sleep(0.001)
-
-
-async def turns_until(condition, turns=50):
-    """Yield to the event loop until ``condition()`` holds.
-
-    Counts loop turns, not seconds, so a stalled machine cannot fail it;
-    a batcher that sleeps on a timer before dispatching never gets there.
-    """
-    for _ in range(turns):
-        if condition():
-            return
-        await asyncio.sleep(0)
-    raise AssertionError(f"condition not reached within {turns} loop turns")
 
 
 def test_idle_runner_dispatches_at_once_and_queued_requests_coalesce():
@@ -425,13 +454,3 @@ def test_batch_of_only_abandoned_requests_is_not_run():
     assert batches == [["A"]]
     assert stats.batches_total == 1
     assert stats.queue_depth == 0
-
-
-def test_default_batch_deadline_is_work_conserving():
-    from repro.cli import build_parser
-    from repro.serving import ServerConfig
-
-    assert DynamicBatcher(echo_runner()).max_delay == 0.0
-    assert ServerConfig().batch_deadline == 0.0
-    args = build_parser().parse_args(["serve", "--model", "model.npz"])
-    assert args.batch_deadline_ms == 0.0

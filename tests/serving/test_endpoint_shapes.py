@@ -21,7 +21,7 @@ from repro.circuits.qasm import to_qasm
 from repro.circuits.random import random_circuit
 from repro.evaluation.persistence import save_model
 from repro.predictor.estimator import HellingerEstimator
-from repro.serving import RegistrySpec, ServerConfig, ServingClient, ServingDaemon
+from repro.serving import ModelSource, ServerConfig, ServingClient, ServingDaemon
 from repro.serving.server import DaemonThread
 
 TINY_GRID = {
@@ -47,10 +47,7 @@ MODEL = {
     "name": ".", "fingerprint": ".", "version": ".", "device": ".",
     "optimization_level": ".",
 }
-BATCH = {
-    "max_batch": ".", "deadline_ms": ".", "queue_limit": ".",
-    "request_timeout_s": ".",
-}
+BATCH = {"max_batch": ".", "queue_limit": ".", "request_timeout_s": "."}
 RELOAD = {"interval_s": ".", "checks": ".", "refreshes": ".", "swaps": "."}
 WORKER = {"shard": ".", "alive": ".", "pid": ".", "status": "."}
 QUEUE = {
@@ -148,15 +145,15 @@ def model_path(tmp_path_factory):
 
 @pytest.mark.parametrize("shards", [1, 2])
 def test_admin_endpoint_shapes_and_draining_codes(model_path, shards):
-    spec = RegistrySpec().add_model_file(
-        model_path, DEVICE, optimization_level=2, seed=0
+    source = ModelSource(
+        "file", model_path, DEVICE, {"optimization_level": 2, "seed": 0}
     )
     qasm = [
         to_qasm(random_circuit(3, 5, seed=seed, measure=True))
         for seed in range(2)
     ]
     thread = DaemonThread(
-        ServingDaemon(spec, ServerConfig(port=0, shards=shards))
+        ServingDaemon([source], ServerConfig(port=0, shards=shards))
     )
     host, port = thread.start()
     try:

@@ -8,7 +8,7 @@ import pytest
 from repro.evaluation.artifacts import ArtifactStore
 from repro.evaluation.persistence import save_model
 from repro.predictor.estimator import HellingerEstimator
-from repro.serving.registry import ModelRegistry
+from repro.serving.registry import ModelRegistry, ModelSource
 
 TINY_GRID = {
     "n_estimators": [4],
@@ -270,3 +270,52 @@ def test_serving_entries_tracks_versions(estimator, tmp_path):
     serving = registry.serving_entries()
     assert [entry.version for entry in serving] == [2]
     assert serving[0].describe()["version"] == "2"
+
+
+def test_corrupt_store_checkpoint_is_probed_once_per_file_state(
+    estimator, tmp_path
+):
+    """A newcomer that fails to load is remembered, so the staleness
+    probe stays quiet (no full refresh per reload tick) until its file
+    changes; a valid rewrite of the same file is then picked up."""
+    import os
+
+    store = ArtifactStore(tmp_path)
+    store.put("estimator", estimator, "Q20-A", "fp1")
+    registry = ModelRegistry()
+    registry.add_store(store, "q20a", seed=0)
+    corrupt = store.path("estimator", "Q20-A", "fp2")
+    corrupt.write_bytes(b"not a model")
+    os.utime(corrupt, ns=(10**18, 10**18))
+
+    assert registry.maybe_stale()
+    assert registry.refresh() == []
+    for _ in range(3):
+        assert not registry.maybe_stale()
+    assert registry.refreshes == 1
+
+    store.put("estimator", _fit_estimator(9), "Q20-A", "fp2")
+    os.utime(corrupt, ns=(2 * 10**18, 2 * 10**18))
+    assert registry.maybe_stale()
+    swapped = registry.refresh()
+    assert [(s.key, n.key) for s, n in swapped] == [
+        (("Q20-A", "fp1"), ("Q20-A", "fp2")),
+    ]
+    assert registry.resolve("Q20-A").version == 2
+    assert not registry.maybe_stale()
+
+
+def test_from_sources_replays_the_loaders(estimator, model_path, tmp_path):
+    store = ArtifactStore(tmp_path)
+    store.put("estimator", estimator, "Q20-B", "fp2")
+    registry = ModelRegistry.from_sources([
+        ModelSource("file", model_path, "q20a", {"seed": 0}, name="alpha"),
+        ModelSource("store", tmp_path, "q20a", {"seed": 0}, name="Q20-B"),
+    ])
+    assert [entry.name for entry in registry.entries()] == ["alpha", "Q20-B"]
+    file_source = registry.resolve("alpha").source
+    assert file_source.stat is not None and file_source.name == "alpha"
+    with pytest.raises(ValueError, match="no model file"):
+        ModelRegistry.from_sources(
+            [ModelSource("file", tmp_path / "nope.npz", "q20a", {})]
+        )

@@ -1,10 +1,11 @@
 """ServingDaemon end-to-end over real sockets (DaemonThread + ServingClient).
 
-The contract under test is the ISSUE's acceptance bar: daemon responses
-are **bit-identical** to direct :class:`FomService` calls, concurrency
-and batch-trigger choice never change values, backpressure sheds load
-with 503, and shutdown drains queued work without dropping or
-duplicating a response.
+The contract under test: daemon responses are **bit-identical** to
+direct :class:`FomService` calls, concurrency and batch size never
+change values, backpressure sheds load with 503, and shutdown drains
+queued work without dropping or duplicating a response.  Tests that need
+requests to coalesce, time out or be in flight hold the batch runner on
+a :class:`threading.Event` (:mod:`.gating`) instead of waiting on timers.
 """
 
 import asyncio
@@ -21,7 +22,7 @@ from repro.evaluation.persistence import save_model
 from repro.predictor.estimator import HellingerEstimator
 from repro.predictor.service import PROPOSED_LABEL, FomService
 from repro.serving import (
-    ModelRegistry,
+    ModelSource,
     ServerConfig,
     ServingClient,
     ServingError,
@@ -29,6 +30,8 @@ from repro.serving import (
 )
 from repro.serving.batcher import DynamicBatcher
 from repro.serving.server import DaemonThread
+
+from .gating import behind_a_running_batch, gated, wait_for
 
 TINY_GRID = {
     "n_estimators": [4],
@@ -69,18 +72,58 @@ def circuits():
 
 
 def make_daemon(model_path, **config_kwargs):
-    registry = ModelRegistry()
-    registry.add_model_file(
-        model_path, DEVICE, optimization_level=LEVEL, seed=0
+    source = ModelSource(
+        "file", model_path, DEVICE, {"optimization_level": LEVEL, "seed": 0}
     )
     config_kwargs.setdefault("port", 0)
-    return ServingDaemon(registry, ServerConfig(**config_kwargs))
+    return ServingDaemon([source], ServerConfig(**config_kwargs))
+
+
+def hold_batches(daemon):
+    """Block every batch of an in-process daemon until the returned
+    :class:`threading.Event` is set."""
+    gate = threading.Event()
+    batcher = daemon._backend.batcher
+    batcher._runner = gated(batcher._runner, gate)
+    return gate
+
+
+def queued_behind_a_blocker(daemon, requests):
+    """Send ``requests`` (lists of QASM strings) to a started daemon while
+    a one-circuit blocker batch holds its runner, so they queue and leave
+    together; returns their ``(status, body)`` answers in order."""
+    batcher = daemon._backend.batcher
+    gate = hold_batches(daemon)
+    answers = [None] * (len(requests) + 1)
+
+    def send(index, qasm):
+        with ServingClient(daemon.host, daemon.port) as client:
+            answers[index] = client.request(
+                "POST", "/predict", {"circuits": qasm}
+            )
+
+    threads = [threading.Thread(target=send, args=(0, requests[0][:1]))]
+    try:
+        threads[0].start()
+        wait_for(lambda: batcher.snapshot().in_flight == 1)
+        for index, qasm in enumerate(requests, start=1):
+            threads.append(threading.Thread(target=send, args=(index, qasm)))
+            threads[-1].start()
+        wait_for(
+            lambda: batcher.snapshot().requests_waiting == len(requests)
+        )
+    finally:
+        gate.set()
+        for thread in threads:
+            thread.join(timeout=600)
+    assert answers[0][0] == 200
+    return answers[1:]
 
 
 @pytest.fixture(scope="module")
 def daemon(model_path):
-    """A long-lived daemon with a deadline long enough to coalesce."""
-    thread = DaemonThread(make_daemon(model_path, batch_deadline=0.10))
+    """A long-lived daemon shared by the read-only tests."""
+    thread = DaemonThread(make_daemon(model_path))
     host, port = thread.start()
     yield thread.daemon
     thread.stop()
@@ -102,35 +145,23 @@ def test_healthz_reports_models_and_knobs(daemon, client):
 
 
 def test_concurrent_clients_bit_identical_to_solo_calls(
-    daemon, direct, circuits
+    model_path, direct, circuits
 ):
     """N concurrent clients, unequal request sizes, one coalesced batch —
     every response equals the 1-client (direct FomService) answer."""
     requests = [circuits[0:3], circuits[3:5], circuits[5:9], circuits[1:2]]
-    responses = [None] * len(requests)
-    errors = []
-
-    def drive(index):
-        with ServingClient(daemon.host, daemon.port) as worker:
-            try:
-                responses[index] = worker.predict(requests[index])
-            except Exception as exc:  # noqa: BLE001 - asserted below
-                errors.append((index, exc))
-
-    threads = [
-        threading.Thread(target=drive, args=(index,))
-        for index in range(len(requests))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=600)
-    assert not errors
-    for index, request in enumerate(requests):
-        assert responses[index]["predictions"] == (
-            direct.predict(request).tolist()
+    daemon = make_daemon(model_path)
+    with DaemonThread(daemon):
+        answers = queued_behind_a_blocker(
+            daemon, [[to_qasm(c) for c in request] for request in requests]
         )
-        assert responses[index]["count"] == len(request)
+        with ServingClient(daemon.host, daemon.port) as client:
+            histogram = client.stats()["batches"]["size_histogram"]
+    assert histogram == {"1": 1, "10": 1}
+    for (status, body), request in zip(answers, requests):
+        assert status == 200, body
+        assert body["predictions"] == direct.predict(request).tolist()
+        assert body["count"] == len(request)
 
 
 def test_coalesced_single_circuit_requests_match_their_solo_bytes(
@@ -153,40 +184,54 @@ def test_coalesced_single_circuit_requests_match_their_solo_bytes(
     requests = singles + [circuits[6:8], circuits[8:9] + circuits[:2]]
 
     async def serve(batch_requests):
+        gate = threading.Event()
         batcher = DynamicBatcher(
-            daemon._run_batch,
+            gated(daemon._run_batch, gate),
             max_batch=sum(len(request) for request in batch_requests),
-            max_delay=30.0,
         )
-        await batcher.start()
-        results = await asyncio.gather(*(
-            batcher.submit(key, request, weight=len(request))
-            for request in batch_requests
-        ))
+        try:
+            held, tasks = await behind_a_running_batch(
+                batcher, gate,
+                [(key, request, len(request)) for request in batch_requests],
+                hold=(key, circuits[:1], 1),
+            )
+        finally:
+            gate.set()
+        results = await asyncio.gather(*tasks)
+        await held
         await batcher.close()
         return results, batcher.snapshot()
 
     coalesced, snapshot = asyncio.run(serve(requests))
-    assert snapshot.batches_total == 1
+    # The hold, then every request in one batch.
+    assert snapshot.batch_size_histogram == {1: 1, 11: 1}
     for request, answer in zip(singles, coalesced):
         (solo,), _ = asyncio.run(serve([request]))
         assert json.dumps(answer).encode() == json.dumps(solo).encode()
 
 
-def test_size_and_deadline_triggers_answer_identically(
+def test_max_batch_does_not_change_response_bytes(
     model_path, direct, circuits
 ):
-    """max_batch=1 (pure size trigger) and a long deadline (pure deadline
-    trigger) give byte-equal responses for the same request."""
-    request = circuits[:4]
-    expected = direct.predict(request).tolist()
-    for config in (
-        {"max_batch": 1, "batch_deadline": 30.0},
-        {"max_batch": 1024, "batch_deadline": 0.005},
-    ):
-        with DaemonThread(make_daemon(model_path, **config)) as (host, port):
-            with ServingClient(host, port) as client:
-                assert client.predict(request)["predictions"] == expected
+    """Requests queued together answer the same bytes whether
+    ``max_batch=1`` runs each alone or ``max_batch=1024`` coalesces them."""
+    requests = [
+        [to_qasm(c) for c in circuits[:4]], [to_qasm(c) for c in circuits[4:6]],
+    ]
+    served = {}
+    for max_batch in (1, 1024):
+        daemon = make_daemon(model_path, max_batch=max_batch)
+        with DaemonThread(daemon):
+            served[max_batch] = queued_behind_a_blocker(daemon, requests)
+            with ServingClient(daemon.host, daemon.port) as client:
+                histogram = client.stats()["batches"]["size_histogram"]
+        assert histogram == (
+            {"1": 1, "2": 1, "4": 1} if max_batch == 1 else {"1": 1, "6": 1}
+        )
+    assert served[1] == served[1024]
+    assert served[1][0][1]["predictions"] == (
+        direct.predict(circuits[:4]).tolist()
+    )
 
 
 def test_foms_panel_matches_direct_service(client, direct, circuits):
@@ -209,9 +254,7 @@ def test_optimization_level_override_per_request(client, direct, circuits):
 def test_backpressure_returns_503(model_path, circuits):
     """A request heavier than the queue bound is shed with 503, and the
     daemon keeps serving afterwards."""
-    with DaemonThread(
-        make_daemon(model_path, queue_limit=2, batch_deadline=0.005)
-    ) as (host, port):
+    with DaemonThread(make_daemon(model_path, queue_limit=2)) as (host, port):
         with ServingClient(host, port) as client:
             with pytest.raises(ServingError) as excinfo:
                 client.predict(circuits[:5])
@@ -222,45 +265,84 @@ def test_backpressure_returns_503(model_path, circuits):
 
 
 def test_request_timeout_returns_504(model_path, circuits):
-    """A request that can never dispatch before its timeout gets 504."""
-    with DaemonThread(
-        make_daemon(
-            model_path,
-            max_batch=1024,
-            batch_deadline=30.0,     # deadline far beyond the timeout
-            request_timeout=0.05,
-        )
-    ) as (host, port):
-        with ServingClient(host, port) as client:
-            with pytest.raises(ServingError) as excinfo:
-                client.predict(circuits[:1])
-            assert excinfo.value.status == 504
+    """A request whose batch cannot finish before its timeout gets 504."""
+    daemon = make_daemon(model_path, request_timeout=0.05)
+    gate = hold_batches(daemon)
+    try:
+        with DaemonThread(daemon) as (host, port):
+            with ServingClient(host, port) as client:
+                with pytest.raises(ServingError) as excinfo:
+                    client.predict(circuits[:1])
+                assert excinfo.value.status == 504
+                gate.set()
+                # The held batch completes; the daemon keeps serving.
+                assert len(client.predict(circuits[:1])["predictions"]) == 1
+    finally:
+        gate.set()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("request_timeout", 0.0),
+        ("request_timeout", -1.0),
+        ("reload_interval", -0.5),
+        ("max_body_bytes", 0),
+    ],
+)
+def test_server_config_rejects_values_that_break_every_request(field, value):
+    with pytest.raises(ValueError, match=field):
+        ServerConfig(**{field: value})
+
+
+def test_serve_cli_rejects_zero_request_timeout(model_path):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit, match="request_timeout must be positive"):
+        main([
+            "serve", "--model", str(model_path), "--port", "0",
+            "--request-timeout", "0",
+        ])
 
 
 def test_shutdown_drains_queued_request(model_path, direct, circuits):
-    """stop() while a request waits out the batch deadline: the response
-    still arrives (bit-identical), then the port stops answering."""
-    thread = DaemonThread(make_daemon(model_path, batch_deadline=0.25))
+    """stop() while one request is in flight and another is queued: both
+    responses still arrive (bit-identical), then the port stops
+    answering."""
+    daemon = make_daemon(model_path)
+    batcher = daemon._backend.batcher
+    gate = hold_batches(daemon)
+    thread = DaemonThread(daemon)
     host, port = thread.start()
-    result = {}
+    requests = [circuits[:1], circuits[:2]]
+    results = {}
 
-    def drive():
+    def drive(index):
         with ServingClient(host, port) as client:
             try:
-                result["response"] = client.predict(circuits[:2])
+                results[index] = client.predict(requests[index])
             except Exception as exc:  # noqa: BLE001 - asserted below
-                result["error"] = exc
+                results[index] = exc
 
-    driver = threading.Thread(target=drive)
-    driver.start()
-    import time
-    time.sleep(0.05)  # inside the 250ms deadline window
-    thread.stop()
-    driver.join(timeout=600)
-    assert "error" not in result, result.get("error")
-    assert result["response"]["predictions"] == (
-        direct.predict(circuits[:2]).tolist()
-    )
+    drivers = [threading.Thread(target=drive, args=(0,))]
+    drivers[0].start()
+    stopper = threading.Thread(target=thread.stop)
+    try:
+        wait_for(lambda: batcher.snapshot().in_flight == 1)
+        drivers.append(threading.Thread(target=drive, args=(1,)))
+        drivers[1].start()
+        wait_for(lambda: batcher.snapshot().requests_waiting == 1)
+        stopper.start()
+        wait_for(lambda: daemon._draining)
+    finally:
+        gate.set()
+    for driver in drivers + [stopper]:
+        driver.join(timeout=600)
+    for index, request in enumerate(requests):
+        assert not isinstance(results[index], Exception), results[index]
+        assert results[index]["predictions"] == (
+            direct.predict(request).tolist()
+        )
     # Fully down: a fresh request cannot connect.
     with pytest.raises((ConnectionError, OSError)):
         with ServingClient(host, port, timeout=2) as client:
@@ -345,59 +427,22 @@ def test_failing_request_fails_its_whole_batch_with_500s(
     raises: both requests get a 500 (not a dropped connection), and the
     daemon serves normally afterwards."""
     daemon = make_daemon(model_path)
-    batcher = daemon._backend.batcher
-    run = batcher._runner
-    gate, entered = threading.Event(), threading.Event()
-    batches = []
-
-    def gated(key, payloads, timings):
-        batches.append(len(payloads))
-        if not gate.is_set():
-            entered.set()
-            gate.wait(timeout=60)
-        return run(key, payloads, timings)
-
-    batcher._runner = gated
     good = to_qasm(circuits[1])
-    results = {}
-
-    def send(name, qasm):
-        with ServingClient(daemon.host, daemon.port) as client:
-            results[name] = client.request(
-                "POST", "/predict", {"circuits": [qasm]}
-            )
-
     with DaemonThread(daemon):
-        blocker = threading.Thread(
-            target=send, args=("blocker", to_qasm(circuits[0]))
+        answers = queued_behind_a_blocker(
+            daemon, [[good], [MID_CIRCUIT_MEASURE]]
         )
-        blocker.start()
-        assert entered.wait(timeout=60)
-        senders = [
-            threading.Thread(target=send, args=(name, qasm))
-            for name, qasm in (("good", good), ("bad", MID_CIRCUIT_MEASURE))
-        ]
-        for sender in senders:
-            sender.start()
+        for status, body in answers:
+            assert status == 500, body
+            assert "mid-circuit measurement" in body["error"]
         with ServingClient(daemon.host, daemon.port) as client:
-            for _ in range(600):
-                if client.stats()["queue"]["requests_waiting"] == 2:
-                    break
-                time.sleep(0.01)
-            gate.set()
-            for thread in [blocker] + senders:
-                thread.join(timeout=120)
-            assert batches == [1, 2]
-            assert results["blocker"][0] == 200
-            for name in ("good", "bad"):
-                status, body = results[name]
-                assert status == 500, (name, body)
-                assert "mid-circuit measurement" in body["error"]
+            stats = client.stats()
+            assert stats["batches"]["size_histogram"] == {"1": 1, "2": 1}
+            assert stats["responses"]["500"] == 2
             # Alone, the good request is answered as usual.
             assert client.predict([good])["predictions"] == (
                 direct.predict([circuits[1]]).tolist()
             )
-            assert client.stats()["responses"]["500"] == 2
 
 
 def test_routing_errors(client):
@@ -430,7 +475,7 @@ def test_stats_shape_and_counters(client, circuits):
 
 def test_empty_registry_is_rejected():
     with pytest.raises(ValueError, match="empty model registry"):
-        ServingDaemon(ModelRegistry())
+        ServingDaemon([])
 
 
 # ----------------------------------------------------------------------
@@ -650,9 +695,7 @@ def test_reload_under_concurrent_traffic(swap_path, circuits):
     """Requests racing a hot swap never error; every response matches
     either the old or the new model bit-exactly."""
     request = circuits[:2]
-    with DaemonThread(
-        make_daemon(swap_path, batch_deadline=0.02)
-    ) as (host, port):
+    with DaemonThread(make_daemon(swap_path)) as (host, port):
         with ServingClient(host, port) as client:
             old = client.predict(request)
         save_model(_fresh_model(9), swap_path)
@@ -694,8 +737,6 @@ def test_reload_under_concurrent_traffic(swap_path, circuits):
 def test_auto_reload_polls_for_staleness(swap_path, circuits):
     """reload_interval > 0: the daemon notices an overwritten file by
     itself — no /reload call — and swaps mid-serve."""
-    import time
-
     with DaemonThread(
         make_daemon(swap_path, reload_interval=0.05)
     ) as (host, port):

@@ -30,8 +30,7 @@ from repro.evaluation.persistence import save_model
 from repro.predictor.estimator import HellingerEstimator
 from repro.predictor.service import FomService
 from repro.serving import (
-    ModelRegistry,
-    RegistrySpec,
+    ModelSource,
     ServerConfig,
     ServingClient,
     ServingDaemon,
@@ -215,25 +214,22 @@ def test_merge_shard_stats_sums_counters_and_histograms():
 
 
 # ----------------------------------------------------------------------
-# Spec validation
+# Source validation
 # ----------------------------------------------------------------------
 
 
-def test_sharded_daemon_requires_registry_spec():
-    registry = ModelRegistry()
-    with pytest.raises(ValueError, match="RegistrySpec"):
-        ServingDaemon(registry, ServerConfig(port=0, shards=2))
-
-
-def test_registry_spec_validates_sources(tmp_path):
-    with pytest.raises(ValueError, match="no model sources"):
-        RegistrySpec().validate()
-    spec = RegistrySpec().add_model_file(tmp_path / "missing.npz", DEVICE)
-    with pytest.raises(ValueError, match="missing.npz"):
-        spec.validate()
-    # A sharded daemon fails fast in the parent, before any spawn.
-    with pytest.raises(ValueError, match="missing.npz"):
-        ServingDaemon(spec, ServerConfig(port=0, shards=2))
+def test_sharded_daemon_validates_sources(tmp_path):
+    """A sharded daemon fails fast in the parent, before any spawn, with
+    the registry loaders' own errors."""
+    config = ServerConfig(port=0, shards=2)
+    with pytest.raises(ValueError, match="empty model registry"):
+        ServingDaemon([], config)
+    missing = ModelSource("file", tmp_path / "missing.npz", DEVICE, {})
+    with pytest.raises(ValueError, match="no model file at .*missing.npz"):
+        ServingDaemon([missing], config)
+    empty_store = ModelSource("store", tmp_path, DEVICE, {}, name="Q99")
+    with pytest.raises(ValueError, match="no estimator artifact matching"):
+        ServingDaemon([empty_store], config)
 
 
 # ----------------------------------------------------------------------
@@ -269,16 +265,13 @@ def circuits():
     ]
 
 
-def make_spec(model_path) -> RegistrySpec:
-    return RegistrySpec().add_model_file(
-        model_path, DEVICE, optimization_level=LEVEL, seed=0
-    )
-
-
 def make_sharded(model_path, shards, **config_kwargs):
     config_kwargs.setdefault("port", 0)
+    source = ModelSource(
+        "file", model_path, DEVICE, {"optimization_level": LEVEL, "seed": 0}
+    )
     return ServingDaemon(
-        make_spec(model_path), ServerConfig(shards=shards, **config_kwargs)
+        [source], ServerConfig(shards=shards, **config_kwargs)
     )
 
 

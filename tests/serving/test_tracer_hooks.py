@@ -20,7 +20,7 @@ from repro.circuits.qasm import to_qasm
 from repro.circuits.random import random_circuit
 from repro.evaluation.persistence import save_model
 from repro.predictor.estimator import HellingerEstimator
-from repro.serving import ModelRegistry, ServerConfig, ServingClient
+from repro.serving import ModelSource, ServerConfig, ServingClient
 from repro.serving.server import DaemonThread, ServingDaemon
 
 TINY_GRID = {
@@ -67,14 +67,15 @@ def test_predict_calls_through_every_traced_hook(tmp_path, monkeypatch):
             server, name, counting(getattr(server, name), calls, name)
         )
 
-    registry = ModelRegistry()
-    registry.add_model_file(model, "q20a", optimization_level=2, seed=0)
+    source = ModelSource(
+        "file", model, "q20a", {"optimization_level": 2, "seed": 0}
+    )
     qasm = [
         to_qasm(random_circuit(3, 5, seed=seed, measure=True))
         for seed in range(2)
     ]
     with DaemonThread(
-        ServingDaemon(registry, ServerConfig(port=0))
+        ServingDaemon([source], ServerConfig(port=0))
     ) as (host, port):
         with ServingClient(host, port) as client:
             response = client.predict(qasm)
