@@ -16,7 +16,11 @@ import pytest
 from repro.bench.algorithms import ghz, qft
 from repro.bench.suite import build_suite, compile_suite
 from repro.circuits.random import random_circuit
-from repro.compiler import clear_compile_cache, compile_circuit
+from repro.compiler import (
+    clear_compile_cache,
+    compile_cache_stats,
+    compile_circuit,
+)
 from repro.compiler.compile import compile_batch
 from repro.evaluation.persistence import save_model
 from repro.fom import feature_matrix, feature_vector
@@ -210,9 +214,9 @@ def test_perf_feature_matrix(benchmark, device):
 def test_perf_predict_batch(benchmark, device):
     """Steady-state ``FomService.predict`` over the 120-circuit suite.
 
-    End-to-end serving throughput: batched compile (warm pass cache, the
-    loaded-service steady state) -> single-pass featurize -> one forest
-    predict per chunk.  Measured against the seed-era per-circuit loop
+    End-to-end serving throughput: batched compile (warm cache, the
+    loaded-service steady state: one lookup per circuit) -> featurize
+    (one lookup per circuit) -> one forest predict per chunk.  Measured against the seed-era per-circuit loop
     (cache disabled, multi-pass features, per-circuit predict) this path
     scores the same 120 circuits ~15x faster; the regression gate pins
     the absolute number.
@@ -222,10 +226,16 @@ def test_perf_predict_batch(benchmark, device):
         _tiny_estimator(), device, optimization_level=3, seed=0
     )
     clear_compile_cache()
-    service.predict(circuits)  # warm the pass cache once: serving steady state
+    service.predict(circuits)  # warm the cache once: serving steady state
+    before = compile_cache_stats()
     benchmark.pedantic(
         lambda: service.predict(circuits), rounds=3, iterations=1
     )
+    after = compile_cache_stats()
+    # A silent recompile or refeaturize fails the bench instead of only
+    # slowing it: every timed compile and feature row is one cache hit.
+    assert after["misses"] == before["misses"]
+    assert after["hits"] - before["hits"] == 3 * 2 * len(circuits)
 
 
 def test_perf_serving_qps(benchmark, tmp_path):

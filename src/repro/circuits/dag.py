@@ -9,7 +9,7 @@ features (critical path composition, layer parallelism).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .circuit import Instruction, QuantumCircuit
 
@@ -56,10 +56,6 @@ class CircuitDag:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def topological_order(self) -> Iterator[DagNode]:
-        """Nodes in a topological order (original order is already one)."""
-        return iter(self.nodes)
 
     def front_layer(self, done: Set[int]) -> List[DagNode]:
         """Nodes whose predecessors are all in ``done`` and not themselves done."""

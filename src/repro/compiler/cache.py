@@ -21,13 +21,17 @@ Keys combine three ingredients (assembled by
 
 Cached entries store an immutable snapshot of the output instructions plus
 the metadata/property *deltas* the pass produced, so a hit rebuilds a
-fresh, independently mutable circuit.  Level-3 compilation also stores
-its trial choice here (an ``int`` under a ``"trial-choice"``-tagged key,
-see :func:`~repro.compiler.compile._trial_choice_key`), so the knobs,
-the counters and the LRU below govern those entries too.  The cache is
-a bounded LRU shared process-wide; all operations take a lock, so
-concurrent :func:`~repro.compiler.compile.compile_batch` workers share
-work safely.
+fresh, independently mutable circuit.  Two more kinds of entry live
+here, under tagged keys, so the knobs, the counters and the LRU below
+govern them too: a whole compile's output (``"compile"``, see
+:func:`~repro.compiler.compile._compile_key`), which makes a warm
+compile one lookup, and the serving path's read-only feature rows
+(``"features"``, see :class:`~repro.predictor.service.FomService`).
+:func:`~repro.compiler.compile.compile_batch` stores every whole
+compile in the caller's cache, including those a pool worker ran.  The
+cache is a bounded LRU shared process-wide; all operations take a lock,
+so concurrent :func:`~repro.compiler.compile.compile_batch` workers
+share work safely.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Optional, Tuple
 
-#: Default number of cached pass results.  One level-3 compilation stores
+#: Default number of cached entries.  One level-3 compilation stores
 #: roughly two dozen entries, so the default comfortably covers a full
 #: benchmark-suite sweep (~335 circuits) without evictions.
 DEFAULT_MAXSIZE = 32768
@@ -45,7 +49,7 @@ DEFAULT_MAXSIZE = 32768
 
 @dataclass
 class CachedPassResult:
-    """Immutable snapshot of one pass run.
+    """Immutable snapshot of one pass run, or of one whole compile.
 
     ``instructions`` is a tuple (instructions themselves are frozen), so a
     stored entry can never be corrupted by callers mutating the circuit a
@@ -66,19 +70,19 @@ class CachedPassResult:
 
 
 class CompileCache:
-    """Bounded, thread-safe LRU cache of pass results with hit counters."""
+    """Bounded, thread-safe LRU cache of compile results with hit counters."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE, enabled: bool = True):
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
         self.enabled = enabled
-        self._data: "OrderedDict[Hashable, CachedPassResult]" = OrderedDict()
+        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
 
-    def get(self, key: Hashable) -> Optional[CachedPassResult]:
+    def get(self, key: Hashable) -> Optional[Any]:
         if not self.enabled:
             return None
         with self._lock:
@@ -90,7 +94,7 @@ class CompileCache:
             self._hits += 1
             return entry
 
-    def put(self, key: Hashable, entry: CachedPassResult) -> None:
+    def put(self, key: Hashable, entry: Any) -> None:
         if not self.enabled:
             return
         with self._lock:

@@ -25,12 +25,12 @@ skip entire passes).  Level-3 trials share their trial-invariant prefix —
 the decompose + optimization-loop "body" runs once, not once per trial —
 and candidates are scored with one vectorized
 :func:`~repro.fom.metrics.expected_fidelity_batch` sweep over the
-calibration arrays.  The winning trial's index is itself a cache entry,
-keyed on the prepared circuit, every trial suffix's pass keys and the
-content of the reported fidelities: a warm level-3 compile runs only the
-winner's suffix and scores nothing.  :func:`compile_batch` compiles many
-circuits through a worker pool with deterministic per-circuit seed
-streams, mirroring
+calibration arrays.  A whole compile's output is itself a cache entry
+(see :func:`_compile_key`), so a warm compile runs no pass and scores
+nothing: it is one lookup that rebuilds one circuit.
+:func:`compile_batch` resolves those lookups in the caller before it
+compiles the misses through a worker pool with deterministic
+per-circuit seed streams, mirroring
 :meth:`repro.simulation.executor.QPUExecutor.run_batch` — and because
 compilation is pure Python (GIL-bound), the batch defaults to a *process*
 pool (:mod:`repro.parallel`), which scales with cores where threads
@@ -43,14 +43,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
-from ..hardware.calibration import Calibration
 from ..hardware.device import Device
-from .cache import active_compile_cache
+from .cache import CompileCache, active_compile_cache
 from .passes.base import (
     Pass,
     PassManager,
     PropertySet,
     circuit_cache_fingerprint,
+    restore_result,
+    snapshot_result,
 )
 from .passes.decompose import Decompose
 from .passes.layout import GreedySubgraphLayout, LineLayout, TrivialLayout
@@ -144,13 +145,29 @@ def _trial_suffix(
     ]
 
 
+def _trial_suffixes(
+    device: Device, seed: int, keep_final_rz: bool, num_trials: int
+) -> List[List[Pass]]:
+    """The level-3 trials: a greedy, trivial and line layout, then more
+    greedy ones, each with its own layout and routing seed."""
+    layouts = ["greedy", "trivial", "line"] + ["greedy"] * max(0, num_trials - 3)
+    suffixes = []
+    for trial in range(num_trials):
+        layout = layouts[trial % len(layouts)]
+        suffixes.append(_trial_suffix(
+            device, seed + trial, keep_final_rz,
+            layout if layout != "greedy" else None,
+            routing_seed=seed * 1000 + trial,
+        ))
+    return suffixes
+
+
 def _build_pipeline(
-    device: Device, optimization_level: int, seed: int,
-    keep_final_rz: bool, layout: str | None = None, routing_seed: int | None = None,
+    device: Device, optimization_level: int, seed: int, keep_final_rz: bool
 ) -> List[Pass]:
+    """The level-0/1/2 pipeline."""
     coupling = device.coupling
-    routing_seed = seed if routing_seed is None else routing_seed
-    layout_pass = _layout_pass(device, optimization_level, seed, layout)
+    layout_pass = _layout_pass(device, optimization_level, seed, None)
 
     if optimization_level == 0:
         return [
@@ -167,15 +184,15 @@ def _build_pipeline(
             RemoveIdentities(),
             Merge1QRuns(),
             layout_pass,
-            SabreRouting(coupling, seed=routing_seed, lookahead=False),
+            SabreRouting(coupling, seed=seed, lookahead=False),
             Decompose(),
             Merge1QRuns(),
             NativeSynthesis(),
             VirtualRZ(keep_final_rz=keep_final_rz),
         ]
-    # Levels 2 and 3 share the heavy pipeline.
+    # Level 3 runs several trials of level 2's suffix.
     return [Decompose(), OptimizationLoop()] + _trial_suffix(
-        device, seed, keep_final_rz, layout, routing_seed
+        device, seed, keep_final_rz, None, routing_seed=seed
     )
 
 
@@ -223,43 +240,83 @@ def compile_circuit(
             seed=seed, keep_final_rz=keep_final_rz, num_trials=num_trials,
             **(search_opts or {}),
         )
-    if not (
-        isinstance(optimization_level, int) and 0 <= optimization_level <= 3
-    ):
-        raise ValueError("optimization_level must be in 0..3 or 'search'")
-    if circuit.num_qubits > device.num_qubits:
-        raise ValueError(
-            f"circuit needs {circuit.num_qubits} qubits, device "
-            f"{device.name} has {device.num_qubits}"
-        )
-    body, measurements = _split_measurements(circuit)
+    # One circuit is a batch of one: the whole-compile lookup and store
+    # live in compile_batch alone.
+    return compile_batch(
+        [circuit], device, optimization_level, seeds=[seed],
+        keep_final_rz=keep_final_rz, num_trials=num_trials, max_workers=1,
+    )[0]
 
+
+def _compile_key(
+    cache: Optional[CompileCache],
+    circuit: QuantumCircuit,
+    device: Device,
+    optimization_level: int,
+    seed: int,
+    keep_final_rz: bool,
+    num_trials: int,
+) -> Optional[Tuple]:
+    """Compile-cache key of a whole compile, or ``None``.
+
+    A compile is a pure function of the input circuit's content and of
+    its pipeline's pass configurations, whose keys hold the seeds and
+    the coupling map.  Level 3 also depends on the reported fidelities
+    its trials are scored on.  Calibrations are mutable dicts, so the
+    key holds their content, never their identity: an in-place edit
+    changes the key and the trials are scored again.  Pass keys and
+    fidelities enter as content hashes, as the circuit does in its
+    fingerprint, so a key holds a few ints rather than a copy of the
+    calibration.  The leading tag keeps these entries apart from the
+    pass-result keys.  ``None`` when caching is off or some pass is
+    uncacheable.
+    """
+    if cache is None:
+        return None
     if optimization_level < 3:
-        result = _run_single(
-            body, device, optimization_level, seed, keep_final_rz, None, None
-        )
+        pipelines = [_build_pipeline(
+            device, optimization_level, seed, keep_final_rz
+        )]
     else:
-        result = _run_trials(
-            body, device, seed, keep_final_rz, num_trials
+        pipelines = [[Decompose(), OptimizationLoop()]] + _trial_suffixes(
+            device, seed, keep_final_rz, num_trials
         )
-
-    compiled, properties = result
-    initial_layout = properties.get(
-        "initial_layout", {q: q for q in range(body.num_qubits)}
+    pass_keys = tuple(
+        tuple(pass_.cache_key() for pass_ in pipeline) for pipeline in pipelines
     )
-    final_layout = properties.get("final_layout", dict(initial_layout))
+    if any(key is None for keys in pass_keys for key in keys):
+        return None
+    key = (
+        "compile",
+        circuit_cache_fingerprint(circuit),
+        optimization_level,
+        keep_final_rz,
+        num_trials,
+        hash(pass_keys),
+    )
+    if optimization_level == 3:
+        calibration = device.reported_calibration
+        key += (hash((
+            tuple(calibration.one_qubit_fidelity.items()),
+            tuple(calibration.two_qubit_fidelity.items()),
+            tuple(calibration.readout_fidelity.items()),
+        )),)
+    return key
 
-    # Re-append measurements on the post-routing physical qubits.
-    if measurements:
-        if compiled.num_clbits < circuit.num_clbits:
-            compiled.num_clbits = circuit.num_clbits
-        for program_qubit, clbit in measurements:
-            compiled.measure(final_layout[program_qubit], clbit)
 
-    compiled.name = circuit.name
-    compiled.metadata.update(circuit.metadata)
-    compiled.metadata["optimization_level"] = optimization_level
-    device.validate_circuit(compiled)
+def _result(
+    circuit: QuantumCircuit,
+    compiled: QuantumCircuit,
+    properties: PropertySet,
+    device: Device,
+    optimization_level: int,
+) -> CompilationResult:
+    """A result whose layouts cover the program qubits of ``circuit``
+    (the identity where no pass set a layout)."""
+    initial_layout = properties.get(
+        "initial_layout", {q: q for q in range(circuit.num_qubits)}
+    )
+    final_layout = properties.get("final_layout", initial_layout)
     return CompilationResult(
         circuit=compiled,
         initial_layout={q: initial_layout[q] for q in range(circuit.num_qubits)},
@@ -270,6 +327,47 @@ def compile_circuit(
     )
 
 
+def _compile_uncached(
+    circuit: QuantumCircuit,
+    device: Device,
+    optimization_level: int,
+    seed: int,
+    keep_final_rz: bool,
+    num_trials: int,
+) -> CompilationResult:
+    """Run ``circuit``'s pipeline (its passes may still hit the cache)."""
+    if circuit.num_qubits > device.num_qubits:
+        raise ValueError(
+            f"circuit needs {circuit.num_qubits} qubits, device "
+            f"{device.name} has {device.num_qubits}"
+        )
+    body, measurements = _split_measurements(circuit)
+
+    if optimization_level < 3:
+        properties = PropertySet()
+        compiled = _pass_manager(_build_pipeline(
+            device, optimization_level, seed, keep_final_rz
+        )).run(body, properties)
+    else:
+        compiled, properties = _run_trials(
+            body, device, seed, keep_final_rz, num_trials
+        )
+
+    result = _result(circuit, compiled, properties, device, optimization_level)
+    # Re-append measurements on the post-routing physical qubits.
+    if measurements:
+        if compiled.num_clbits < circuit.num_clbits:
+            compiled.num_clbits = circuit.num_clbits
+        for program_qubit, clbit in measurements:
+            compiled.measure(result.final_layout[program_qubit], clbit)
+
+    compiled.name = circuit.name
+    compiled.metadata.update(circuit.metadata)
+    compiled.metadata["optimization_level"] = optimization_level
+    device.validate_circuit(compiled)
+    return result
+
+
 def _compile_task(
     device: Device,
     optimization_level: int,
@@ -277,11 +375,11 @@ def _compile_task(
     num_trials: int,
     task: Tuple[QuantumCircuit, int],
 ) -> Tuple:
-    """Compile one ``(circuit, seed)`` task of a :func:`compile_batch`."""
+    """Compile one ``(circuit, seed)`` miss of a :func:`compile_batch`."""
     circuit, task_seed = task
-    return _payload(compile_circuit(
-        circuit, device, optimization_level=optimization_level,
-        seed=task_seed, keep_final_rz=keep_final_rz, num_trials=num_trials,
+    return _payload(_compile_uncached(
+        circuit, device, optimization_level, task_seed, keep_final_rz,
+        num_trials,
     ))
 
 
@@ -363,19 +461,20 @@ def compile_batch(
     depend only on its own seed (pinned by the golden-digest and property
     tests).
 
+    Every circuit is first looked up in the caller's
+    :class:`~repro.compiler.cache.CompileCache` (one whole-compile entry
+    each, see :func:`_compile_key`); only the misses are compiled.
     Compilation is pure Python, so threads cannot speed it up — the GIL
     serializes them.  The default mode is therefore ``"process"``: the
-    batch fans out over the process's shared spawn pool
+    misses fan out over the process's shared spawn pool
     (:mod:`repro.parallel`), whose long-lived workers each hold their own
-    :class:`~repro.compiler.cache.CompileCache`, emptied when the worker
-    installs this batch's invariants (cache entries are immutable
-    snapshots, so per-worker caches need no merging; the parent's cache
-    is not warmed by pooled compiles).  Circuits,
+    pass cache, emptied when the worker installs this batch's
+    invariants.  Circuits,
     :class:`~repro.hardware.coupling.RoutingTables` and results cross the
-    process boundary through cheap flat-array encodings.  Batches that
-    :func:`~repro.parallel.parallel_map` keeps in-process (too few
-    circuits, or a resolved worker count of 1) use and warm the caller's
-    cache.
+    process boundary through cheap flat-array encodings.  Each result
+    is stored under its whole-compile key in the caller's cache as it
+    comes back, whichever process compiled it, so the next batch of the
+    same circuits is all hits and fans nothing out.
 
     Args:
         circuits: program circuits to compile.
@@ -427,34 +526,67 @@ def compile_batch(
         seeds = [seed + SEED_STRIDE * i for i in range(n)]
     elif len(seeds) != n:
         raise ValueError("seeds must match circuits in length")
+    if not (
+        isinstance(optimization_level, int) and 0 <= optimization_level <= 3
+    ):
+        raise ValueError("optimization_level must be in 0..3 or 'search'")
 
-    return _map_compile(
+    # Callback errors are held back until every circuit is delivered,
+    # as repro.parallel's contract asks; hits are delivered first.
+    callback_errors: List[BaseException] = []
+
+    def deliver(index: int, result: CompilationResult) -> None:
+        results[index] = result
+        if on_result is not None:
+            try:
+                on_result(index, result)
+            except BaseException as exc:
+                callback_errors.append(exc)
+
+    cache = active_compile_cache()
+    keys = [
+        _compile_key(
+            cache, circuit, device, optimization_level, task_seed,
+            keep_final_rz, num_trials,
+        )
+        for circuit, task_seed in zip(circuits, seeds)
+    ]
+    results: List[Optional[CompilationResult]] = [None] * n
+    misses = []
+    for index, key in enumerate(keys):
+        entry = cache.get(key) if key is not None else None
+        if entry is None:
+            misses.append(index)
+        else:
+            properties = PropertySet()
+            compiled = restore_result(entry, circuits[index], properties)
+            device.validate_circuit(compiled)
+            deliver(index, _result(
+                circuits[index], compiled, properties, device,
+                optimization_level,
+            ))
+
+    def store(position: int, result: CompilationResult) -> None:
+        index = misses[position]
+        if keys[index] is not None:
+            cache.put(keys[index], snapshot_result(
+                circuits[index], result.circuit, result.properties
+            ))
+        deliver(index, result)
+
+    _map_compile(
         _compile_task,
-        list(zip(circuits, seeds)),
+        [(circuits[index], seeds[index]) for index in misses],
         (device, optimization_level, keep_final_rz, num_trials),
         device,
         optimization_level,
         resolve_workers(max_workers, n),
         workers_mode,
-        on_result,
+        store,
     )
-
-
-def _run_single(
-    body: QuantumCircuit,
-    device: Device,
-    optimization_level: int,
-    seed: int,
-    keep_final_rz: bool,
-    layout: str | None,
-    routing_seed: int | None,
-) -> Tuple[QuantumCircuit, PropertySet]:
-    pipeline = _build_pipeline(
-        device, optimization_level, seed, keep_final_rz, layout, routing_seed
-    )
-    properties = PropertySet()
-    compiled = _pass_manager(pipeline).run(body, properties)
-    return compiled, properties
+    if callback_errors:
+        raise callback_errors[0]
+    return results
 
 
 def _run_trials(
@@ -470,43 +602,15 @@ def _run_trials(
     program body) runs once and every trial continues from its output;
     trials share the device's cached routing tables through their layout
     and routing passes, and all candidates are scored in one vectorized
-    expected-fidelity sweep.  The winner's index is memoized in the
-    compile cache (see :func:`_trial_choice_key`), so a warm compile runs
-    only the winning trial's suffix.
+    expected-fidelity sweep.
     """
     from ..fom.metrics import expected_fidelity_batch
 
     prepared = _pass_manager([Decompose(), OptimizationLoop()]).run(
         body, PropertySet()
     )
-
-    layouts = ["greedy", "trivial", "line"] + ["greedy"] * max(0, num_trials - 3)
-    suffixes = []
-    for trial in range(num_trials):
-        layout = layouts[trial % len(layouts)]
-        suffixes.append(_trial_suffix(
-            device, seed + trial, keep_final_rz,
-            layout if layout != "greedy" else None,
-            routing_seed=seed * 1000 + trial,
-        ))
-
-    cache = active_compile_cache()
-    choice_key = (
-        _trial_choice_key(prepared, suffixes, device.reported_calibration)
-        if cache is not None
-        else None
-    )
-    if choice_key is not None:
-        best = cache.get(choice_key)
-        if best is not None:
-            # Re-running the winner's suffix rebuilds (or, after an
-            # eviction, recomputes) exactly the candidate that won.
-            properties = PropertySet()
-            compiled = _pass_manager(suffixes[best]).run(prepared, properties)
-            return compiled, properties
-
     candidates: List[Tuple[QuantumCircuit, PropertySet]] = []
-    for suffix in suffixes:
+    for suffix in _trial_suffixes(device, seed, keep_final_rz, num_trials):
         properties = PropertySet()
         compiled = _pass_manager(suffix).run(prepared, properties)
         candidates.append((compiled, properties))
@@ -518,43 +622,4 @@ def _run_trials(
     )
     # First occurrence of the maximum mirrors the historical scan's
     # strict-greater-than update rule.
-    best = int(scores.argmax())
-    if choice_key is not None:
-        cache.put(choice_key, best)
-    return candidates[best]
-
-
-def _trial_choice_key(
-    prepared: QuantumCircuit,
-    suffixes: List[List[Pass]],
-    calibration: Calibration,
-) -> Optional[Tuple]:
-    """Compile-cache key of a level-3 trial choice, or ``None``.
-
-    The choice is a pure function of the prepared circuit, every trial
-    suffix's pass configuration (which includes the coupling map) and
-    the fidelities the trials are scored on.  Calibrations are mutable
-    dicts, so the key holds their content, never their identity; an
-    in-place edit changes the key and the trials are scored again.  The
-    suffix keys and the fidelities enter as content hashes, as the
-    circuit does in its fingerprint, so an entry holds a few ints rather
-    than a copy of the calibration.  The leading tag keeps these entries
-    apart from the pass-result keys.  ``None`` when some suffix pass is
-    uncacheable.
-    """
-    suffix_keys = tuple(
-        tuple(pass_.cache_key() for pass_ in suffix) for suffix in suffixes
-    )
-    if any(key is None for keys in suffix_keys for key in keys):
-        return None
-    fidelities = (
-        tuple(calibration.one_qubit_fidelity.items()),
-        tuple(calibration.two_qubit_fidelity.items()),
-        tuple(calibration.readout_fidelity.items()),
-    )
-    return (
-        "trial-choice",
-        circuit_cache_fingerprint(prepared),
-        hash(suffix_keys),
-        hash(fidelities),
-    )
+    return candidates[int(scores.argmax())]

@@ -96,6 +96,55 @@ def _copy_property(value: Any) -> Any:
     return value
 
 
+def snapshot_result(
+    source: QuantumCircuit,
+    result: QuantumCircuit,
+    properties_delta: Dict[str, Any],
+) -> CachedPassResult:
+    """Cache entry for ``result``, produced from ``source``: its
+    instructions, ``properties_delta`` and the metadata it added to or
+    changed in ``source``'s, all copied so later edits cannot reach it."""
+    return CachedPassResult(
+        num_qubits=result.num_qubits,
+        num_clbits=result.num_clbits,
+        global_phase=result.global_phase,
+        instructions=tuple(result.instructions),
+        fingerprint=circuit_cache_fingerprint(result),
+        metadata_delta={
+            key: _copy_property(value)
+            for key, value in result.metadata.items()
+            if key not in source.metadata or source.metadata[key] != value
+        },
+        properties_delta={
+            key: _copy_property(value)
+            for key, value in properties_delta.items()
+        },
+    )
+
+
+def restore_result(
+    entry: CachedPassResult, source: QuantumCircuit, properties: PropertySet
+) -> QuantumCircuit:
+    """A fresh, independently mutable circuit from ``entry``: ``source``'s
+    name and metadata plus the entry's deltas.  The entry's property
+    delta is copied into ``properties``."""
+    metadata = dict(source.metadata)
+    metadata.update(
+        (key, _copy_property(value))
+        for key, value in entry.metadata_delta.items()
+    )
+    for key, value in entry.properties_delta.items():
+        properties[key] = _copy_property(value)
+    return QuantumCircuit(
+        num_qubits=entry.num_qubits,
+        num_clbits=entry.num_clbits,
+        name=source.name,
+        global_phase=entry.global_phase,
+        instructions=list(entry.instructions),
+        metadata=metadata,
+    )
+
+
 class PassManager:
     """Runs passes in order, optionally memoizing and collecting statistics.
 
@@ -187,20 +236,7 @@ class PassManager:
             return result, entry.fingerprint
         # Hit: rebuild a fresh circuit from the immutable snapshot, carrying
         # the *input's* name/metadata plus the deltas the pass produced.
-        metadata = dict(circuit.metadata)
-        metadata.update(
-            (k, _copy_property(v)) for k, v in entry.metadata_delta.items()
-        )
-        for prop_key, value in entry.properties_delta.items():
-            properties[prop_key] = _copy_property(value)
-        return QuantumCircuit(
-            num_qubits=entry.num_qubits,
-            num_clbits=entry.num_clbits,
-            name=circuit.name,
-            global_phase=entry.global_phase,
-            instructions=list(entry.instructions),
-            metadata=metadata,
-        ), entry.fingerprint
+        return restore_result(entry, circuit, properties), entry.fingerprint
 
     @staticmethod
     def _execute_and_snapshot(
@@ -221,22 +257,4 @@ class PassManager:
             for key, value in overlay.items()
             if key not in pass_.reads or properties.get(key) is not value
         }
-        metadata_delta = {
-            key: value
-            for key, value in result.metadata.items()
-            if key not in circuit.metadata or circuit.metadata[key] != value
-        }
-        entry = CachedPassResult(
-            num_qubits=result.num_qubits,
-            num_clbits=result.num_clbits,
-            global_phase=result.global_phase,
-            instructions=tuple(result.instructions),
-            fingerprint=circuit_cache_fingerprint(result),
-            metadata_delta={
-                k: _copy_property(v) for k, v in metadata_delta.items()
-            },
-            properties_delta={
-                k: _copy_property(v) for k, v in properties_delta.items()
-            },
-        )
-        return entry, result
+        return snapshot_result(circuit, result, properties_delta), result

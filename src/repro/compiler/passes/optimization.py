@@ -13,7 +13,6 @@ Three complementary passes:
 from __future__ import annotations
 
 import cmath
-import math
 from typing import Dict, Hashable, List, Optional
 
 import numpy as np
@@ -106,13 +105,6 @@ class Merge1QRuns(Pass):
         for q in range(circuit.num_qubits):
             flush(q)
         return out
-
-
-def _wrap(angle: float) -> float:
-    wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if wrapped <= 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
 
 
 #: Per-wire commutation classes used by :class:`CancelInversePairs`.

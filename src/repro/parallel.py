@@ -35,8 +35,10 @@ every task; a worker installs the payload before the first task of
 each call it serves, i.e. whenever the token differs from the one it
 last installed.  Installing a payload also empties the worker's compile
 cache, so every process-mode call starts from the cold cache a fresh
-worker had and worker memory does not grow across devices (the
-in-process path never does this: the caller's cache stays warm).  An
+worker had and worker memory does not grow across devices.  The
+caller's cache is the one that stays warm: the in-process path never
+clears it, and :func:`~repro.compiler.compile.compile_batch` stores
+each pooled compile in it as the result comes back.  An
 exception raised by ``fn`` or while installing a payload fails only its
 own items.  A worker that dies (``os._exit``, OOM kill) breaks the
 executor: the batch raises

@@ -28,8 +28,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
+from ..compiler.cache import active_compile_cache
 from ..compiler.compile import SEED_STRIDE, CompilationResult, compile_batch
-from ..fom.features import feature_matrix
+from ..compiler.passes.base import circuit_cache_fingerprint
+from ..fom.features import NUM_FEATURES, feature_matrix
 from ..fom.metrics import FOM_ORDER, PROPOSED_LABEL, esp, expected_fidelity_batch
 from ..hardware import Device, resolve_device
 
@@ -310,9 +312,7 @@ class FomService:
             search_session.flush()
         compiled = [result.circuit for result in results]
         compiled_at = time.perf_counter()
-        features = feature_matrix(
-            compiled, max_workers=max_workers, workers_mode=workers_mode
-        )
+        features = self._features(compiled, max_workers, workers_mode)
         featurized_at = time.perf_counter()
         if circuits:
             predictions = np.asarray(
@@ -379,6 +379,39 @@ class FomService:
             generations=self.generations,
             num_trials=self.num_trials,
         )
+
+    @staticmethod
+    def _features(
+        compiled: "List[QuantumCircuit]",
+        max_workers: Optional[int],
+        workers_mode: Optional[str],
+    ) -> np.ndarray:
+        """Feature rows of ``compiled``, memoized in the compile cache.
+
+        A row depends only on its compiled circuit, so it is keyed on
+        the circuit's cache fingerprint, under the cache's LRU and
+        :func:`~repro.compiler.cache.clear_compile_cache`.  The misses
+        go through one :func:`feature_matrix` call; stored rows are
+        read-only and the returned matrix is a fresh copy.
+        """
+        cache = active_compile_cache()
+        keys = [
+            ("features", circuit_cache_fingerprint(circuit))
+            for circuit in compiled
+        ]
+        rows = [None if cache is None else cache.get(key) for key in keys]
+        misses = [index for index, row in enumerate(rows) if row is None]
+        fresh = feature_matrix(
+            [compiled[index] for index in misses],
+            max_workers=max_workers,
+            workers_mode=workers_mode,
+        )
+        for index, row in zip(misses, fresh):
+            rows[index] = row = row.copy()
+            row.flags.writeable = False
+            if cache is not None:
+                cache.put(keys[index], row)
+        return np.vstack(rows) if rows else np.empty((0, NUM_FEATURES))
 
     def _compile_extras(self, level, session) -> Dict:
         """compile_batch keywords that only the ``"search"`` level needs."""

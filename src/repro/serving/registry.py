@@ -298,15 +298,23 @@ class ModelRegistry:
 
     def _refreshable(self) -> List[ModelEntry]:
         """Per source, the latest-version entry — the one a refresh of
-        changed content supersedes."""
-        by_name: Dict[str, ModelEntry] = {}
+        changed content supersedes.
+
+        Sources are told apart by what they load, not by the name they
+        register: two model files registered under one name are both
+        watched.
+        """
+        by_source: Dict[tuple, ModelEntry] = {}
         for entry in self._entries.values():
-            if entry.source is None:
+            source = entry.source
+            if source is None:
                 continue
-            kept = by_name.get(entry.name)
+            ident = (source.kind, str(source.path), source.name,
+                     source.fingerprint)
+            kept = by_source.get(ident)
             if kept is None or entry.version > kept.version:
-                by_name[entry.name] = entry
-        return list(by_name.values())
+                by_source[ident] = entry
+        return list(by_source.values())
 
     def maybe_stale(self) -> bool:
         """Cheap staleness probe, no hashing or loading.
@@ -435,15 +443,13 @@ class ModelRegistry:
                         source=source,
                     )
                     changes[key] = successor
-                    previous = next(
-                        (
-                            e
-                            for e in self._refreshable()
-                            if e.name == ref.name
-                        ),
-                        None,
+                    previous = _latest(
+                        e for e in self._entries.values()
+                        if e.name == ref.name
                     )
-                    swapped.append((previous, successor))
+                    swapped.append(
+                        (previous[0] if previous else None, successor)
+                    )
 
         if changes:
             entries = dict(self._entries)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Mapping
 
-import numpy as np
-
 Distribution = Mapping[str, float]
 Counts = Mapping[str, int]
 
@@ -174,21 +172,3 @@ def marginalize(distribution: Distribution, keep_bits: Iterable[int]) -> Dict[st
         sub = "".join(key[width - 1 - b] for b in reversed(keep))
         out[sub] = out.get(sub, 0.0) + prob
     return out
-
-
-def expected_distribution_distance(
-    p: Distribution, shots: int, trials: int, rng: np.random.Generator
-) -> float:
-    """Monte-Carlo estimate of E[Hellinger(P, empirical P)] from shot noise.
-
-    Useful as the noise floor when interpreting measured Hellinger labels.
-    """
-    keys = sorted(p)
-    probs = np.array([p[k] for k in keys])
-    probs = probs / probs.sum()
-    acc = 0.0
-    for _ in range(trials):
-        draws = rng.multinomial(shots, probs)
-        q = {k: c / shots for k, c in zip(keys, draws) if c}
-        acc += hellinger_distance(dict(zip(keys, probs)), q)
-    return acc / trials

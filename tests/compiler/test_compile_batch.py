@@ -97,6 +97,35 @@ def test_batch_on_result_callback_sees_every_circuit(device, circuits):
         assert by_index[index] is result
 
 
+def test_callback_error_on_a_cache_hit_still_delivers_every_circuit(
+    device, circuits
+):
+    """Hits are delivered before the misses compile; a callback that
+    raises on a hit must not stop the misses, and the error surfaces
+    once every circuit is delivered and stored."""
+    from repro.compiler import clear_compile_cache, compile_cache_stats
+
+    clear_compile_cache()
+    compile_batch(circuits[:2], device, optimization_level=1, seed=0)
+    seen = []
+
+    def callback(index, result):
+        seen.append(index)
+        if index == 0:
+            raise RuntimeError("callback failed")
+
+    with pytest.raises(RuntimeError, match="callback failed"):
+        compile_batch(
+            circuits, device, optimization_level=1, seed=0, max_workers=1,
+            on_result=callback,
+        )
+    assert seen[:2] == [0, 1]
+    assert sorted(seen) == list(range(len(circuits)))
+    before = compile_cache_stats()
+    compile_batch(circuits, device, optimization_level=1, seed=0)
+    assert compile_cache_stats()["misses"] == before["misses"]
+
+
 def test_process_pool_compile_is_byte_identical_to_sequential(device, circuits):
     """Golden digest (PR 6): the spawn-based process pool must reproduce
     the sequential compile byte-for-byte, QASM text included."""

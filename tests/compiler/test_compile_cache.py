@@ -95,8 +95,7 @@ def test_golden_digests_match_pre_cache_compiler():
     circuits = _case_circuits()
     devices = {"Q20-A": make_q20a(), "Q20-B": make_q20b()}
     for (name, level, device_name), expected in GOLDEN_DIGESTS.items():
-        # Cold, then warm: the second compile takes every pass (and, at
-        # level 3, the trial choice) from the cache.
+        # Cold, then warm: the second compile is one whole-compile hit.
         for run in ("cold", "warm"):
             result = compile_circuit(
                 circuits[name], devices[device_name],
@@ -125,7 +124,7 @@ def test_cold_warm_and_disabled_compiles_are_byte_identical(level):
         assert other.final_layout == cold.final_layout
 
 
-def test_cache_hit_counters_grow_on_repeated_compiles():
+def test_cache_hit_counters_grow_on_repeated_compiles(monkeypatch):
     circuit = qft(5)
     device = make_q20a()
 
@@ -136,12 +135,21 @@ def test_cache_hit_counters_grow_on_repeated_compiles():
     assert after_cold["misses"] > 0
     assert after_cold["size"] > 0
 
+    passes = []
+    run_pass = PassManager._run_pass
+
+    def counted(self, pass_, *args):
+        passes.append(pass_.name)
+        return run_pass(self, pass_, *args)
+
+    monkeypatch.setattr(PassManager, "_run_pass", counted)
     compile_circuit(circuit, device, optimization_level=3, seed=0)
     after_warm = compile_cache_stats()
     assert after_warm["misses"] == after_cold["misses"]
-    # Warm rerun: the 2 prefix passes, the memoized trial choice and the
-    # 6 passes of the winning trial's suffix hit; no other trial runs.
-    assert after_warm["hits"] == after_cold["hits"] + 2 + 1 + 6
+    # Warm rerun: the whole compile is one hit; no pass runs or is
+    # looked up.
+    assert after_warm["hits"] == after_cold["hits"] + 1
+    assert passes == []
     assert after_warm["size"] == after_cold["size"]
 
 
@@ -250,15 +258,15 @@ def test_configure_compile_cache_shrinks_and_disables():
 
 
 # ----------------------------------------------------------------------
-# The memoized level-3 trial choice
+# The memoized whole compile (which holds the level-3 trial choice)
 # ----------------------------------------------------------------------
 
 
-def _choice_keys():
+def _compile_keys():
     cache = get_compile_cache()
     return [
         key for key in list(cache._data)
-        if isinstance(key, tuple) and key[:1] == ("trial-choice",)
+        if isinstance(key, tuple) and key[:1] == ("compile",)
     ]
 
 
@@ -283,7 +291,7 @@ def test_level3_stores_one_choice_and_warm_compile_skips_scoring(monkeypatch):
     device = make_q20a()
     cold = compile_circuit(circuit, device, optimization_level=3, seed=7)
     assert len(calls) == 1
-    assert len(_choice_keys()) == 1
+    assert len(_compile_keys()) == 1
     warm = compile_circuit(circuit, device, optimization_level=3, seed=7)
     assert len(calls) == 1
     assert result_digest(warm) == result_digest(cold) == GOLDEN_DIGESTS[
@@ -293,8 +301,8 @@ def test_level3_stores_one_choice_and_warm_compile_skips_scoring(monkeypatch):
 
 def test_choice_is_keyed_on_calibration_content_across_devices():
     """Q20-A and Q20-B share the coupling map, so after a Q20-A compile
-    every trial pass of the Q20-B compile hits; only the choice misses,
-    because the reported fidelities differ."""
+    every trial pass of the Q20-B compile hits; only the whole-compile
+    entry misses, because the reported fidelities differ."""
     circuit = _case_circuits()["rand8"]
     q20a, q20b = make_q20a(), make_q20b()
     assert q20a.coupling.fingerprint() == q20b.coupling.fingerprint()
@@ -305,7 +313,7 @@ def test_choice_is_keyed_on_calibration_content_across_devices():
     after = compile_cache_stats()
     assert result_digest(result) == GOLDEN_DIGESTS[("rand8", 3, "Q20-B")]
     assert after["misses"] == before["misses"] + 1
-    assert len(_choice_keys()) == 2
+    assert len(_compile_keys()) == 2
 
 
 def test_in_place_calibration_edit_rescores_trials(monkeypatch):
@@ -331,7 +339,7 @@ def test_disabled_cache_stores_no_choice():
     configure_compile_cache(enabled=False)
     result = compile_circuit(circuit, make_q20a(), optimization_level=3, seed=7)
     configure_compile_cache(enabled=True)
-    assert _choice_keys() == []
+    assert _compile_keys() == []
     assert compile_cache_stats()["size"] == 0
     assert result_digest(result) == GOLDEN_DIGESTS[("rand8", 3, "Q20-A")]
 
@@ -343,17 +351,19 @@ def test_uncacheable_suffix_pass_skips_the_memo(monkeypatch):
     for _ in range(2):
         result = compile_circuit(circuit, device, optimization_level=3, seed=7)
         assert result_digest(result) == GOLDEN_DIGESTS[("rand8", 3, "Q20-A")]
-    assert _choice_keys() == []
+    assert _compile_keys() == []
 
 
 def test_choice_hit_recomputes_evicted_winner_suffix():
+    """A whole-compile hit needs no pass entry: with every other entry
+    evicted, the warm compile still equals the cold one."""
     circuit = _case_circuits()["rand8"]
     device = make_q20a()
     cold = compile_circuit(circuit, device, optimization_level=3, seed=7)
     cache = get_compile_cache()
-    choice_keys = set(_choice_keys())
+    compile_keys = set(_compile_keys())
     with cache._lock:
-        for key in [key for key in cache._data if key not in choice_keys]:
+        for key in [key for key in cache._data if key not in compile_keys]:
             del cache._data[key]
     warm = compile_circuit(circuit, device, optimization_level=3, seed=7)
     assert result_digest(warm) == result_digest(cold)

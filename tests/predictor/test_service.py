@@ -254,3 +254,94 @@ def test_invalid_arguments(estimator, device):
     service = FomService(estimator, device)
     with pytest.raises(ValueError, match="chunk_size"):
         service.predict([], chunk_size=0)
+
+
+# ----------------------------------------------------------------------
+# The warm path: whole compiles and feature rows are cache lookups
+# ----------------------------------------------------------------------
+
+
+def _spy_fan_out(monkeypatch):
+    """Record ``(task, item count)`` of every ``parallel_map`` call that
+    compiles or featurizes, whether it pools or loops in-process."""
+    import repro.fom.features as features_mod
+    import repro.parallel as parallel_mod
+
+    calls = []
+    real = parallel_mod.parallel_map
+
+    def spy(fn, items, *args, **kwargs):
+        items = list(items)
+        calls.append((fn.__name__, len(items)))
+        return real(fn, items, *args, **kwargs)
+
+    monkeypatch.setattr(parallel_mod, "parallel_map", spy)
+    monkeypatch.setattr(features_mod, "parallel_map", spy)
+    return calls
+
+
+def test_second_pooled_predict_compiles_and_featurizes_nothing(
+    estimator, device, monkeypatch
+):
+    """Regression: a process-pool worker empties its compile cache for
+    every call, so a default-worker predict used to recompile and
+    refeaturize every circuit, however warm the caller was."""
+    from repro.compiler import clear_compile_cache, compile_cache_stats
+
+    clear_compile_cache()
+    circuits = [
+        random_circuit(3 + seed % 3, 6, seed=40 + seed, measure=True)
+        for seed in range(6)
+    ]
+    service = FomService(estimator, device, optimization_level=3, seed=0)
+    calls = _spy_fan_out(monkeypatch)
+    first = service.predict(circuits, workers_mode="process")
+    assert ("_compile_task", 6) in calls
+    assert ("feature_vector", 6) in calls
+
+    calls.clear()
+    before = compile_cache_stats()
+    second = service.predict(circuits, workers_mode="process")
+    after = compile_cache_stats()
+    assert second.tobytes() == first.tobytes()
+    # No circuit reached a worker or the in-process loop...
+    assert all(count == 0 for _, count in calls), calls
+    # ...because each circuit was one compile hit and one feature hit.
+    assert after["misses"] == before["misses"]
+    assert after["hits"] == before["hits"] + 2 * len(circuits)
+
+
+def test_memoized_results_are_isolated_from_caller_mutation(
+    estimator, device, circuits
+):
+    """Mirrors the compile cache's isolation test one layer up: mutating
+    the feature matrix the estimator receives, or a compiled circuit a
+    hit returned, leaves the next warm answer unchanged."""
+    from repro.compiler import clear_compile_cache
+
+    seen = []
+
+    class Scribbler:
+        def predict(self, X):
+            seen.append(X.tobytes())
+            predictions = estimator.predict(X)
+            X[:] = np.nan
+            return predictions
+
+    clear_compile_cache()
+    service = FomService(Scribbler(), device, optimization_level=2, seed=0)
+    positions = range(len(circuits))
+    first, _ = service.predict_at(circuits, positions=positions)
+    warm = service.compile_only(circuits)
+    expected = [list(result.circuit.instructions) for result in warm]
+    for result in warm:
+        result.circuit.instructions.clear()
+        result.circuit.metadata["mangled"] = True
+        result.properties["final_layout"].clear()
+    second, _ = service.predict_at(circuits, positions=positions)
+    assert second.tobytes() == first.tobytes()
+    assert seen[1] == seen[0]
+    again = service.compile_only(circuits)
+    assert [result.circuit.instructions for result in again] == expected
+    assert all("mangled" not in r.circuit.metadata for r in again)
+    assert all(r.properties["final_layout"] for r in again)

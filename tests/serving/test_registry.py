@@ -259,6 +259,29 @@ def test_same_version_ties_stay_ambiguous(estimator, tmp_path):
         registry.resolve("model")
 
 
+def test_every_file_under_a_shared_name_is_watched(estimator, tmp_path):
+    """Regression: refresh used to watch one file per model name, so the
+    second file registered under a taken name was never checked again."""
+    path_a = tmp_path / "a.npz"
+    save_model(estimator, path_a)
+    path_b = tmp_path / "b.npz"
+    save_model(_fit_estimator(9), path_b)
+    registry = ModelRegistry()
+    registry.add_model_file(path_a, "q20a", name="model", seed=0)
+    old_b = registry.add_model_file(path_b, "q20a", name="model", seed=0)
+    assert not registry.maybe_stale()
+
+    save_model(_fit_estimator(10), path_b)
+    assert registry.maybe_stale()
+    swapped = registry.refresh()
+    expected = hashlib.sha256(path_b.read_bytes()).hexdigest()[:12]
+    assert [(s.key, n.key) for s, n in swapped] == [
+        (old_b.key, ("model", expected))
+    ]
+    assert registry.resolve("model").fingerprint == expected
+    assert not registry.maybe_stale()
+
+
 def test_serving_entries_tracks_versions(estimator, tmp_path):
     path = tmp_path / "model.npz"
     save_model(estimator, path)
