@@ -66,12 +66,12 @@ def workloads():
     ]
 
 
-def generate(store_root, max_workers=None, workers_mode=None):
+def generate(store_root, max_workers=None):
     """Cold-search every workload into ``store_root``; returns results.
 
     ``store_root`` must hold no matching incumbents (they would warm-start
     and suppress regeneration).  Output is bit-identical for every worker
-    count and pool mode.
+    count.
     """
     from repro.compiler import compile_search
 
@@ -82,7 +82,6 @@ def generate(store_root, max_workers=None, workers_mode=None):
             circuits, device, estimator,
             beam_width=BEAM_WIDTH, generations=GENERATIONS, seed=SEED,
             store=store_root, max_workers=max_workers,
-            workers_mode=workers_mode,
         )
     return results
 
@@ -95,7 +94,7 @@ def main():
     for path in stale:
         path.unlink()
     reset_search_stats()
-    generate(LEADERBOARD_DIR, max_workers=4, workers_mode="process")
+    generate(LEADERBOARD_DIR, max_workers=4)
     stats = search_stats()
     entries = sorted(LEADERBOARD_DIR.glob("leaderboard_*.json"))
     print(f"wrote {len(entries)} entries to {LEADERBOARD_DIR}")

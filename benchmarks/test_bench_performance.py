@@ -111,7 +111,7 @@ def test_perf_compile_level3_suite_process(benchmark, device):
         clear_compile_cache()
         return compile_suite(
             suite, device, optimization_level=3, seed=0,
-            max_workers=4, workers_mode="process",
+            max_workers=4,
         )
 
     benchmark.pedantic(run, rounds=2, iterations=1)
@@ -133,7 +133,7 @@ def test_process_pool_compile_scales_on_multicore(device):
         return time.perf_counter() - start
 
     sequential = timed(max_workers=1)
-    pooled = timed(max_workers=4, workers_mode="process")
+    pooled = timed(max_workers=4)
     assert sequential / pooled >= 2.5, (sequential, pooled)
 
 
@@ -441,7 +441,7 @@ def test_perf_compile_search(benchmark, device, tmp_path):
 
     scratch = tmp_path / "leaderboards"
     reset_search_stats()
-    searched = mlb.generate(scratch, max_workers=4, workers_mode="process")
+    searched = mlb.generate(scratch, max_workers=4)
 
     committed = sorted(mlb.LEADERBOARD_DIR.glob("leaderboard_*.json"))
     regenerated = sorted(scratch.glob("leaderboard_*.json"))
@@ -459,7 +459,7 @@ def test_perf_compile_search(benchmark, device, tmp_path):
         clear_compile_cache()
         stock = compile_batch(
             circuits, workload_device, optimization_level=3,
-            seed=mlb.SEED, max_workers=4, workers_mode="process",
+            seed=mlb.SEED, max_workers=4,
         )
         for result, reference in zip(searched[tag], stock):
             stock_fidelity = expected_fidelity(
@@ -593,7 +593,7 @@ def test_perf_forest_fit_process(benchmark):
     benchmark.pedantic(
         lambda: RandomForestRegressor(
             n_estimators=50, random_state=0, max_features="sqrt",
-            max_workers=4, workers_mode="process",
+            max_workers=4,
         ).fit(X, y),
         rounds=2, iterations=1,
     )
@@ -617,7 +617,7 @@ def test_process_pool_forest_fit_scales_on_multicore():
         return time.perf_counter() - start
 
     sequential = timed(max_workers=1)
-    pooled = timed(max_workers=4, workers_mode="process")
+    pooled = timed(max_workers=4)
     assert sequential / pooled >= 2.5, (sequential, pooled)
 
 

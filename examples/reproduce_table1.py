@@ -48,7 +48,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--max-workers", type=int, default=None,
-        help="worker threads for batched stages (default: one per CPU)",
+        help="workers for batched stages (default: one per CPU)",
     )
     args = parser.parse_args()
 

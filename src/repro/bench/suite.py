@@ -122,7 +122,6 @@ def compile_suite(
     optimization_level: int = 3,
     seed: int = 0,
     max_workers: Optional[int] = None,
-    workers_mode: Optional[str] = None,
     on_result=None,
 ):
     """Compile every suite circuit for ``device`` through the batch API.
@@ -143,7 +142,6 @@ def compile_suite(
         optimization_level=optimization_level,
         seeds=[seed + index for index in range(len(suite))],
         max_workers=max_workers,
-        workers_mode=workers_mode,
         on_result=on_result,
     )
 

@@ -124,8 +124,7 @@ def _cmd_compile_search(args: argparse.Namespace) -> int:
     results = compile_search(
         circuits, device, estimator,
         seed=args.seed, store=args.store,
-        max_workers=args.max_workers, workers_mode=args.workers_mode,
-        **kwargs,
+        max_workers=args.max_workers, **kwargs,
     )
     print(
         f"# device: {device.name}  model: {args.model}", file=sys.stderr
@@ -209,8 +208,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     circuits = (_load_circuit(str(path)) for path in paths)
     if args.foms:
         panel = service.score_established_foms(
-            circuits, max_workers=args.max_workers,
-            workers_mode=args.workers_mode,
+            circuits, max_workers=args.max_workers
         )
         columns = FOM_ORDER + [PROPOSED_LABEL]
         header = f"{'circuit':<24}" + "".join(f"{name:>20}" for name in columns)
@@ -228,8 +226,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         # Stream: predictions print as each chunk lands, so a large corpus
         # shows progress (and never lives in memory all at once).
         for chunk in service.predict_stream(
-            circuits, max_workers=args.max_workers,
-            workers_mode=args.workers_mode,
+            circuits, max_workers=args.max_workers
         ):
             for value in chunk:
                 print(f"{paths[position].stem:<24} {value:>20.4f}")
@@ -266,7 +263,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             queue_limit=args.queue_limit,
             request_timeout=args.request_timeout,
             max_workers=args.max_workers,
-            workers_mode=args.workers_mode,
             reload_interval=args.reload_interval,
             shards=args.shards,
         )
@@ -453,7 +449,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
         )
     config.cache_dir = args.cache_dir
     config.max_workers = args.max_workers
-    config.workers_mode = args.workers_mode
     devices = (
         [_load_device(spec) for spec in args.devices]
         if args.devices else None
@@ -488,7 +483,6 @@ def _cmd_drift_study(args: argparse.Namespace) -> int:
     study.shots = args.shots
     study.seed = args.seed
     study.max_workers = args.max_workers
-    study.workers_mode = args.workers_mode
     config = DriftStudyConfig(
         device=args.device,
         steps=args.steps,
@@ -678,10 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-workers", type=int, default=None,
         help="worker-pool size for the batched search (default: one per CPU)",
     )
-    p_search.add_argument(
-        "--workers-mode", choices=("thread", "process"), default=None,
-        help="pool flavor; default: REPRO_WORKERS_MODE env var, else process",
-    )
     p_search.set_defaults(func=_cmd_compile_search)
 
     p_exec = sub.add_parser("execute", help="compile + noisy execution")
@@ -724,13 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument(
         "--max-workers", type=int, default=None,
         help="worker-pool size for the batched stages (default: one per CPU)",
-    )
-    p_pred.add_argument(
-        "--workers-mode", choices=("thread", "process"), default=None,
-        help=(
-            "pool flavor for the GIL-bound stages (compile, featurize); "
-            "default: REPRO_WORKERS_MODE env var, else process"
-        ),
     )
     p_pred.add_argument(
         "--chunk-size", type=int, default=128,
@@ -806,13 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-workers", type=int, default=1,
-        help="pipeline workers per batch (1 = predictable latency; raise "
-             "on multi-core boxes)",
-    )
-    p_serve.add_argument(
-        "--workers-mode", choices=("thread", "process"), default="thread",
-        help="pool flavor for the per-batch pipeline (default: thread — "
-             "per-batch process spawns cost more than small batches win)",
+        help="pipeline workers per batch: above 1, compile and featurize "
+             "fan out over a shared process pool (1 = in-process, "
+             "predictable latency; raise on multi-core boxes)",
     )
     p_serve.add_argument(
         "--reload-interval", type=float, default=0.0,
@@ -897,13 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-workers", type=int, default=None,
         help="worker-pool size for batched stages (default: one per CPU)",
     )
-    p_study.add_argument(
-        "--workers-mode", choices=("thread", "process"), default=None,
-        help=(
-            "pool flavor for the GIL-bound stages (compile, grid search, "
-            "forest fit); default: REPRO_WORKERS_MODE env var, else process"
-        ),
-    )
     p_study.set_defaults(func=_cmd_study)
 
     p_drift = sub.add_parser(
@@ -957,11 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_drift.add_argument(
         "--max-workers", type=int, default=None,
         help="worker-pool size for batched stages (default: one per CPU)",
-    )
-    p_drift.add_argument(
-        "--workers-mode", choices=("thread", "process"), default=None,
-        help="pool flavor for the GIL-bound stages; default: "
-             "REPRO_WORKERS_MODE env var, else process",
     )
     p_drift.add_argument(
         "--progress", action="store_true",

@@ -32,7 +32,7 @@ nothing: it is one lookup that rebuilds one circuit.
 compiles the misses through a worker pool with deterministic
 per-circuit seed streams, mirroring
 :meth:`repro.simulation.executor.QPUExecutor.run_batch` — and because
-compilation is pure Python (GIL-bound), the batch defaults to a *process*
+compilation is pure Python (GIL-bound), the batch runs on a *process*
 pool (:mod:`repro.parallel`), which scales with cores where threads
 cannot.
 """
@@ -401,7 +401,6 @@ def _map_compile(
     device: Device,
     optimization_level: "int | str",
     max_workers: Optional[int],
-    workers_mode: Optional[str],
     on_result: Optional[Callable[[int, CompilationResult], None]],
 ) -> List[CompilationResult]:
     """Fan a compile batch out and decode every task payload in the
@@ -409,7 +408,7 @@ def _map_compile(
 
     ``on_result`` fires with the decoded result as each item completes.
     """
-    from ..parallel import parallel_map, resolve_mode
+    from ..parallel import parallel_map
 
     device.routing_tables  # precompute once so pool workers inherit them
     decoded: Dict[int, CompilationResult] = {}
@@ -432,7 +431,7 @@ def _map_compile(
         items,
         max_workers=max_workers,
         on_result=decode,
-        mode=resolve_mode(workers_mode, default="process"),
+        mode="process",
         shared=shared,
     )
     return [decoded[index] for index in range(len(items))]
@@ -447,7 +446,6 @@ def compile_batch(
     keep_final_rz: bool = False,
     num_trials: int = 4,
     max_workers: Optional[int] = None,
-    workers_mode: Optional[str] = None,
     on_result: Optional[Callable[[int, CompilationResult], None]] = None,
     estimator=None,
     search_opts: Optional[dict] = None,
@@ -456,20 +454,18 @@ def compile_batch(
 
     Circuit ``i`` is compiled exactly as ``compile_circuit(circuits[i],
     device, optimization_level, seed=seeds[i], ...)`` would — results come
-    back in input order and are bit-identical for every worker count *and*
-    execution mode, because each circuit's stochastic pass decisions
-    depend only on its own seed (pinned by the golden-digest and property
-    tests).
+    back in input order and are bit-identical for every worker count,
+    because each circuit's stochastic pass decisions depend only on its
+    own seed (pinned by the golden-digest and property tests).
 
     Every circuit is first looked up in the caller's
     :class:`~repro.compiler.cache.CompileCache` (one whole-compile entry
     each, see :func:`_compile_key`); only the misses are compiled.
     Compilation is pure Python, so threads cannot speed it up — the GIL
-    serializes them.  The default mode is therefore ``"process"``: the
-    misses fan out over the process's shared spawn pool
-    (:mod:`repro.parallel`), whose long-lived workers each hold their own
-    pass cache, emptied when the worker installs this batch's
-    invariants.  Circuits,
+    serializes them.  Pooled misses therefore fan out over the process's
+    shared spawn pool (:mod:`repro.parallel`), whose long-lived workers
+    each hold their own pass cache, emptied when the worker installs
+    this batch's invariants.  Circuits,
     :class:`~repro.hardware.coupling.RoutingTables` and results cross the
     process boundary through cheap flat-array encodings.  Each result
     is stored under its whole-compile key in the caller's cache as it
@@ -487,9 +483,6 @@ def compile_batch(
         num_trials: level-3 trial count per circuit.
         max_workers: worker-pool size (``None``: one worker per CPU, the
             repo-wide :func:`~repro.parallel.resolve_workers` rule).
-        workers_mode: ``"process"``/``"thread"`` (``None``: the
-            ``REPRO_WORKERS_MODE`` environment override if set, else
-            ``"process"``).
         on_result: optional ``callback(index, result)`` fired in the
             parent as each circuit finishes (completion order); see
             :mod:`repro.parallel` for the exception contract.
@@ -517,7 +510,7 @@ def compile_batch(
             circuits, device, estimator,
             seed=seed, seeds=seeds, keep_final_rz=keep_final_rz,
             num_trials=num_trials, max_workers=max_workers,
-            workers_mode=workers_mode, on_result=on_result,
+            on_result=on_result,
             **(search_opts or {}),
         )
 
@@ -581,7 +574,6 @@ def compile_batch(
         device,
         optimization_level,
         resolve_workers(max_workers, n),
-        workers_mode,
         store,
     )
     if callback_errors:

@@ -686,7 +686,6 @@ def compile_search(
     record: bool = True,
     session: Optional[LeaderboardSession] = None,
     max_workers: Optional[int] = None,
-    workers_mode: Optional[str] = None,
     on_result: Optional[Callable[[int, object], None]] = None,
 ):
     """Predictor-guided search compilation for a batch of circuits.
@@ -694,7 +693,7 @@ def compile_search(
     The drop-in ``optimization_level="search"`` analogue of
     :func:`~repro.compiler.compile.compile_batch`: per-circuit seed
     streams (``seed + SEED_STRIDE * i``), input-order results, and
-    bit-identical output for every ``max_workers`` / ``workers_mode``.
+    bit-identical output for every ``max_workers``.
 
     ``store`` (an :class:`~repro.evaluation.artifacts.ArtifactStore` or a
     directory) enables the leaderboard: incumbents matching the estimator
@@ -748,7 +747,6 @@ def compile_search(
         device,
         "search",
         max_workers,
-        workers_mode,
         fold,
     )
 

@@ -436,7 +436,6 @@ def run_drift_study(
             seed=study.seed,
             param_grid=study.param_grid,
             max_workers=study.max_workers,
-            workers_mode=study.workers_mode,
         )
         base_fit_s = time.perf_counter() - fit_started
         if store is not None:
@@ -487,7 +486,6 @@ def run_drift_study(
                 seed=study.seed,
                 param_grid=study.param_grid,
                 max_workers=study.max_workers,
-                workers_mode=study.workers_mode,
             )
             retrain_fit_s = time.perf_counter() - fit_started
             if store is not None:
@@ -499,7 +497,6 @@ def run_drift_study(
             X[train_idx], y[train_idx], max_trees,
             random_state=study.seed + FINE_TUNE_SEED_OFFSET + index,
             max_workers=study.max_workers,
-            workers_mode=study.workers_mode,
         )
         fine_tune_fit_s = time.perf_counter() - fit_started
         points = []

@@ -436,7 +436,13 @@ def _model_from_body(body: Dict):
         return _tree_from_body(body, "tree_", body["params"], body["num_features"])
     if kind not in ("forest", "hellinger_estimator"):
         raise ValueError(f"unknown model kind {kind!r}")
-    forest = RandomForestRegressor(**body["params"])
+    # Older files store the forest's worker settings among its params;
+    # they never changed a fitted model, so loading drops them.
+    params = {
+        key: value for key, value in body["params"].items()
+        if key not in ("max_workers", "workers_mode")
+    }
+    forest = RandomForestRegressor(**params)
     num_trees = int(body["num_trees"])
     tree_params = body["tree_params"]
     num_features = int(body["num_features"])

@@ -68,10 +68,6 @@ class StudyConfig:
     #: Worker-pool size for batched compile/simulate/execute stages and
     #: the grid-search/forest training tasks (``None``: one per CPU).
     max_workers: Optional[int] = None
-    #: Execution mode for the GIL-bound pooled stages (compile, grid
-    #: search, forest fit): ``"process"``/``"thread"``; ``None`` defers to
-    #: the ``REPRO_WORKERS_MODE`` environment override, else process.
-    workers_mode: Optional[str] = None
     #: Directory for stage caches: when set, per-device datasets (the
     #: compile/simulate/execute product) and trained-estimator reports
     #: are stored there and reused on reruns whose inputs are unchanged,
@@ -210,7 +206,6 @@ def run_study(
                 seed=config.seed,
                 param_grid=config.param_grid,
                 max_workers=config.max_workers,
-                workers_mode=config.workers_mode,
             )
 
         def announce_hit(device=device):
@@ -300,7 +295,6 @@ def build_device_datasets(
                 ideal_cache=ideal_cache,
                 progress=config.progress,
                 max_workers=config.max_workers,
-                workers_mode=config.workers_mode,
                 estimator=config.search_estimator,
                 search_opts=config.search_opts,
             )
@@ -418,7 +412,6 @@ def run_cross_device_study(
             seed=config.seed,
             param_grid=config.param_grid,
             max_workers=config.max_workers,
-            workers_mode=config.workers_mode,
         )
         if store is not None:
             fingerprint = config.report_fingerprint(train_device)

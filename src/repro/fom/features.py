@@ -475,7 +475,6 @@ def _communication_stats(
 def feature_matrix(
     circuits: Iterable[QuantumCircuit],
     max_workers: Optional[int] = 1,
-    workers_mode: Optional[str] = None,
 ) -> np.ndarray:
     """Stack feature vectors of many circuits into an ``(M, 30)`` matrix.
 
@@ -483,14 +482,11 @@ def feature_matrix(
     :func:`repro.parallel.parallel_map` (``None``: one worker per CPU; the
     signature default stays sequential because extraction is cheap per
     circuit).  Extraction is pure Python and GIL-bound, so a pooled run
-    defaults to ``workers_mode="process"``, which scales with cores where
-    threads cannot (:func:`feature_vector` is a module-level function, so
-    it ships to workers directly).  The result is row-identical for every
-    worker count and mode.  An empty input yields an empty ``(0, 30)``
-    matrix.
+    uses the process pool, which scales with cores where threads cannot
+    (:func:`feature_vector` is a module-level function, so it ships to
+    workers directly).  The result is row-identical for every worker
+    count.  An empty input yields an empty ``(0, 30)`` matrix.
     """
-    from ..parallel import resolve_mode
-
     circuits = list(circuits)
     if not circuits:
         return np.empty((0, NUM_FEATURES))
@@ -499,6 +495,6 @@ def feature_matrix(
             feature_vector,
             circuits,
             max_workers=max_workers,
-            mode=resolve_mode(workers_mode, default="process"),
+            mode="process",
         )
     )

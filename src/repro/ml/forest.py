@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..parallel import parallel_map, resolve_mode
+from ..parallel import parallel_map
 from .tree import DecisionTreeRegressor, FlatForest
 
 
@@ -93,13 +93,13 @@ class RandomForestRegressor:
             scikit-learn's regressor default.
         bootstrap: sample training rows with replacement per tree.
         random_state: master seed; per-tree seeds derive from it.
-        max_workers: pool size for tree fitting (``1`` = sequential,
-            ``None`` = one per CPU).  Fitted models are identical for
-            every value; the default stays sequential so nested uses
-            (e.g. inside a parallel grid search) do not oversubscribe.
-        workers_mode: ``"process"``/``"thread"`` for pooled fits
-            (``None``: the ``REPRO_WORKERS_MODE`` environment override if
-            set, else ``"process"`` — tree fitting is GIL-bound).
+        max_workers: process-pool size for tree fitting (``1`` =
+            sequential, ``None`` = one per CPU; tree fitting is
+            GIL-bound).  Fitted models are identical for every value, so
+            it is an execution setting, not a hyper-parameter:
+            :meth:`get_params` leaves it out and :meth:`clone` carries it
+            over.  The default stays sequential so nested uses (e.g.
+            inside a parallel grid search) do not oversubscribe.
     """
 
     def __init__(
@@ -112,7 +112,6 @@ class RandomForestRegressor:
         bootstrap: bool = True,
         random_state: Optional[int] = None,
         max_workers: Optional[int] = 1,
-        workers_mode: Optional[str] = None,
     ):
         self.n_estimators = n_estimators
         self.max_depth = max_depth
@@ -122,7 +121,6 @@ class RandomForestRegressor:
         self.bootstrap = bootstrap
         self.random_state = random_state
         self.max_workers = max_workers
-        self.workers_mode = workers_mode
         self.estimators_: List[DecisionTreeRegressor] = []
         self.feature_importances_: Optional[np.ndarray] = None
 
@@ -145,8 +143,6 @@ class RandomForestRegressor:
             "max_features": self.max_features,
             "bootstrap": self.bootstrap,
             "random_state": self.random_state,
-            "max_workers": self.max_workers,
-            "workers_mode": self.workers_mode,
         }
 
     def set_params(self, **params) -> "RandomForestRegressor":
@@ -157,7 +153,9 @@ class RandomForestRegressor:
         return self
 
     def clone(self) -> "RandomForestRegressor":
-        return RandomForestRegressor(**self.get_params())
+        return RandomForestRegressor(
+            **self.get_params(), max_workers=self.max_workers
+        )
 
     def tree_template(self, seed: int) -> DecisionTreeRegressor:
         """An unfitted member tree carrying this forest's hyper-parameters."""
@@ -189,7 +187,6 @@ class RandomForestRegressor:
         n_trees: int,
         random_state: Optional[int],
         max_workers: Optional[int] = None,
-        workers_mode: Optional[str] = None,
     ) -> List[DecisionTreeRegressor]:
         """Fit ``n_trees`` fresh member trees on ``(X, y)`` without touching
         ``self``.
@@ -199,8 +196,8 @@ class RandomForestRegressor:
         the prefix property holds: the first ``k`` trees of an ``n``-tree
         call equal the ``k``-tree call — a refresh sweep over tree counts
         fits ``max(n)`` trees once and slices prefixes.  Results are
-        bit-identical for every worker count and pool mode; :meth:`fit`
-        is this with the forest's own tree count, seed and pool knobs.
+        bit-identical for every worker count; :meth:`fit` is this with
+        the forest's own tree count, seed and worker count.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -218,10 +215,7 @@ class RandomForestRegressor:
             _fit_tree,
             bootstrap_draws(random_state, n_trees, len(X), self.bootstrap),
             max_workers=self.max_workers if max_workers is None else max_workers,
-            mode=resolve_mode(
-                self.workers_mode if workers_mode is None else workers_mode,
-                default="process",
-            ),
+            mode="process",
             shared=(X, y, tree_params),
         )
 

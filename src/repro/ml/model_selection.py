@@ -27,7 +27,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..parallel import parallel_map, resolve_mode
+from ..parallel import parallel_map
 from .forest import RandomForestRegressor, bootstrap_draws, tree_mean
 from .metrics import pearson_r
 from .tree import FlatForest
@@ -35,7 +35,7 @@ from .tree import FlatForest
 Scorer = Callable[[np.ndarray, np.ndarray], float]
 
 # Fitting is GIL-bound pure Python, so pooled cross-validation and grid
-# search default to process mode: a call's training data and candidate
+# search run in process mode: a call's training data and candidate
 # models travel once per worker as its ``shared`` payload, and tasks are
 # plain index tuples.  Process mode therefore requires the estimator and
 # scorer to be picklable (every estimator and scorer in this repo is).
@@ -104,15 +104,14 @@ def cross_val_score(
     seed: int = 0,
     scorer: Scorer = pearson_r,
     max_workers: Optional[int] = 1,
-    workers_mode: Optional[str] = None,
 ) -> np.ndarray:
     """Per-fold validation scores of a cloneable model.
 
     Folds are independent deterministic tasks; ``max_workers`` fans them
     out without changing any score (``1`` = sequential, ``None`` = one
-    worker per CPU).  Pooled runs default to ``workers_mode="process"``
-    (fitting is GIL-bound); each worker installs the data once per call
-    as the call's ``shared`` payload.
+    worker per CPU).  Pooled runs use the process pool (fitting is
+    GIL-bound); each worker installs the data once per call as the
+    call's ``shared`` payload.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -121,7 +120,7 @@ def cross_val_score(
         _fit_and_score,
         [(0, fold_index) for fold_index in range(len(splits))],
         max_workers=max_workers,
-        mode=resolve_mode(workers_mode, default="process"),
+        mode="process",
         shared=([model], X, y, splits, scorer),
     ))
 
@@ -144,7 +143,6 @@ def grid_search(
     seed: int = 0,
     scorer: Scorer = pearson_r,
     max_workers: Optional[int] = 1,
-    workers_mode: Optional[str] = None,
 ) -> GridSearchResult:
     """Exhaustive grid search scored by mean cross-validation score.
 
@@ -157,11 +155,9 @@ def grid_search(
         scorer: score function, larger is better (default: Pearson r).
         max_workers: pool size over independent (candidate, fold) tasks
             (``1`` = sequential, ``None`` = one per CPU); scores are
-            identical for every value and mode.
-        workers_mode: ``"process"``/``"thread"`` for pooled runs
-            (``None``: the ``REPRO_WORKERS_MODE`` environment override if
-            set, else ``"process"`` — fitting is GIL-bound).  Process
-            mode requires picklable estimators and scorers.
+            identical for every value.  Pooled runs use the process
+            pool (fitting is GIL-bound), so estimators and scorers must
+            pickle.
     """
     names = sorted(param_grid)
     combos = list(itertools.product(*(param_grid[name] for name in names)))
@@ -177,7 +173,7 @@ def grid_search(
 
     if all(isinstance(c, RandomForestRegressor) for _, c in candidates):
         fold_scores = _forest_grid_fold_scores(
-            candidates, X, y, splits, scorer, max_workers, workers_mode
+            candidates, X, y, splits, scorer, max_workers
         )
     else:
         tasks = [
@@ -189,7 +185,7 @@ def grid_search(
             _fit_and_score,
             tasks,
             max_workers=max_workers,
-            mode=resolve_mode(workers_mode, default="process"),
+            mode="process",
             shared=(
                 [candidate for _, candidate in candidates],
                 X, y, splits, scorer,
@@ -287,13 +283,11 @@ def _forest_grid_fold_scores(
     splits: List[Tuple[np.ndarray, np.ndarray]],
     scorer: Scorer,
     max_workers: Optional[int],
-    workers_mode: Optional[str] = None,
 ) -> List[List[float]]:
     """Per-candidate per-fold CV scores with cross-candidate sharing.
 
-    Candidates are grouped by everything except ``n_estimators`` and
-    ``max_depth`` (and the ``max_workers``/``workers_mode`` execution
-    knobs, which never change scores); each (fold, group) is an
+    Candidates are grouped by every hyper-parameter except
+    ``n_estimators`` and ``max_depth``; each (fold, group) is an
     independent task that fits the depth-uncapped tree sequence once and
     derives capped/shorter variants from it (see module docstring for why
     this is bit-exact).
@@ -304,9 +298,7 @@ def _forest_grid_fold_scores(
         params = forest.get_params()
         key = tuple(sorted(
             (name, value) for name, value in params.items()
-            if name not in (
-                "n_estimators", "max_depth", "max_workers", "workers_mode"
-            )
+            if name not in ("n_estimators", "max_depth")
         ))
         group = groups.setdefault(
             key, {"forest": forest, "depths": {}, "max_n": 0}
@@ -328,7 +320,7 @@ def _forest_grid_fold_scores(
         _forest_grid_task,
         tasks,
         max_workers=max_workers,
-        mode=resolve_mode(workers_mode, default="process"),
+        mode="process",
         shared=(group_list, splits, X, y, n_by_index, scorer),
     )
 

@@ -7,16 +7,18 @@ enforced in one place: results are always returned in input order, a
 single worker degrades to a plain loop, and per-item work is required to
 be deterministic.
 
-Two execution modes are supported:
+**One fixed mode per stage.**  A stage's kind of work decides its pool,
+so every call site names its ``mode`` as a literal and ``max_workers``
+is the only parallelism setting a caller chooses:
 
-* ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`.
-  Right for stages whose inner loops release the GIL (numpy-heavy
-  simulation and noisy execution).
 * ``"process"`` — a shared, long-lived
   :class:`~concurrent.futures.ProcessPoolExecutor` over the ``spawn``
-  start method.  Right for the GIL-bound pure-Python stages
-  (compilation, feature extraction, tree fitting).  ``fn``, ``shared``
-  and every item/result must be picklable.
+  start method, for the GIL-bound pure-Python stages: compilation,
+  feature extraction, tree fitting, cross-validation and grid search.
+  ``fn``, ``shared`` and every item/result must be picklable.
+* ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`, for
+  the stages whose numpy kernels release the GIL: noiseless simulation
+  and noisy execution.
 
 **Batch invariants.**  A batch's per-call invariants (device, estimator,
 training matrix) travel as ``shared``: every mode calls
@@ -45,11 +47,6 @@ executor: the batch raises
 :class:`~concurrent.futures.process.BrokenProcessPool`, ahead of any
 ``fn`` error, and the broken pool leaves the registry so the next call
 builds a fresh one.
-
-The mode is an explicit argument everywhere; batched entry points accept
-``workers_mode=None`` meaning "the :envvar:`REPRO_WORKERS_MODE`
-environment override if set, else this entry point's documented default"
-(see :func:`resolve_mode`).
 
 **Worker-default rule.**  ``max_workers=None`` always means one worker
 per CPU (:func:`resolve_workers`); entry points that want a sequential
@@ -88,13 +85,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-#: Environment variable overriding the default execution mode of every
-#: batched entry point that is called with ``workers_mode=None``.
-WORKERS_MODE_ENV = "REPRO_WORKERS_MODE"
-
-#: The recognised execution modes.
-WORKER_MODES = ("thread", "process")
 
 #: Below this many items a requested process pool degrades to the plain
 #: in-process loop: the pool's workers are already running, but pickling
@@ -179,30 +169,13 @@ def resolve_workers(max_workers: Optional[int], num_items: int) -> int:
     return max(1, min(max_workers, num_items))
 
 
-def resolve_mode(mode: Optional[str], default: str = "thread") -> str:
-    """Execution mode for a batch.
-
-    Precedence: an explicit ``mode`` argument, else the
-    :envvar:`REPRO_WORKERS_MODE` environment override, else the calling
-    entry point's ``default``.  Raises :class:`ValueError` for anything
-    outside :data:`WORKER_MODES`.
-    """
-    if mode is None:
-        mode = os.environ.get(WORKERS_MODE_ENV) or default
-    if mode not in WORKER_MODES:
-        raise ValueError(
-            f"workers mode must be one of {WORKER_MODES}, got {mode!r}"
-        )
-    return mode
-
-
 def parallel_map(
     fn: Callable[..., _R],
     items: Sequence[_T],
     max_workers: Optional[int] = None,
     on_result: Optional[Callable[[int, _R], None]] = None,
-    mode: Optional[str] = "thread",
     *,
+    mode: str,
     shared: tuple = (),
 ) -> List[_R]:
     """Order-preserving ``[fn(*shared, item) for item in items]`` over a
@@ -211,7 +184,9 @@ def parallel_map(
     Falls back to a plain in-process loop for a single worker, a single
     item, or a process-mode batch smaller than
     :data:`PROCESS_MIN_ITEMS`, so results are identical across worker
-    counts and modes — the per-item work must itself be deterministic.
+    counts — the per-item work must itself be deterministic.  ``mode``
+    (``"thread"`` or ``"process"``) is the calling stage's fixed pool
+    kind (see the module docstring).
 
     ``on_result(index, result)`` fires in the parent as each item
     completes (completion order), giving batch callers per-item liveness
@@ -227,8 +202,9 @@ def parallel_map(
     along with every item (see the module docstring).
     """
     items = list(items)
+    if mode not in ("thread", "process"):
+        raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
     workers = resolve_workers(max_workers, len(items))
-    mode = resolve_mode(mode)
     pooled = workers > 1 and len(items) > 1
     if mode == "process" and len(items) < PROCESS_MIN_ITEMS:
         pooled = False

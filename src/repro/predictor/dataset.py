@@ -72,7 +72,6 @@ def build_dataset(
     sim_dtype=np.complex64,
     progress: bool = False,
     max_workers: Optional[int] = None,
-    workers_mode: Optional[str] = None,
     estimator=None,
     search_opts: Optional[Dict] = None,
 ) -> CircuitDataset:
@@ -85,15 +84,13 @@ def build_dataset(
 
     Every stage is batched and parallel (``max_workers``, default one
     worker per CPU): compilation fans out over
-    :func:`~repro.compiler.compile.compile_batch` — a *process* pool by
-    default, because compilation is GIL-bound pure Python — while the
-    numpy-heavy noiseless simulation and noisy execution (which release
-    the GIL) run as thread-pool passes via :func:`ideal_distributions`
-    and :meth:`QPUExecutor.run_batch`.  ``workers_mode`` overrides the
-    compile stage's mode (``None``: the ``REPRO_WORKERS_MODE``
-    environment override if set, else ``"process"``).  Per-circuit seeds
-    are fixed functions of ``seed`` and the suite index, so results are
-    bit-identical for every worker count and mode.  With
+    :func:`~repro.compiler.compile.compile_batch` — a *process* pool,
+    because compilation is GIL-bound pure Python — while the numpy-heavy
+    noiseless simulation and noisy execution (which release the GIL) run
+    as thread-pool passes via :func:`ideal_distributions` and
+    :meth:`QPUExecutor.run_batch`.  Per-circuit seeds are fixed functions
+    of ``seed`` and the suite index, so results are bit-identical for
+    every worker count.  With
     ``progress=True`` each batched stage reports per-circuit liveness as
     results land (completion order), instead of after the stage drains.
 
@@ -134,7 +131,6 @@ def build_dataset(
         optimization_level=optimization_level,
         seeds=[seed + index for index, _ in candidates],
         max_workers=max_workers,
-        workers_mode=workers_mode,
         on_result=compile_progress if progress else None,
         estimator=estimator,
         search_opts=search_opts,

@@ -45,13 +45,11 @@ class HellingerEstimator:
         n_splits: int = 3,
         seed: int = 0,
         max_workers: Optional[int] = 1,
-        workers_mode: Optional[str] = None,
     ):
         self.param_grid = dict(param_grid) if param_grid else dict(DEFAULT_PARAM_GRID)
         self.n_splits = n_splits
         self.seed = seed
         self.max_workers = max_workers
-        self.workers_mode = workers_mode
         self.model: Optional[RandomForestRegressor] = None
         self.best_params_: Dict[str, object] = {}
         self.cv_score_: float = float("nan")
@@ -60,10 +58,8 @@ class HellingerEstimator:
         """Grid-search hyper-parameters with CV, then fit on all of ``X``.
 
         ``max_workers`` fans the (candidate, fold) grid tasks and the
-        final forest's trees over a worker pool (``workers_mode`` picks
-        thread vs process; the default process mode is what scales, since
-        fitting is GIL-bound); the fitted model is bit-identical for
-        every value and mode.
+        final forest's trees over the process pool (fitting is GIL-bound);
+        the fitted model is bit-identical for every value.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -73,13 +69,12 @@ class HellingerEstimator:
         search = grid_search(
             base, self.param_grid, X, y,
             n_splits=self.n_splits, seed=self.seed, scorer=pearson_r,
-            max_workers=self.max_workers, workers_mode=self.workers_mode,
+            max_workers=self.max_workers,
         )
         self.best_params_ = search.best_params
         self.cv_score_ = search.best_score
         self.model = base.clone().set_params(**search.best_params)
         self.model.max_workers = self.max_workers
-        self.model.workers_mode = self.workers_mode
         self.model.fit(X, y)
         return self
 
@@ -95,7 +90,6 @@ class HellingerEstimator:
         refreshed = HellingerEstimator(
             param_grid=self.param_grid, n_splits=self.n_splits,
             seed=self.seed, max_workers=self.max_workers,
-            workers_mode=self.workers_mode,
         )
         refreshed.best_params_ = dict(self.best_params_)
         refreshed.cv_score_ = self.cv_score_
@@ -168,7 +162,6 @@ def train_and_evaluate_model(
     seed: int = 0,
     param_grid: Optional[Dict[str, Sequence]] = None,
     max_workers: Optional[int] = 1,
-    workers_mode: Optional[str] = None,
 ) -> "tuple[EstimatorReport, HellingerEstimator]":
     """:func:`train_and_evaluate` that also returns the fitted estimator.
 
@@ -186,7 +179,7 @@ def train_and_evaluate_model(
 
     estimator = HellingerEstimator(
         param_grid=param_grid, n_splits=n_splits, seed=seed,
-        max_workers=max_workers, workers_mode=workers_mode,
+        max_workers=max_workers,
     )
     estimator.fit(X[train_idx], y[train_idx])
     test_pred = estimator.predict(X[test_idx])
@@ -214,7 +207,6 @@ def train_and_evaluate(
     seed: int = 0,
     param_grid: Optional[Dict[str, Sequence]] = None,
     max_workers: Optional[int] = 1,
-    workers_mode: Optional[str] = None,
 ) -> EstimatorReport:
     """Run the paper's full evaluation protocol for one QPU.
 
@@ -229,5 +221,4 @@ def train_and_evaluate(
         seed=seed,
         param_grid=param_grid,
         max_workers=max_workers,
-        workers_mode=workers_mode,
     )[0]

@@ -170,7 +170,6 @@ class FomService:
         *,
         optimization_level: Optional[int] = None,
         max_workers: Optional[int] = None,
-        workers_mode: Optional[str] = None,
         chunk_size: Optional[int] = None,
     ) -> np.ndarray:
         """Predicted Hellinger distances, one per input circuit.
@@ -179,15 +178,15 @@ class FomService:
         -> one forest ``predict``.  ``circuits`` may be any iterable —
         including a generator over a corpus that does not fit in memory;
         only ``chunk_size`` circuits are materialized at a time.  Results
-        are identical for every ``chunk_size``, ``max_workers``, and
-        ``workers_mode`` (``None`` workers = one per CPU; the GIL-bound
-        compile and featurize stages default to a process pool).
+        are identical for every ``chunk_size`` and ``max_workers``
+        (``None`` = one per CPU; the GIL-bound compile and featurize
+        stages fan out over the process pool).
         """
         parts = [
             predictions
             for predictions, _ in self._serve(
-                circuits, optimization_level, max_workers, workers_mode,
-                chunk_size, want_foms=False,
+                circuits, optimization_level, max_workers, chunk_size,
+                want_foms=False,
             )
         ]
         return np.concatenate(parts) if parts else np.empty(0)
@@ -198,7 +197,6 @@ class FomService:
         *,
         optimization_level: Optional[int] = None,
         max_workers: Optional[int] = None,
-        workers_mode: Optional[str] = None,
         chunk_size: Optional[int] = None,
     ) -> Iterator[np.ndarray]:
         """Like :meth:`predict`, but yield per-chunk prediction arrays.
@@ -207,8 +205,8 @@ class FomService:
         flowing before the corpus is exhausted).
         """
         for predictions, _ in self._serve(
-            circuits, optimization_level, max_workers, workers_mode,
-            chunk_size, want_foms=False,
+            circuits, optimization_level, max_workers, chunk_size,
+            want_foms=False,
         ):
             yield predictions
 
@@ -218,7 +216,6 @@ class FomService:
         *,
         optimization_level: Optional[int] = None,
         max_workers: Optional[int] = None,
-        workers_mode: Optional[str] = None,
         chunk_size: Optional[int] = None,
     ) -> Dict[str, np.ndarray]:
         """The paper's full metric panel in one call.
@@ -232,8 +229,8 @@ class FomService:
         """
         panel: Dict[str, List[np.ndarray]] = {}
         for predictions, foms in self._serve(
-            circuits, optimization_level, max_workers, workers_mode,
-            chunk_size, want_foms=True,
+            circuits, optimization_level, max_workers, chunk_size,
+            want_foms=True,
         ):
             for fom_name, values in foms.items():
                 panel.setdefault(fom_name, []).append(values)
@@ -251,7 +248,6 @@ class FomService:
         positions: "List[int]",
         optimization_level: Optional[int] = None,
         max_workers: Optional[int] = None,
-        workers_mode: Optional[str] = None,
         want_foms: bool = False,
         timings: Optional[Dict[str, float]] = None,
         search_session=None,
@@ -305,14 +301,13 @@ class FomService:
             seeds=[self.seed + SEED_STRIDE * position for position in positions],
             num_trials=self.num_trials,
             max_workers=max_workers,
-            workers_mode=workers_mode,
             **self._compile_extras(level, search_session),
         )
         if own_session:
             search_session.flush()
         compiled = [result.circuit for result in results]
         compiled_at = time.perf_counter()
-        features = self._features(compiled, max_workers, workers_mode)
+        features = self._features(compiled, max_workers)
         featurized_at = time.perf_counter()
         if circuits:
             predictions = np.asarray(
@@ -340,7 +335,6 @@ class FomService:
         *,
         optimization_level: "Optional[int | str]" = None,
         max_workers: Optional[int] = None,
-        workers_mode: Optional[str] = None,
     ) -> List[CompilationResult]:
         """The service's compilation stage alone (seed streams included)."""
         circuits = list(circuits)
@@ -351,7 +345,7 @@ class FomService:
         )
         session = self._search_session() if level == "search" else None
         results = self._compile_chunk(
-            circuits, 0, level, max_workers, workers_mode, session
+            circuits, 0, level, max_workers, session
         )
         if session is not None:
             session.flush()
@@ -384,7 +378,6 @@ class FomService:
     def _features(
         compiled: "List[QuantumCircuit]",
         max_workers: Optional[int],
-        workers_mode: Optional[str],
     ) -> np.ndarray:
         """Feature rows of ``compiled``, memoized in the compile cache.
 
@@ -404,7 +397,6 @@ class FomService:
         fresh = feature_matrix(
             [compiled[index] for index in misses],
             max_workers=max_workers,
-            workers_mode=workers_mode,
         )
         for index, row in zip(misses, fresh):
             rows[index] = row = row.copy()
@@ -432,7 +424,6 @@ class FomService:
         offset: int,
         optimization_level: "int | str",
         max_workers: Optional[int],
-        workers_mode: Optional[str],
         search_session=None,
     ) -> List[CompilationResult]:
         return compile_batch(
@@ -447,7 +438,6 @@ class FomService:
             ],
             num_trials=self.num_trials,
             max_workers=max_workers,
-            workers_mode=workers_mode,
             **self._compile_extras(optimization_level, search_session),
         )
 
@@ -456,7 +446,6 @@ class FomService:
         circuits: Iterable[QuantumCircuit],
         optimization_level: Optional[int],
         max_workers: Optional[int],
-        workers_mode: Optional[str],
         chunk_size: Optional[int],
         want_foms: bool,
     ) -> Iterator[Tuple[np.ndarray, Dict[str, np.ndarray]]]:
@@ -469,9 +458,9 @@ class FomService:
         if size < 1:
             raise ValueError("chunk_size must be positive")
         # Compilation and featurization are GIL-bound pure Python, so
-        # both stages fan out over process pools by default; one
-        # max_workers/workers_mode pair governs the whole pipeline
-        # (``None`` workers = one per CPU, the repo-wide rule).
+        # both stages fan out over the process pool; one max_workers
+        # governs the whole pipeline (``None`` = one per CPU, the
+        # repo-wide rule).
         # "search" compiles share one leaderboard session across every
         # chunk (snapshot reads, writes deferred to the end), keeping
         # predictions chunk-size invariant.
@@ -484,7 +473,6 @@ class FomService:
                     positions=range(offset, offset + len(chunk)),
                     optimization_level=level,
                     max_workers=max_workers,
-                    workers_mode=workers_mode,
                     want_foms=want_foms,
                     search_session=session,
                 )

@@ -188,7 +188,6 @@ class ServerConfig:
     request_timeout: float = 60.0     # seconds before a request gets 504
     max_body_bytes: int = 64 * 1024 * 1024
     max_workers: int = 1              # pipeline workers per batch
-    workers_mode: Optional[str] = "thread"
     latency_window: int = 2048        # request-latency samples kept for /stats
     reload_interval: float = 0.0      # seconds between auto model-refresh
                                       # probes (0 = only explicit /reload)
@@ -467,7 +466,6 @@ class ServingDaemon:
             positions=positions,
             optimization_level=level,
             max_workers=self.config.max_workers,
-            workers_mode=self.config.workers_mode,
             want_foms=want_foms,
             timings=timings,
         )
@@ -962,7 +960,6 @@ class _InProcess:
             circuits,
             optimization_level=level,
             max_workers=self.config.max_workers,
-            workers_mode=self.config.workers_mode,
             chunk_size=chunk_size,
         )
         try:

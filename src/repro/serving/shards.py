@@ -170,7 +170,16 @@ def _shard_worker_main(index: int, sources, config_kwargs, conn) -> None:
     ``{error}`` if boot fails; serves until SIGTERM/SIGINT or until the
     parent's end of the pipe closes (parent died — drain and exit, no
     orphans).
+
+    With ``max_workers > 1`` the shard fans compile and featurize out
+    over its own process pool, which a daemonic process may not start:
+    the shard clears its own daemon flag (the parent's record of it stays
+    daemonic, so the parent still reaps it) and shuts the pool down
+    before it exits.
     """
+    from ..parallel import _shutdown_pools
+
+    multiprocessing.current_process().daemon = False
     try:
         daemon = ServingDaemon(sources, ServerConfig(**config_kwargs))
     except BaseException as exc:  # noqa: BLE001 - report, then die
@@ -181,6 +190,8 @@ def _shard_worker_main(index: int, sources, config_kwargs, conn) -> None:
     except BaseException as exc:  # noqa: BLE001
         _send_quietly(conn, {"error": f"{type(exc).__name__}: {exc}"})
         raise SystemExit(1)
+    finally:
+        _shutdown_pools()
 
 
 async def _worker_serve(index: int, daemon, conn) -> None:

@@ -127,22 +127,26 @@ def test_callback_error_on_a_cache_hit_still_delivers_every_circuit(
 
 
 def test_process_pool_compile_is_byte_identical_to_sequential(device, circuits):
-    """Golden digest (PR 6): the spawn-based process pool must reproduce
-    the sequential compile byte-for-byte, QASM text included."""
+    """Golden digest: the spawn-based process pool must reproduce the
+    sequential compile byte-for-byte, QASM text included, at every
+    worker count (the caller's cache is emptied first, so the pool
+    really compiles)."""
     from repro.circuits.qasm import to_qasm
+    from repro.compiler import clear_compile_cache
 
+    clear_compile_cache()
     sequential = compile_batch(
-        circuits, device, optimization_level=3, seed=0,
-        max_workers=1, workers_mode="thread",
+        circuits, device, optimization_level=3, seed=0, max_workers=1,
     )
     golden = [to_qasm(result.circuit) for result in sequential]
-    for workers, mode in ((4, "process"), (2, "thread")):
+    for workers in (2, 4):
+        clear_compile_cache()
         again = compile_batch(
             circuits, device, optimization_level=3, seed=0,
-            max_workers=workers, workers_mode=mode,
+            max_workers=workers,
         )
-        assert [to_qasm(r.circuit) for r in again] == golden, (workers, mode)
-        assert _digests(again) == _digests(sequential), (workers, mode)
+        assert [to_qasm(r.circuit) for r in again] == golden, workers
+        assert _digests(again) == _digests(sequential), workers
         for ref, other in zip(sequential, again):
             assert other.initial_layout == ref.initial_layout
             assert other.final_layout == ref.final_layout
@@ -154,7 +158,7 @@ def test_process_pool_results_reattach_parent_device(device, circuits):
     must hand back results carrying its own device object."""
     results = compile_batch(
         circuits, device, optimization_level=1, seed=0,
-        max_workers=4, workers_mode="process",
+        max_workers=4,
     )
     assert all(result.device is device for result in results)
     assert all(result.optimization_level == 1 for result in results)
@@ -162,9 +166,7 @@ def test_process_pool_results_reattach_parent_device(device, circuits):
 
 def test_empty_batch_returns_empty_list(device):
     assert compile_batch([], device) == []
-    assert compile_batch(
-        [], device, max_workers=4, workers_mode="process"
-    ) == []
+    assert compile_batch([], device, max_workers=4) == []
 
 
 def test_expected_fidelity_batch_is_bit_identical(device, circuits):

@@ -199,8 +199,7 @@ def test_search_stats_counters(device, estimator):
 
 
 def search_kwargs():
-    return dict(beam_width=2, generations=1, workers_mode="thread",
-                max_workers=2)
+    return dict(beam_width=2, generations=1, max_workers=2)
 
 
 def test_leaderboard_round_trip(tmp_path, device, estimator):
@@ -298,7 +297,7 @@ def test_warm_start_and_record_switches(tmp_path, device, estimator):
 
 
 # ----------------------------------------------------------------------
-# Batch determinism: workers, pool mode, store bytes.
+# Batch determinism: worker counts, store bytes.
 
 
 def test_compile_search_deterministic_across_pools(
@@ -307,29 +306,23 @@ def test_compile_search_deterministic_across_pools(
     circuits = small_suite(4)
     outputs = {}
     store_bytes = {}
-    for mode in ("thread", "process"):
-        for workers in (1, 2, 4):
-            root = tmp_path / f"{mode}-{workers}"
-            results = compile_search(
-                circuits, device, estimator,
-                beam_width=2, generations=1,
-                store=ArtifactStore(root),
-                max_workers=workers, workers_mode=mode,
-            )
-            outputs[(mode, workers)] = [
-                to_qasm(result.circuit) for result in results
-            ]
-            store_bytes[(mode, workers)] = {
-                path.name: path.read_bytes()
-                for path in sorted(root.iterdir())
-            }
-    reference_out = outputs[("thread", 1)]
-    reference_store = store_bytes[("thread", 1)]
-    assert reference_store, "no leaderboard files written"
-    for key, value in outputs.items():
-        assert value == reference_out, f"{key} diverged from thread/1"
-    for key, value in store_bytes.items():
-        assert value == reference_store, f"{key} store diverged from thread/1"
+    for workers in (1, 2, 4):
+        root = tmp_path / f"workers-{workers}"
+        results = compile_search(
+            circuits, device, estimator,
+            beam_width=2, generations=1,
+            store=ArtifactStore(root),
+            max_workers=workers,
+        )
+        outputs[workers] = [to_qasm(result.circuit) for result in results]
+        store_bytes[workers] = {
+            path.name: path.read_bytes() for path in sorted(root.iterdir())
+        }
+    assert store_bytes[1], "no leaderboard files written"
+    for workers, value in outputs.items():
+        assert value == outputs[1], f"{workers} workers diverged from 1"
+    for workers, value in store_bytes.items():
+        assert value == store_bytes[1], f"{workers} workers' store diverged"
 
 
 def test_compile_search_process_pool_aggregates_stats(device, estimator):
@@ -337,7 +330,7 @@ def test_compile_search_process_pool_aggregates_stats(device, estimator):
     circuits = small_suite(4)
     compile_search(
         circuits, device, estimator, beam_width=2, generations=1,
-        max_workers=2, workers_mode="process",
+        max_workers=2,
     )
     stats = search_stats()
     assert stats["searches"] == len(circuits)
@@ -349,16 +342,15 @@ def test_compile_search_stats_deltas_match_across_pools(device, estimator):
     process searched it."""
     circuits = small_suite(4)
     deltas = {}
-    for mode, workers in (("thread", 1), ("thread", 2), ("process", 2)):
+    for workers in (1, 2):
         reset_search_stats()
         compile_search(
             circuits, device, estimator, beam_width=2, generations=1,
-            max_workers=workers, workers_mode=mode,
+            max_workers=workers,
         )
-        deltas[(mode, workers)] = search_stats()
-    assert deltas[("thread", 1)]["searches"] == len(circuits)
-    assert deltas[("thread", 2)] == deltas[("thread", 1)]
-    assert deltas[("process", 2)] == deltas[("thread", 1)]
+        deltas[workers] = search_stats()
+    assert deltas[1]["searches"] == len(circuits)
+    assert deltas[2] == deltas[1]
 
 
 def test_compile_search_seeds_must_match(device, estimator):
@@ -401,12 +393,11 @@ def test_compile_batch_search_delegates(device, estimator):
     circuits = small_suite(3)
     batched = compile_batch(
         circuits, device, optimization_level="search", estimator=estimator,
-        search_opts={"beam_width": 2, "generations": 1},
-        workers_mode="thread", max_workers=2,
+        search_opts={"beam_width": 2, "generations": 1}, max_workers=2,
     )
     direct = compile_search(
         circuits, device, estimator, beam_width=2, generations=1,
-        workers_mode="thread", max_workers=2,
+        max_workers=2,
     )
     assert [to_qasm(b.circuit) for b in batched] == [
         to_qasm(d.circuit) for d in direct

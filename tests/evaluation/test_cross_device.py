@@ -161,13 +161,12 @@ def test_datasets_reject_devices_below_min_qubits():
         build_device_datasets([tiny], config)
 
 
-def test_thread_mode_study_starts_no_process_pool(pool_constructions):
-    """``workers_mode="thread"`` reaches every stage, training included."""
+def test_pooled_study_shares_one_process_pool(pool_constructions):
+    """``max_workers`` reaches every GIL-bound stage, training included,
+    and they all run on the one shared pool of that size."""
     train = make_zoo_device("grid", 8, tier="noisy", seed=0)
-    config = StudyConfig(
-        **TINY_CONFIG_KWARGS, max_workers=2, workers_mode="thread"
-    )
+    config = StudyConfig(**TINY_CONFIG_KWARGS, max_workers=2)
     run_cross_device_study(
         train, [make_zoo_device("ring", 8, seed=0)], config=config
     )
-    assert pool_constructions == []
+    assert pool_constructions == [2]

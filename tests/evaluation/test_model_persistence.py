@@ -54,6 +54,39 @@ def test_forest_roundtrip_bit_equal(tmp_path):
     assert len(loaded.estimators_) == 9
 
 
+def test_file_with_legacy_worker_params_still_loads(tmp_path):
+    """Model files written while forests stored their worker settings
+    among their params (``max_workers``, ``workers_mode``) load, predict
+    byte-equal, and still hit as an ArtifactStore estimator entry."""
+    from repro.compiler.search import model_fingerprint
+    from repro.evaluation.artifacts import ArtifactStore
+    from repro.evaluation.persistence import MODEL, _model_body
+
+    X, y = _data(100)
+    grid = {"n_estimators": [6], "max_depth": [None, 4],
+            "min_samples_leaf": [1], "min_samples_split": [2]}
+    estimator = HellingerEstimator(param_grid=grid, seed=0).fit(X, y)
+    body = _model_body(estimator)
+    body["params"] = {
+        **body["params"], "max_workers": 4, "workers_mode": "thread",
+    }
+    legacy = MODEL.layout.dump(MODEL.header(None), body)
+
+    path = tmp_path / "legacy.npz"
+    path.write_bytes(legacy)
+    loaded = load_model(path)
+    assert isinstance(loaded, HellingerEstimator)
+    assert loaded.predict(X).tobytes() == estimator.predict(X).tobytes()
+    assert model_fingerprint(loaded) == model_fingerprint(estimator)
+
+    store = ArtifactStore(tmp_path / "store")
+    store.path("estimator", "Q20-A", "abc").parent.mkdir(parents=True)
+    store.path("estimator", "Q20-A", "abc").write_bytes(legacy)
+    hit = store.get("estimator", "Q20-A", "abc")
+    assert isinstance(hit, HellingerEstimator)
+    assert hit.predict(X).tobytes() == estimator.predict(X).tobytes()
+
+
 def test_estimator_roundtrip_bit_equal(tmp_path):
     X, y = _data(100)
     grid = {"n_estimators": [6], "max_depth": [None, 4],

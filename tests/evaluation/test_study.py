@@ -146,7 +146,6 @@ def test_build_device_datasets_search_level():
         max_qubits=4, algorithms=["ghz", "bv"], shots=200,
         optimization_level="search", search_estimator=_search_estimator(),
         search_opts={"beam_width": 2, "generations": 1},
-        workers_mode="thread",
     )
     datasets = build_device_datasets([make_q20a()], config)
     data = datasets["Q20-A"]

@@ -156,17 +156,17 @@ def test_feature_matrix_shape():
 
 def test_feature_matrix_empty_input_keeps_width():
     assert feature_matrix([]).shape == (0, 30)
-    assert feature_matrix([], max_workers=4, workers_mode="process").shape == (0, 30)
+    assert feature_matrix([], max_workers=4).shape == (0, 30)
 
 
 def test_feature_matrix_mode_invariant():
+    """The in-process loop and the process pool give the same rows."""
     circuits = [random_circuit(4, 12, seed=s, measure=True) for s in range(5)]
     reference = feature_matrix(circuits, max_workers=1)
-    for workers, mode in ((2, "thread"), (4, "process")):
+    for workers in (2, 4):
         assert np.array_equal(
-            feature_matrix(circuits, max_workers=workers, workers_mode=mode),
-            reference,
-        ), (workers, mode)
+            feature_matrix(circuits, max_workers=workers), reference
+        ), workers
 
 
 def test_ratios_bounded():

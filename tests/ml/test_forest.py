@@ -145,17 +145,15 @@ def test_fit_new_trees_worker_invariance():
     X, y = _regression_data(150)
     forest = RandomForestRegressor(n_estimators=4, random_state=1).fit(X, y)
     baseline = None
-    for mode in ("thread", "process"):
-        for workers in (1, 2, 4):
-            trees = forest.fit_new_trees(
-                X, y, 6, random_state=23,
-                max_workers=workers, workers_mode=mode,
-            )
-            stacked = np.stack([tree.predict(X) for tree in trees])
-            if baseline is None:
-                baseline = stacked
-            else:
-                assert np.array_equal(stacked, baseline), (mode, workers)
+    for workers in (1, 2, 4):
+        trees = forest.fit_new_trees(
+            X, y, 6, random_state=23, max_workers=workers
+        )
+        stacked = np.stack([tree.predict(X) for tree in trees])
+        if baseline is None:
+            baseline = stacked
+        else:
+            assert np.array_equal(stacked, baseline), workers
 
 
 def test_refreshed_appends_trees():

@@ -1,8 +1,12 @@
 """Unit tests for the Hellinger estimator (the proposed figure of merit)."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.compiler.search import model_fingerprint
+from repro.evaluation.persistence import save_model
 from repro.predictor.estimator import (
     DEFAULT_PARAM_GRID,
     HellingerEstimator,
@@ -129,28 +133,45 @@ def test_fine_tune_tracks_fresh_labels():
 
 def test_fine_tune_worker_matrix_bit_identical():
     """Both refresh strategies are worker-invariant: the fine-tuned and
-    the retrained estimator each predict bit-identically across
-    {thread, process} x {1, 2, 4} workers."""
+    the retrained estimator each predict bit-identically for 1, 2 and 4
+    workers."""
     X, y = _synthetic_labels(n=120)
     fine_tuned, retrained = None, None
-    for mode in ("thread", "process"):
-        for workers in (1, 2, 4):
-            estimator = HellingerEstimator(
-                param_grid=SMALL_GRID, seed=3,
-                max_workers=workers, workers_mode=mode,
-            ).fit(X, y)
-            tuned = estimator.fine_tune(X, y, n_trees=6)
-            fresh = HellingerEstimator(
-                param_grid=SMALL_GRID, seed=4,
-                max_workers=workers, workers_mode=mode,
-            ).fit(X, y)
-            tuned_pred = tuned.predict(X)
-            fresh_pred = fresh.predict(X)
-            if fine_tuned is None:
-                fine_tuned, retrained = tuned_pred, fresh_pred
-            else:
-                assert np.array_equal(tuned_pred, fine_tuned), (mode, workers)
-                assert np.array_equal(fresh_pred, retrained), (mode, workers)
+    for workers in (1, 2, 4):
+        estimator = HellingerEstimator(
+            param_grid=SMALL_GRID, seed=3, max_workers=workers
+        ).fit(X, y)
+        tuned = estimator.fine_tune(X, y, n_trees=6)
+        fresh = HellingerEstimator(
+            param_grid=SMALL_GRID, seed=4, max_workers=workers
+        ).fit(X, y)
+        tuned_pred = tuned.predict(X)
+        fresh_pred = fresh.predict(X)
+        if fine_tuned is None:
+            fine_tuned, retrained = tuned_pred, fresh_pred
+        else:
+            assert np.array_equal(tuned_pred, fine_tuned), workers
+            assert np.array_equal(fresh_pred, retrained), workers
+
+
+def test_worker_count_is_not_part_of_model_identity(tmp_path):
+    """How many workers trained a model changes neither its content
+    fingerprint (the leaderboard key) nor the params it saves."""
+    X, y = _synthetic_labels(n=90)
+    fingerprints, metas, predictions = [], [], []
+    for workers in (1, 2, 4):
+        estimator = HellingerEstimator(
+            param_grid=SMALL_GRID, seed=6, max_workers=workers
+        ).fit(X, y)
+        fingerprints.append(model_fingerprint(estimator))
+        path = save_model(estimator, tmp_path / f"workers-{workers}.npz")
+        with np.load(path) as archive:
+            metas.append(json.loads(bytes(archive["meta"]).decode("utf-8")))
+        predictions.append(estimator.predict(X))
+    assert fingerprints == [fingerprints[0]] * 3
+    assert all(meta == metas[0] for meta in metas)
+    assert "max_workers" not in metas[0]["params"]
+    assert all(np.array_equal(p, predictions[0]) for p in predictions)
 
 
 def test_fine_tune_prefix_matches_smaller_refresh():

@@ -79,11 +79,15 @@ def test_predict_invariant_to_chunk_size(service, circuits):
 
 
 def test_predict_invariant_to_workers(service, circuits):
-    base = service.predict(circuits)
+    from repro.compiler import clear_compile_cache
+
+    base = service.predict(circuits, max_workers=1)
     for workers in (1, 2, 4):
+        # A warm caller cache would answer without the pool.
+        clear_compile_cache()
         assert np.array_equal(
             service.predict(circuits, max_workers=workers), base
-        )
+        ), workers
 
 
 def test_predict_accepts_generators(service, circuits):
@@ -295,13 +299,13 @@ def test_second_pooled_predict_compiles_and_featurizes_nothing(
     ]
     service = FomService(estimator, device, optimization_level=3, seed=0)
     calls = _spy_fan_out(monkeypatch)
-    first = service.predict(circuits, workers_mode="process")
+    first = service.predict(circuits, max_workers=2)
     assert ("_compile_task", 6) in calls
     assert ("feature_vector", 6) in calls
 
     calls.clear()
     before = compile_cache_stats()
-    second = service.predict(circuits, workers_mode="process")
+    second = service.predict(circuits, max_workers=2)
     after = compile_cache_stats()
     assert second.tobytes() == first.tobytes()
     # No circuit reached a worker or the in-process loop...

@@ -38,9 +38,9 @@ def make_service(tmp_path, **kwargs):
 
 def test_search_predictions_chunk_invariant(tmp_path, circuits):
     service = make_service(tmp_path / "a")
-    small = service.predict(circuits, workers_mode="thread", chunk_size=2)
+    small = service.predict(circuits, chunk_size=2)
     service_big = make_service(tmp_path / "b", chunk_size=128)
-    big = service_big.predict(circuits, workers_mode="thread")
+    big = service_big.predict(circuits)
     assert np.array_equal(small, big)
 
 
@@ -48,12 +48,12 @@ def test_search_leaderboard_written_after_call(tmp_path, circuits):
     store = ArtifactStore(tmp_path)
     service = make_service(tmp_path)
     reset_search_stats()
-    service.predict(circuits, workers_mode="thread")
+    service.predict(circuits)
     assert store.find("leaderboard")
     assert search_stats()["searches"] == len(circuits)
     # Second call warm-starts every circuit from the recorded winners.
     reset_search_stats()
-    service.predict(circuits, workers_mode="thread")
+    service.predict(circuits)
     stats = search_stats()
     assert stats["searches"] == 0
     assert stats["warm_starts"] == len(circuits)
@@ -64,13 +64,13 @@ def test_search_without_store(circuits):
         tiny_estimator(), "q20a", optimization_level="search",
         beam_width=2, generations=1,
     )
-    predictions = service.predict(circuits[:3], workers_mode="thread")
+    predictions = service.predict(circuits[:3])
     assert predictions.shape == (3,)
 
 
 def test_search_compile_only_tags_results(tmp_path, circuits):
     service = make_service(tmp_path)
-    results = service.compile_only(circuits[:3], workers_mode="thread")
+    results = service.compile_only(circuits[:3])
     assert all(
         result.circuit.metadata["optimization_level"] == "search"
         for result in results
@@ -82,9 +82,7 @@ def test_search_foms_panel(tmp_path, circuits):
     from repro.fom.metrics import FOM_ORDER, PROPOSED_LABEL
 
     service = make_service(tmp_path)
-    panel = service.score_established_foms(
-        circuits[:3], workers_mode="thread"
-    )
+    panel = service.score_established_foms(circuits[:3])
     for name in (*FOM_ORDER, PROPOSED_LABEL):
         assert panel[name].shape == (3,)
 
@@ -94,5 +92,5 @@ def test_int_level_ignores_search_knobs(circuits):
         tiny_estimator(), "q20a", optimization_level=1,
         search_store="/nonexistent-store", beam_width=2, generations=1,
     )
-    predictions = service.predict(circuits[:2], workers_mode="thread")
+    predictions = service.predict(circuits[:2])
     assert predictions.shape == (2,)

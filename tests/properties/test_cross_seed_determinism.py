@@ -1,9 +1,9 @@
-"""Worker-count and worker-mode invariance on a non-grid zoo device.
+"""Worker-count invariance on a non-grid zoo device.
 
 The batched stages advertise bit-identical results for every
-``max_workers`` *and* execution mode (thread pool vs spawn-based
-process pool, PR 6); the guarantee has only ever been regression-tested
-on the 4x5 grid devices.  This suite pins it on a ring (and the zoo's
+``max_workers``, whether a stage runs in the caller or on its fixed pool
+(spawn-based processes for compile, featurize and fitting; threads for
+simulation and execution).  This suite pins it on a ring (and the zoo's
 seeded random graph for the executor), where routing inserts different
 SWAP patterns and the per-circuit seed streams cover different shapes.
 """
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.bench.suite import build_suite
+from repro.compiler import clear_compile_cache
 from repro.compiler.compile import compile_batch
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.model_selection import grid_search
@@ -20,15 +21,9 @@ from repro.simulation.executor import QPUExecutor
 
 from .harness import PROPERTY_SEED, small_device
 
+#: The worker counts every pooled stage must be invariant over; the
+#: sequential first entry doubles as the reference.
 WORKER_COUNTS = (1, 2, 4)
-
-# The (workers, mode) grid every pooled stage must be invariant over.
-# The sequential thread row doubles as the reference.
-WORKER_MATRIX = tuple(
-    (workers, mode)
-    for mode in ("thread", "process")
-    for workers in WORKER_COUNTS
-)
 
 
 @pytest.fixture(scope="module")
@@ -43,27 +38,27 @@ def tiny_suite():
     )
 
 
-def _dataset(suite, device, max_workers, workers_mode="thread"):
+def _dataset(suite, device, max_workers):
     return build_dataset(
         suite, device,
         optimization_level=3, shots=250, seed=PROPERTY_SEED,
-        max_workers=max_workers, workers_mode=workers_mode,
+        max_workers=max_workers,
     )
 
 
 def test_build_dataset_worker_count_and_mode_invariant(ring_device, tiny_suite):
     reference = _dataset(tiny_suite, ring_device, max_workers=1)
     assert len(reference) == len(tiny_suite)
-    for workers, mode in WORKER_MATRIX[1:]:
-        other = _dataset(
-            tiny_suite, ring_device, max_workers=workers, workers_mode=mode
-        )
-        assert np.array_equal(reference.X, other.X), (workers, mode)
-        assert np.array_equal(reference.y, other.y), (workers, mode)
+    for workers in WORKER_COUNTS[1:]:
+        # An empty caller cache makes the pool really compile.
+        clear_compile_cache()
+        other = _dataset(tiny_suite, ring_device, max_workers=workers)
+        assert np.array_equal(reference.X, other.X), workers
+        assert np.array_equal(reference.y, other.y), workers
         for fom in ("Number of gates", "Circuit depth", "Expected fidelity", "ESP"):
             assert np.array_equal(
                 reference.fom_column(fom), other.fom_column(fom)
-            ), (workers, mode, fom)
+            ), (workers, fom)
         for a, b in zip(reference.entries, other.entries):
             assert a.name == b.name
             assert a.success_probability == b.success_probability
@@ -103,18 +98,17 @@ def test_grid_search_worker_count_and_mode_invariant(ring_device, tiny_suite):
         grid_search(
             RandomForestRegressor(random_state=0, max_features="sqrt"),
             grid, data.X, data.y,
-            n_splits=3, seed=PROPERTY_SEED,
-            max_workers=workers, workers_mode=mode,
+            n_splits=3, seed=PROPERTY_SEED, max_workers=workers,
         )
-        for workers, mode in WORKER_MATRIX
+        for workers in WORKER_COUNTS
     ]
     reference = outcomes[0]
-    for (workers, mode), other in zip(WORKER_MATRIX[1:], outcomes[1:]):
-        assert other.best_params == reference.best_params, (workers, mode)
-        assert other.best_score == reference.best_score, (workers, mode)
+    for workers, other in zip(WORKER_COUNTS[1:], outcomes[1:]):
+        assert other.best_params == reference.best_params, workers
+        assert other.best_score == reference.best_score, workers
         assert [score for _, score in other.results] == [
             score for _, score in reference.results
-        ], (workers, mode)
+        ], workers
 
 
 def test_forest_fit_mode_invariant(ring_device, tiny_suite):
@@ -124,14 +118,13 @@ def test_forest_fit_mode_invariant(ring_device, tiny_suite):
     reference = RandomForestRegressor(
         n_estimators=8, random_state=PROPERTY_SEED, max_workers=1
     ).fit(data.X, data.y)
-    for workers, mode in WORKER_MATRIX[1:]:
+    for workers in WORKER_COUNTS[1:]:
         other = RandomForestRegressor(
-            n_estimators=8, random_state=PROPERTY_SEED,
-            max_workers=workers, workers_mode=mode,
+            n_estimators=8, random_state=PROPERTY_SEED, max_workers=workers,
         ).fit(data.X, data.y)
         assert np.array_equal(
             reference.predict(data.X), other.predict(data.X)
-        ), (workers, mode)
+        ), workers
         assert np.array_equal(
             reference.feature_importances_, other.feature_importances_
-        ), (workers, mode)
+        ), workers

@@ -419,6 +419,36 @@ def test_shard_matrix_streaming_byte_identical(matrix, direct, circuits):
     assert flat == direct.predict(circuits[:5]).tolist()
 
 
+def test_pooled_workers_answer_byte_identically(matrix, model_path, circuits):
+    """``max_workers=2`` fans compile and featurize out over a process
+    pool, in the in-process daemon and inside each shard (which owns its
+    pool), and answers with the bytes of the ``max_workers=1`` daemon."""
+    from repro.compiler import clear_compile_cache
+
+    qasm = [to_qasm(circuit) for circuit in circuits]
+    requests = [
+        ("/predict", {"circuits": qasm}),
+        ("/foms", {"circuits": qasm[:4], "optimization_level": 1}),
+        ("/predict", {"circuits": qasm[:5], "stream": True, "chunk_size": 3}),
+    ]
+    reference = [
+        raw_exchange(matrix[1], payload, path) for path, payload in requests
+    ]
+    for shards in (1, 2):
+        # The in-process daemon shares this process's compile cache;
+        # emptying it makes the pool really compile.
+        clear_compile_cache()
+        thread = DaemonThread(make_sharded(model_path, shards, max_workers=2))
+        thread.start()
+        try:
+            for (path, payload), expected in zip(requests, reference):
+                assert raw_exchange(thread.daemon, payload, path) == expected, (
+                    f"shards={shards} {path} bytes differ"
+                )
+        finally:
+            thread.stop()
+
+
 def test_shard_matrix_errors_byte_identical(matrix):
     """400s come from the shared parser — identical in every mode."""
     for path, payload in [

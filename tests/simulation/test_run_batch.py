@@ -99,8 +99,10 @@ def test_empty_batch(device):
 def test_parallel_map_preserves_order_and_results():
     items = list(range(25))
     expected = [i * i for i in items]
-    assert parallel_map(lambda i: i * i, items, max_workers=1) == expected
-    assert parallel_map(lambda i: i * i, items, max_workers=4) == expected
+    for workers in (1, 4):
+        assert parallel_map(
+            lambda i: i * i, items, max_workers=workers, mode="thread"
+        ) == expected
 
 
 def test_resolve_workers():

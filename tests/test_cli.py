@@ -202,7 +202,7 @@ def test_compile_search_command(model_file, qasm_dir, tmp_path, capsys):
     assert main([
         "compile-search", str(qasm_dir), "--model", model_file,
         "--beam-width", "2", "--generations", "1",
-        "--store", str(store), "--workers-mode", "thread",
+        "--store", str(store), "--max-workers", "1",
     ]) == 0
     captured = capsys.readouterr()
     assert "predicted" in captured.out
@@ -213,7 +213,7 @@ def test_compile_search_command(model_file, qasm_dir, tmp_path, capsys):
     assert main([
         "compile-search", str(qasm_dir), "--model", model_file,
         "--beam-width", "2", "--generations", "1",
-        "--store", str(store), "--workers-mode", "thread",
+        "--store", str(store), "--max-workers", "1",
     ]) == 0
     captured = capsys.readouterr()
     assert "leaderboard" in captured.out
@@ -224,7 +224,7 @@ def test_compile_search_emit_qasm(model_file, qasm_file, capsys):
     assert main([
         "compile-search", qasm_file, "--model", model_file,
         "--beam-width", "2", "--generations", "0",
-        "--workers-mode", "thread", "--emit-qasm",
+        "--max-workers", "1", "--emit-qasm",
     ]) == 0
     assert "OPENQASM 2.0;" in capsys.readouterr().out
 
@@ -234,7 +234,7 @@ def test_predict_command_search(model_file, qasm_dir, tmp_path, capsys):
     assert main([
         "predict", str(qasm_dir), "--model", model_file, "--search",
         "--search-store", str(store), "--beam-width", "2",
-        "--generations", "1", "--workers-mode", "thread",
+        "--generations", "1", "--max-workers", "1",
     ]) == 0
     out = capsys.readouterr().out
     assert "level: search" in out

@@ -1,12 +1,12 @@
 """Contract tests for :mod:`repro.parallel` across both execution modes.
 
-Pins the PR 6 guarantees: order preservation in thread *and* process
-pools, the parent-side ``on_result`` callback contract (exceptions
-propagate only after the batch drains), fn-error precedence, the
-small-batch process degradation, the ``REPRO_WORKERS_MODE`` override,
-and the single repo-wide ``max_workers=None`` -> one-per-CPU rule; and
-the shared spawn pool: reuse across calls, per-call ``shared`` payloads,
-a cold compile cache per call, and recovery from a dead worker.
+Pins the guarantees: order preservation in thread *and* process pools,
+the parent-side ``on_result`` callback contract (exceptions propagate
+only after the batch drains), fn-error precedence, the small-batch
+process degradation, ``mode`` as a required keyword, and the single
+repo-wide ``max_workers=None`` -> one-per-CPU rule; and the shared spawn
+pool: reuse across calls, per-call ``shared`` payloads, a cold compile
+cache per call, and recovery from a dead worker.
 """
 
 import os
@@ -15,14 +15,11 @@ import threading
 
 import pytest
 
-from repro.parallel import (
-    PROCESS_MIN_ITEMS,
-    WORKER_MODES,
-    WORKERS_MODE_ENV,
-    parallel_map,
-    resolve_mode,
-    resolve_workers,
-)
+from repro.parallel import PROCESS_MIN_ITEMS, parallel_map, resolve_workers
+
+#: Both pool kinds stay part of the contract: simulation and execution
+#: run in threads, the GIL-bound stages in processes.
+MODES = ("thread", "process")
 
 # Module-level so process mode can pickle them by reference.  This module
 # only imports repro.parallel, so spawned workers stay cheap to start.
@@ -72,7 +69,7 @@ def _exit_in_worker(x):
     return os.getpid()
 
 
-@pytest.mark.parametrize("mode", WORKER_MODES)
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_order_preserved_across_modes_and_worker_counts(mode, workers):
     items = list(range(10))
@@ -81,7 +78,7 @@ def test_order_preserved_across_modes_and_worker_counts(mode, workers):
     ) == [i * i for i in items]
 
 
-@pytest.mark.parametrize("mode", WORKER_MODES)
+@pytest.mark.parametrize("mode", MODES)
 def test_on_result_fires_in_parent_for_every_item(mode):
     items = list(range(8))
     seen = []
@@ -100,7 +97,7 @@ def test_on_result_fires_in_parent_for_every_item(mode):
     assert dict(seen) == dict(enumerate(results))
 
 
-@pytest.mark.parametrize("mode", WORKER_MODES)
+@pytest.mark.parametrize("mode", MODES)
 def test_callback_exception_propagates_after_drain(mode):
     """A raising callback must neither hang the pool nor skip items."""
     items = list(range(8))
@@ -119,7 +116,7 @@ def test_callback_exception_propagates_after_drain(mode):
     assert sorted(seen) == items
 
 
-@pytest.mark.parametrize("mode", WORKER_MODES)
+@pytest.mark.parametrize("mode", MODES)
 def test_lowest_index_fn_error_wins(mode):
     """With several failing items the lowest input index propagates, and
     fn errors take precedence over callback errors."""
@@ -147,7 +144,7 @@ def test_sequential_path_stops_at_first_failure():
         return x
 
     with pytest.raises(ValueError, match="bad 2"):
-        parallel_map(fn, [1, 2, 3, 4], max_workers=1)
+        parallel_map(fn, [1, 2, 3, 4], max_workers=1, mode="thread")
     assert calls == [1, 2]
 
 
@@ -184,27 +181,19 @@ def test_in_process_paths_pass_shared_without_pickling():
         ) == [(lock, item) for item in items]
 
 
-def test_resolve_mode_precedence(monkeypatch):
-    monkeypatch.delenv(WORKERS_MODE_ENV, raising=False)
-    assert resolve_mode(None) == "thread"
-    assert resolve_mode(None, default="process") == "process"
-    assert resolve_mode("thread", default="process") == "thread"
-    monkeypatch.setenv(WORKERS_MODE_ENV, "process")
-    assert resolve_mode(None) == "process"
-    # An explicit argument still beats the environment.
-    assert resolve_mode("thread") == "thread"
-    monkeypatch.setenv(WORKERS_MODE_ENV, "")
-    assert resolve_mode(None) == "thread"
-    with pytest.raises(ValueError):
-        resolve_mode("fork")
-    monkeypatch.setenv(WORKERS_MODE_ENV, "greenlet")
-    with pytest.raises(ValueError):
-        resolve_mode(None)
-
-
 def test_parallel_map_rejects_unknown_mode():
     with pytest.raises(ValueError):
         parallel_map(_square, [1, 2, 3], mode="fork")
+    with pytest.raises(ValueError):
+        parallel_map(_square, [1, 2, 3], mode=None)
+
+
+def test_parallel_map_mode_is_a_required_keyword():
+    """Every call site names its stage's pool kind; none inherits one."""
+    with pytest.raises(TypeError):
+        parallel_map(_square, [1, 2, 3])
+    with pytest.raises(TypeError):
+        parallel_map(_square, [1, 2, 3], 2, None, "thread")
 
 
 def test_resolve_workers_none_means_one_per_cpu():
@@ -335,10 +324,7 @@ def test_process_calls_start_cache_cold_and_local_calls_keep_the_cache():
     compile_batch([circuit], device, optimization_level=3, max_workers=1)
     before = compile_cache_stats()
     assert before["size"] > 0
-    compile_batch(
-        [circuit], device, optimization_level=3, max_workers=1,
-        workers_mode="process",
-    )
+    compile_batch([circuit], device, optimization_level=3, max_workers=1)
     after = compile_cache_stats()
     assert after["size"] == before["size"]
     assert after["misses"] == before["misses"]
