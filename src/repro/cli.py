@@ -81,6 +81,29 @@ def _collect_qasm_paths(sources: Sequence[str]) -> List[Path]:
     return paths
 
 
+def _print_foms(title: str, paths: List[Path], panel: dict) -> None:
+    """The ``--foms`` panel: one row per circuit, one column per metric."""
+    print(title)
+    print(f"{'circuit':<24}" + "".join(f"{name:>20}" for name in panel))
+    for index, path in enumerate(paths):
+        print(f"{path.stem:<24}" + "".join(
+            f"{values[index]:>20.4f}" for values in panel.values()
+        ))
+
+
+def _print_predictions(
+    title: str, paths: List[Path], chunks, flush: bool = False
+) -> None:
+    """The predictions table, one row per value as each chunk lands."""
+    print(title)
+    print(f"{'circuit':<24} {'predicted_hellinger':>20}")
+    position = 0
+    for chunk in chunks:
+        for value in chunk:
+            print(f"{paths[position].stem:<24} {value:>20.4f}", flush=flush)
+            position += 1
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
     device = _load_device(args.device)
     circuit = _load_circuit(args.qasm)
@@ -206,31 +229,19 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     except (PersistenceError, ValueError) as exc:
         raise SystemExit(str(exc))
     circuits = (_load_circuit(str(path)) for path in paths)
+    title = f"# device: {device.name}  level: {level}  model: {args.model}"
     if args.foms:
         panel = service.score_established_foms(
             circuits, max_workers=args.max_workers
         )
         columns = FOM_ORDER + [PROPOSED_LABEL]
-        header = f"{'circuit':<24}" + "".join(f"{name:>20}" for name in columns)
-        print(f"# device: {device.name}  level: {level}  model: {args.model}")
-        print(header)
-        for index, path in enumerate(paths):
-            row = f"{path.stem:<24}"
-            for name in columns:
-                row += f"{panel[name][index]:>20.4f}"
-            print(row)
+        _print_foms(title, paths, {name: panel[name] for name in columns})
     else:
-        print(f"# device: {device.name}  level: {level}  model: {args.model}")
-        print(f"{'circuit':<24} {'predicted_hellinger':>20}")
-        position = 0
         # Stream: predictions print as each chunk lands, so a large corpus
         # shows progress (and never lives in memory all at once).
-        for chunk in service.predict_stream(
+        _print_predictions(title, paths, service.predict_stream(
             circuits, max_workers=args.max_workers
-        ):
-            for value in chunk:
-                print(f"{paths[position].stem:<24} {value:>20.4f}")
-                position += 1
+        ))
     return 0
 
 
@@ -319,6 +330,14 @@ def _render_stats(stats: dict) -> str:
     return "\n".join(lines)
 
 
+def _served_title(header: dict) -> str:
+    """The title line of a table the daemon answered."""
+    return (
+        f"# model: {header['model']}@{header['fingerprint']}  "
+        f"level: {header['optimization_level']}"
+    )
+
+
 def _cmd_client(args: argparse.Namespace) -> int:
     import json
 
@@ -372,42 +391,23 @@ def _cmd_client(args: argparse.Namespace) -> int:
             if args.json:
                 print(json.dumps(response, indent=2))
                 return 0
-            panel = response["foms"]
-            columns = list(panel)
-            print(f"# model: {response['model']}@{response['fingerprint']}  "
-                  f"level: {response['optimization_level']}")
-            print(f"{'circuit':<24}"
-                  + "".join(f"{name:>20}" for name in columns))
-            for index, path in enumerate(paths):
-                row = f"{path.stem:<24}"
-                for name in columns:
-                    row += f"{panel[name][index]:>20.4f}"
-                print(row)
+            _print_foms(_served_title(response), paths, response["foms"])
             return 0
         if args.stream:
             stream = client.predict_stream(
                 qasm, model=args.model, fingerprint=args.fingerprint,
                 optimization_level=args.level, chunk_size=args.chunk_size,
             )
-            header = stream.header
             if args.json:
                 # NDJSON passthrough: the announcement, then one line
                 # per chunk as it arrives.
-                print(json.dumps(header), flush=True)
+                print(json.dumps(stream.header), flush=True)
                 for chunk in stream:
                     print(json.dumps({"predictions": chunk}), flush=True)
                 return 0
-            print(f"# model: {header['model']}@{header['fingerprint']}  "
-                  f"level: {header['optimization_level']}")
-            print(f"{'circuit':<24} {'predicted_hellinger':>20}")
-            position = 0
-            for chunk in stream:
-                for value in chunk:
-                    print(
-                        f"{paths[position].stem:<24} {value:>20.4f}",
-                        flush=True,
-                    )
-                    position += 1
+            _print_predictions(
+                _served_title(stream.header), paths, stream, flush=True
+            )
             return 0
         response = client.predict(
             qasm, model=args.model, fingerprint=args.fingerprint,
@@ -416,11 +416,9 @@ def _cmd_client(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(response, indent=2))
             return 0
-        print(f"# model: {response['model']}@{response['fingerprint']}  "
-              f"level: {response['optimization_level']}")
-        print(f"{'circuit':<24} {'predicted_hellinger':>20}")
-        for path, value in zip(paths, response["predictions"]):
-            print(f"{path.stem:<24} {value:>20.4f}")
+        _print_predictions(
+            _served_title(response), paths, [response["predictions"]]
+        )
         return 0
     except (ServingError, StreamInterrupted) as exc:
         raise SystemExit(str(exc))

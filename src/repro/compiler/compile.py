@@ -56,7 +56,7 @@ from .passes.base import (
 from .passes.decompose import Decompose
 from .passes.layout import GreedySubgraphLayout, LineLayout, TrivialLayout
 from .passes.optimization import Merge1QRuns, OptimizationLoop, RemoveIdentities
-from .passes.routing import PathRouting, SabreRouting
+from .passes.routing import _LOOKAHEAD_SIZE, PathRouting, SabreRouting
 from .passes.scheduling import Schedule, schedule_asap
 from .passes.synthesis import NativeSynthesis, VirtualRZ
 
@@ -112,6 +112,34 @@ def _split_measurements(
     return body, sorted(measured.items())
 
 
+def _prepare(
+    circuit: QuantumCircuit, device: Device
+) -> Tuple[QuantumCircuit, List[Tuple[int, int]]]:
+    """Check that ``circuit`` fits ``device``; returns its body and its
+    stripped terminal measurements."""
+    if circuit.num_qubits > device.num_qubits:
+        raise ValueError(
+            f"circuit needs {circuit.num_qubits} qubits, device "
+            f"{device.name} has {device.num_qubits}"
+        )
+    return _split_measurements(circuit)
+
+
+def _remeasure(
+    compiled: QuantumCircuit,
+    measurements: List[Tuple[int, int]],
+    num_clbits: int,
+    final_layout: Dict[int, int],
+) -> QuantumCircuit:
+    """Re-append ``measurements`` to ``compiled`` in place, each on the
+    physical qubit that holds its program qubit after routing."""
+    if compiled.num_clbits < num_clbits:
+        compiled.num_clbits = num_clbits
+    for program_qubit, clbit in measurements:
+        compiled.measure(final_layout[program_qubit], clbit)
+    return compiled
+
+
 def _pass_manager(passes: List[Pass]) -> PassManager:
     """A pipeline wired to the shared compile cache, history disabled."""
     return PassManager(
@@ -119,47 +147,100 @@ def _pass_manager(passes: List[Pass]) -> PassManager:
     )
 
 
-def _layout_pass(
-    device: Device, optimization_level: int, seed: int, layout: str | None
-) -> Pass:
-    coupling = device.coupling
-    if layout == "line":
-        return LineLayout(coupling)
-    if layout == "trivial" or (layout is None and optimization_level <= 1):
-        return TrivialLayout(coupling)
-    return GreedySubgraphLayout(coupling, seed=seed)
+def _run(
+    circuit: QuantumCircuit, passes: List[Pass]
+) -> Tuple[QuantumCircuit, PropertySet]:
+    """Run ``passes`` on ``circuit``; returns the output and its properties."""
+    properties = PropertySet()
+    return _pass_manager(passes).run(circuit, properties), properties
+
+
+# ----------------------------------------------------------------------
+# The trial engine: level 2, the level-3 trials and every search
+# configuration are built here, so their pass cache keys agree.
+
+#: SABRE lookahead window and optimization-loop budget of a stock trial.
+STOCK_LOOKAHEAD_SIZE = _LOOKAHEAD_SIZE
+STOCK_OPT_ITERATIONS = OptimizationLoop().max_iterations
+
+#: Layouts of the first level-3 trials; later trials use ``"greedy"``.
+_TRIAL_LAYOUTS = ("greedy", "trivial", "line")
+
+
+def _prefix() -> List[Pass]:
+    """The trial-invariant head of level 2, level 3 and search."""
+    return [Decompose(), OptimizationLoop()]
+
+
+def _trial_layout(trial: int) -> str:
+    """Layout of level-3 trial ``trial``: greedy, trivial, line, greedy..."""
+    return _TRIAL_LAYOUTS[trial] if trial < len(_TRIAL_LAYOUTS) else "greedy"
+
+
+def _trial_seeds(
+    seed: int, layout_seed_offset: int, routing_seed_offset: int
+) -> Tuple[int, int]:
+    """The (layout, routing) seeds of a trial at offsets from a circuit's
+    base seed (level-3 trial ``t`` uses offsets ``(t, t)``)."""
+    return seed + layout_seed_offset, seed * 1000 + routing_seed_offset
 
 
 def _trial_suffix(
-    device: Device, seed: int, keep_final_rz: bool,
-    layout: str | None, routing_seed: int,
+    device: Device,
+    keep_final_rz: bool,
+    layout: str,
+    layout_seed: int,
+    routing_seed: int,
+    lookahead_size: int = STOCK_LOOKAHEAD_SIZE,
+    opt_iterations: int = STOCK_OPT_ITERATIONS,
 ) -> List[Pass]:
-    """The trial-varying tail of the level-2/3 pipeline (post-"body")."""
+    """The trial-varying tail of the level-2/3 and search pipelines."""
+    coupling = device.coupling
+    if layout == "line":
+        layout_pass = LineLayout(coupling)
+    elif layout == "trivial":
+        layout_pass = TrivialLayout(coupling)
+    else:
+        layout_pass = GreedySubgraphLayout(coupling, seed=layout_seed)
     return [
-        _layout_pass(device, 2, seed, layout),
-        SabreRouting(device.coupling, seed=routing_seed, lookahead=True),
+        layout_pass,
+        SabreRouting(
+            coupling, seed=routing_seed, lookahead=lookahead_size > 0,
+            lookahead_size=lookahead_size,
+        ),
         Decompose(),
-        OptimizationLoop(),
+        OptimizationLoop(max_iterations=opt_iterations),
         NativeSynthesis(),
         VirtualRZ(keep_final_rz=keep_final_rz),
     ]
 
 
-def _trial_suffixes(
+def _stock_trials(
     device: Device, seed: int, keep_final_rz: bool, num_trials: int
 ) -> List[List[Pass]]:
-    """The level-3 trials: a greedy, trivial and line layout, then more
-    greedy ones, each with its own layout and routing seed."""
-    layouts = ["greedy", "trivial", "line"] + ["greedy"] * max(0, num_trials - 3)
-    suffixes = []
-    for trial in range(num_trials):
-        layout = layouts[trial % len(layouts)]
-        suffixes.append(_trial_suffix(
-            device, seed + trial, keep_final_rz,
-            layout if layout != "greedy" else None,
-            routing_seed=seed * 1000 + trial,
-        ))
-    return suffixes
+    """The suffixes of the ``num_trials`` level-3 trials."""
+    return [
+        _trial_suffix(
+            device, keep_final_rz, _trial_layout(trial),
+            *_trial_seeds(seed, trial, trial),
+        )
+        for trial in range(num_trials)
+    ]
+
+
+def _pick_best(
+    candidates: Sequence[QuantumCircuit], device: Device
+) -> Tuple[int, float]:
+    """Index and score of the candidate with the best expected fidelity
+    on the device's reported calibration.  The first occurrence of the
+    maximum wins, so earlier candidates win ties."""
+    from ..fom.metrics import expected_fidelity_batch
+
+    scores = expected_fidelity_batch(
+        list(candidates), device, calibration=device.reported_calibration
+    )
+    best = int(scores.argmax())
+    return best, float(scores[best])
 
 
 def _build_pipeline(
@@ -167,12 +248,10 @@ def _build_pipeline(
 ) -> List[Pass]:
     """The level-0/1/2 pipeline."""
     coupling = device.coupling
-    layout_pass = _layout_pass(device, optimization_level, seed, None)
-
     if optimization_level == 0:
         return [
             Decompose(),
-            layout_pass,
+            TrivialLayout(coupling),
             PathRouting(coupling),
             Decompose(),
             NativeSynthesis(),
@@ -183,16 +262,15 @@ def _build_pipeline(
             Decompose(),
             RemoveIdentities(),
             Merge1QRuns(),
-            layout_pass,
+            TrivialLayout(coupling),
             SabreRouting(coupling, seed=seed, lookahead=False),
             Decompose(),
             Merge1QRuns(),
             NativeSynthesis(),
             VirtualRZ(keep_final_rz=keep_final_rz),
         ]
-    # Level 3 runs several trials of level 2's suffix.
-    return [Decompose(), OptimizationLoop()] + _trial_suffix(
-        device, seed, keep_final_rz, None, routing_seed=seed
+    return _prefix() + _trial_suffix(
+        device, keep_final_rz, "greedy", layout_seed=seed, routing_seed=seed
     )
 
 
@@ -278,7 +356,7 @@ def _compile_key(
             device, optimization_level, seed, keep_final_rz
         )]
     else:
-        pipelines = [[Decompose(), OptimizationLoop()]] + _trial_suffixes(
+        pipelines = [_prefix()] + _stock_trials(
             device, seed, keep_final_rz, num_trials
         )
     pass_keys = tuple(
@@ -309,7 +387,7 @@ def _result(
     compiled: QuantumCircuit,
     properties: PropertySet,
     device: Device,
-    optimization_level: int,
+    optimization_level: "int | str",
 ) -> CompilationResult:
     """A result whose layouts cover the program qubits of ``circuit``
     (the identity where no pass set a layout)."""
@@ -327,6 +405,26 @@ def _result(
     )
 
 
+def _finish(
+    circuit: QuantumCircuit,
+    compiled: QuantumCircuit,
+    properties: PropertySet,
+    measurements: List[Tuple[int, int]],
+    device: Device,
+    optimization_level: "int | str",
+) -> CompilationResult:
+    """The result of compiling ``circuit`` to ``compiled``: measurements
+    re-appended, ``circuit``'s name and metadata stamped with the level,
+    and the output validated against ``device``."""
+    result = _result(circuit, compiled, properties, device, optimization_level)
+    _remeasure(compiled, measurements, circuit.num_clbits, result.final_layout)
+    compiled.name = circuit.name
+    compiled.metadata.update(circuit.metadata)
+    compiled.metadata["optimization_level"] = optimization_level
+    device.validate_circuit(compiled)
+    return result
+
+
 def _compile_uncached(
     circuit: QuantumCircuit,
     device: Device,
@@ -336,36 +434,19 @@ def _compile_uncached(
     num_trials: int,
 ) -> CompilationResult:
     """Run ``circuit``'s pipeline (its passes may still hit the cache)."""
-    if circuit.num_qubits > device.num_qubits:
-        raise ValueError(
-            f"circuit needs {circuit.num_qubits} qubits, device "
-            f"{device.name} has {device.num_qubits}"
-        )
-    body, measurements = _split_measurements(circuit)
-
+    body, measurements = _prepare(circuit, device)
     if optimization_level < 3:
-        properties = PropertySet()
-        compiled = _pass_manager(_build_pipeline(
+        compiled, properties = _run(body, _build_pipeline(
             device, optimization_level, seed, keep_final_rz
-        )).run(body, properties)
+        ))
     else:
         compiled, properties = _run_trials(
             body, device, seed, keep_final_rz, num_trials
         )
-
-    result = _result(circuit, compiled, properties, device, optimization_level)
-    # Re-append measurements on the post-routing physical qubits.
-    if measurements:
-        if compiled.num_clbits < circuit.num_clbits:
-            compiled.num_clbits = circuit.num_clbits
-        for program_qubit, clbit in measurements:
-            compiled.measure(result.final_layout[program_qubit], clbit)
-
-    compiled.name = circuit.name
-    compiled.metadata.update(circuit.metadata)
-    compiled.metadata["optimization_level"] = optimization_level
-    device.validate_circuit(compiled)
-    return result
+    return _finish(
+        circuit, compiled, properties, measurements, device,
+        optimization_level,
+    )
 
 
 def _compile_task(
@@ -392,6 +473,18 @@ def _payload(result: CompilationResult) -> Tuple:
         result.final_layout,
         result.properties,
     )
+
+
+def _seed_streams(
+    seed: int, seeds: Optional[Sequence[int]], n: int
+) -> Sequence[int]:
+    """A batch's per-circuit seeds: ``seeds`` when given, else circuit
+    ``i`` gets ``seed + SEED_STRIDE * i``."""
+    if seeds is None:
+        return [seed + SEED_STRIDE * i for i in range(n)]
+    if len(seeds) != n:
+        raise ValueError("seeds must match circuits in length")
+    return seeds
 
 
 def _map_compile(
@@ -515,10 +608,7 @@ def compile_batch(
         )
 
     n = len(circuits)
-    if seeds is None:
-        seeds = [seed + SEED_STRIDE * i for i in range(n)]
-    elif len(seeds) != n:
-        raise ValueError("seeds must match circuits in length")
+    seeds = _seed_streams(seed, seeds, n)
     if not (
         isinstance(optimization_level, int) and 0 <= optimization_level <= 3
     ):
@@ -596,22 +686,10 @@ def _run_trials(
     and routing passes, and all candidates are scored in one vectorized
     expected-fidelity sweep.
     """
-    from ..fom.metrics import expected_fidelity_batch
-
-    prepared = _pass_manager([Decompose(), OptimizationLoop()]).run(
-        body, PropertySet()
-    )
-    candidates: List[Tuple[QuantumCircuit, PropertySet]] = []
-    for suffix in _trial_suffixes(device, seed, keep_final_rz, num_trials):
-        properties = PropertySet()
-        compiled = _pass_manager(suffix).run(prepared, properties)
-        candidates.append((compiled, properties))
-
-    scores = expected_fidelity_batch(
-        [compiled for compiled, _ in candidates],
-        device,
-        calibration=device.reported_calibration,
-    )
-    # First occurrence of the maximum mirrors the historical scan's
-    # strict-greater-than update rule.
-    return candidates[int(scores.argmax())]
+    prepared, _ = _run(body, _prefix())
+    candidates = [
+        _run(prepared, suffix)
+        for suffix in _stock_trials(device, seed, keep_final_rz, num_trials)
+    ]
+    best, _ = _pick_best([compiled for compiled, _ in candidates], device)
+    return candidates[best]

@@ -213,17 +213,15 @@ def compile_noise_aware(
     A convenience counterpart of ``compile_circuit`` for the error-aware
     ablation; uses the device's *reported* calibration throughout.
     """
-    from ..compile import _split_measurements
+    from ..compile import _prefix, _prepare, _remeasure
     from .base import PassManager
     from .decompose import Decompose
     from .optimization import OptimizationLoop
     from .synthesis import NativeSynthesis, VirtualRZ
 
-    body, measurements = _split_measurements(circuit)
+    body, measurements = _prepare(circuit, device)
     properties = PropertySet()
-    pipeline = PassManager([
-        Decompose(),
-        OptimizationLoop(),
+    pipeline = PassManager(_prefix() + [
         NoiseAwareLayout(device.coupling, device.reported_calibration, seed=seed),
         NoiseAwareRouting(device.coupling, device.reported_calibration, seed=seed),
         Decompose(),
@@ -232,12 +230,10 @@ def compile_noise_aware(
         VirtualRZ(keep_final_rz=keep_final_rz),
     ])
     compiled = pipeline.run(body, properties)
-    final_layout = properties.get("final_layout", {})
-    if measurements:
-        if compiled.num_clbits < circuit.num_clbits:
-            compiled.num_clbits = circuit.num_clbits
-        for program_qubit, clbit in measurements:
-            compiled.measure(final_layout[program_qubit], clbit)
+    _remeasure(
+        compiled, measurements, circuit.num_clbits,
+        properties.get("final_layout", {}),
+    )
     compiled.name = circuit.name
     device.validate_circuit(compiled)
     return compiled

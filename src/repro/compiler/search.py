@@ -26,6 +26,12 @@ for buckets with no incumbent.  Committed entries live under
 ``benchmarks/leaderboards/`` and are byte-identical reproducible
 (canonical JSON, no timestamps).
 
+Every candidate is built by the level-3 trial builder of
+:mod:`repro.compiler.compile` and finished through the same compile
+skeleton (width check, measurement re-append, first-maximum fidelity
+pick, name/metadata stamp and validation); this module owns only the
+beam expansion, predictor ranking, leaderboard and counters.
+
 Search activity is observable through :func:`search_stats` — the same
 module-counter idiom as :func:`~repro.compiler.cache.compile_cache_stats`.
 """
@@ -42,11 +48,24 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..hardware.device import Device
+from .compile import (
+    STOCK_LOOKAHEAD_SIZE,
+    STOCK_OPT_ITERATIONS,
+    _TRIAL_LAYOUTS,
+    _finish,
+    _map_compile,
+    _payload,
+    _pick_best,
+    _prefix,
+    _prepare,
+    _remeasure,
+    _run,
+    _seed_streams,
+    _trial_layout,
+    _trial_seeds,
+    _trial_suffix,
+)
 from .passes.base import Pass, PropertySet
-from .passes.decompose import Decompose
-from .passes.optimization import OptimizationLoop
-from .passes.routing import _LOOKAHEAD_SIZE, SabreRouting
-from .passes.synthesis import NativeSynthesis, VirtualRZ
 
 #: Default number of configurations surviving each generation.
 DEFAULT_BEAM_WIDTH = 4
@@ -54,24 +73,19 @@ DEFAULT_BEAM_WIDTH = 4
 DEFAULT_GENERATIONS = 2
 
 #: Knob ladders the neighbor expansion walks (stock values included).
-LOOKAHEAD_LADDER = (0, 10, _LOOKAHEAD_SIZE, 40)
+LOOKAHEAD_LADDER = (0, 10, STOCK_LOOKAHEAD_SIZE, 40)
 OPT_ITERATIONS_LADDER = (2, 4, 8, 12)
-_LAYOUTS = ("greedy", "trivial", "line")
-
-#: Stock level-3 knob values (``_trial_suffix`` defaults).
-STOCK_LOOKAHEAD_SIZE = _LOOKAHEAD_SIZE
-STOCK_OPT_ITERATIONS = OptimizationLoop().max_iterations
 
 
 @dataclass(frozen=True)
 class PassConfig:
     """One point in the pass-configuration search space.
 
-    Seeds are stored as *offsets* relative to the per-circuit base seed
-    (layout seed ``seed + layout_seed_offset``, routing seed
-    ``seed * 1000 + routing_seed_offset`` — the level-3 trial convention),
-    so a winning configuration generalizes across circuits and seed
-    streams instead of memorizing one absolute seed.
+    Seeds are stored as *offsets* relative to the per-circuit base seed,
+    turned into seeds by the level-3 trial convention of the one trial
+    builder in :mod:`repro.compiler.compile`, so a winning configuration
+    generalizes across circuits and seed streams instead of memorizing
+    one absolute seed.
     """
 
     layout: str = "greedy"
@@ -81,9 +95,9 @@ class PassConfig:
     opt_iterations: int = STOCK_OPT_ITERATIONS
 
     def __post_init__(self):
-        if self.layout not in _LAYOUTS:
+        if self.layout not in _TRIAL_LAYOUTS:
             raise ValueError(
-                f"layout must be one of {_LAYOUTS}, got {self.layout!r}"
+                f"layout must be one of {_TRIAL_LAYOUTS}, got {self.layout!r}"
             )
         if self.lookahead_size < 0:
             raise ValueError("lookahead_size must be >= 0")
@@ -93,30 +107,17 @@ class PassConfig:
     def passes(
         self, device: Device, seed: int, keep_final_rz: bool
     ) -> List[Pass]:
-        """The trial suffix this configuration compiles with.
-
-        Mirrors ``compile._trial_suffix``: with the stock knob values and
-        offsets ``t`` this is *exactly* level-3 trial ``t`` — identical
-        pass cache keys, so search and stock compiles share warm caches.
-        """
-        from .compile import _layout_pass
-
-        return [
-            _layout_pass(
-                device, 2, seed + self.layout_seed_offset,
-                None if self.layout == "greedy" else self.layout,
+        """The trial suffix this configuration compiles with: the level-3
+        trial builder at this configuration's knobs, so the stock values
+        at offsets ``t`` are exactly level-3 trial ``t``."""
+        return _trial_suffix(
+            device, keep_final_rz, self.layout,
+            *_trial_seeds(
+                seed, self.layout_seed_offset, self.routing_seed_offset
             ),
-            SabreRouting(
-                device.coupling,
-                seed=seed * 1000 + self.routing_seed_offset,
-                lookahead=self.lookahead_size > 0,
-                lookahead_size=self.lookahead_size,
-            ),
-            Decompose(),
-            OptimizationLoop(max_iterations=self.opt_iterations),
-            NativeSynthesis(),
-            VirtualRZ(keep_final_rz=keep_final_rz),
-        ]
+            lookahead_size=self.lookahead_size,
+            opt_iterations=self.opt_iterations,
+        )
 
     def key(self) -> Tuple:
         return (
@@ -146,7 +147,7 @@ class PassConfig:
     def neighbors(self, num_trials: int) -> List["PassConfig"]:
         """Deterministic one-step mutations (the beam expansion moves)."""
         out: List[PassConfig] = []
-        for layout in _LAYOUTS:
+        for layout in _TRIAL_LAYOUTS:
             if layout != self.layout:
                 out.append(self._replace(layout=layout))
         if self.layout == "greedy":
@@ -192,16 +193,11 @@ def stock_configs(num_trials: int = 4) -> List[PassConfig]:
     ``stock_configs(n)[t]`` compiles bit-identically to level-3 trial
     ``t`` of ``compile_circuit(..., num_trials=n)``.
     """
-    layouts = ["greedy", "trivial", "line"] + ["greedy"] * max(
-        0, num_trials - 3
-    )
     return [
         PassConfig(
-            layout=layouts[trial % len(layouts)],
+            layout=_trial_layout(trial),
             layout_seed_offset=trial,
             routing_seed_offset=trial,
-            lookahead_size=STOCK_LOOKAHEAD_SIZE,
-            opt_iterations=STOCK_OPT_ITERATIONS,
         )
         for trial in range(num_trials)
     ]
@@ -485,28 +481,13 @@ def _search_circuit(
     """:func:`search_circuit` without folding its counter deltas into
     :func:`search_stats` (batch callers fold them in the parent)."""
     from ..fom.features import feature_vector
-    from ..fom.metrics import expected_fidelity_batch
-    from .compile import (
-        CompilationResult,
-        _pass_manager,
-        _split_measurements,
-    )
 
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     if generations < 0:
         raise ValueError("generations must be >= 0")
-    if circuit.num_qubits > device.num_qubits:
-        raise ValueError(
-            f"circuit needs {circuit.num_qubits} qubits, device "
-            f"{device.name} has {device.num_qubits}"
-        )
-
-    body, measurements = _split_measurements(circuit)
-    prepared = _pass_manager([Decompose(), OptimizationLoop()]).run(
-        body, PropertySet()
-    )
-    num_clbits = max(body.num_clbits, circuit.num_clbits)
+    body, measurements = _prepare(circuit, device)
+    prepared, _ = _run(body, _prefix())
 
     delta = {key: 0 for key in _zero_stats()}
     evaluated: Dict[Tuple, Dict] = {}
@@ -522,36 +503,24 @@ def _search_circuit(
         """
         if not measurements:
             return compiled
-        final_layout = properties.get(
-            "final_layout", {q: q for q in range(body.num_qubits)}
+        return _remeasure(
+            compiled.copy(), measurements, circuit.num_clbits,
+            properties["final_layout"],
         )
-        scored = QuantumCircuit(
-            compiled.num_qubits, max(compiled.num_clbits, num_clbits),
-            name=compiled.name, global_phase=compiled.global_phase,
-            metadata=dict(compiled.metadata),
-        )
-        scored.instructions = list(compiled.instructions)
-        for program_qubit, clbit in measurements:
-            scored.measure(final_layout[program_qubit], clbit)
-        return scored
 
     def evaluate(configs: Sequence[PassConfig]) -> List[Tuple]:
         """Compile + predictor-score configs not seen yet; returns keys."""
-        fresh: List[PassConfig] = []
-        for config in configs:
-            if config.key() not in evaluated and all(
-                config.key() != other.key() for other in fresh
-            ):
-                fresh.append(config)
+        # Equal keys mean equal configs, so the dict keeps first sightings.
+        fresh = {
+            config.key(): config
+            for config in configs if config.key() not in evaluated
+        }
         if not fresh:
             return []
-        rows = []
-        for config in fresh:
-            properties = PropertySet()
-            compiled = _pass_manager(
-                config.passes(device, seed, keep_final_rz)
-            ).run(prepared, properties)
-            rows.append((config, compiled, properties))
+        rows = [
+            (config, *_run(prepared, config.passes(device, seed, keep_final_rz)))
+            for config in fresh.values()
+        ]
         features = np.stack(
             [
                 feature_vector(measured_copy(compiled, properties))
@@ -561,20 +530,17 @@ def _search_circuit(
         predictions = np.asarray(estimator.predict(features), dtype=float)
         delta["configs_evaluated"] += len(rows)
         delta["predictor_calls"] += 1
-        keys = []
         for (config, compiled, properties), predicted in zip(
             rows, predictions
         ):
-            key = config.key()
-            evaluated[key] = {
+            evaluated[config.key()] = {
                 "config": config,
                 "compiled": compiled,
                 "properties": properties,
                 "predicted": float(predicted),
             }
-            order.append(key)
-            keys.append(key)
-        return keys
+        order.extend(fresh)
+        return list(fresh)
 
     def front(width: int) -> List[Tuple]:
         """Top ``width`` keys by predicted distance (stable on ties)."""
@@ -602,56 +568,33 @@ def _search_circuit(
         beam = front(beam_width)
         delta["beam_survivors"] += len(beam)
         # Exact re-score: the surviving front *plus every stock trial*,
-        # stock first.  The winner is the first occurrence of the max,
-        # so when nothing beats stock the choice is exactly level 3's.
+        # stock first, so when nothing beats stock the first-max pick is
+        # exactly level 3's.
         rescore_keys = stock_keys + [
             key for key in beam if key not in stock_keys
         ]
         delta["searches"] += 1
         source = "search"
 
-    bodies = [evaluated[key]["compiled"] for key in rescore_keys]
-    fidelities = expected_fidelity_batch(
-        bodies, device, calibration=device.reported_calibration
+    best, fidelity = _pick_best(
+        [evaluated[key]["compiled"] for key in rescore_keys], device
     )
-    delta["exact_rescores"] += len(bodies)
-    best = int(fidelities.argmax())
+    delta["exact_rescores"] += len(rescore_keys)
     winner = evaluated[rescore_keys[best]]
-
-    compiled = winner["compiled"]
-    properties = winner["properties"]
-    initial_layout = properties.get(
-        "initial_layout", {q: q for q in range(body.num_qubits)}
+    result = _finish(
+        circuit, winner["compiled"], winner["properties"], measurements,
+        device, "search",
     )
-    final_layout = properties.get("final_layout", dict(initial_layout))
-    if measurements:
-        if compiled.num_clbits < circuit.num_clbits:
-            compiled.num_clbits = circuit.num_clbits
-        for program_qubit, clbit in measurements:
-            compiled.measure(final_layout[program_qubit], clbit)
-    compiled.name = circuit.name
-    compiled.metadata.update(circuit.metadata)
-    compiled.metadata["optimization_level"] = "search"
-    device.validate_circuit(compiled)
-    properties["search"] = {
+    result.properties["search"] = {
         "config": winner["config"].to_dict(),
         "predicted_distance": winner["predicted"],
-        "expected_fidelity": float(fidelities[best]),
+        "expected_fidelity": fidelity,
         "source": source,
         "num_qubits": circuit.num_qubits,
         "circuit": circuit.name,
         "stats": {key: value for key, value in delta.items() if value},
     }
-    return CompilationResult(
-        circuit=compiled,
-        initial_layout={
-            q: initial_layout[q] for q in range(circuit.num_qubits)
-        },
-        final_layout={q: final_layout[q] for q in range(circuit.num_qubits)},
-        device=device,
-        optimization_level="search",
-        properties=properties,
-    )
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -661,8 +604,6 @@ def _search_circuit(
 def _search_task(device: Device, estimator, options: dict, task: Tuple):
     """Search one ``(circuit, seed, incumbent)`` task of a
     :func:`compile_search` batch; the parent folds its counter deltas."""
-    from .compile import _payload
-
     circuit, task_seed, incumbent = task
     return _payload(_search_circuit(
         circuit, device, estimator,
@@ -707,14 +648,7 @@ def compile_search(
     Returns one ``CompilationResult`` per circuit; each carries its
     search outcome in ``result.properties["search"]``.
     """
-    from .compile import SEED_STRIDE, _map_compile
-
-    n = len(circuits)
-    if seeds is None:
-        seeds = [seed + SEED_STRIDE * i for i in range(n)]
-    elif len(seeds) != n:
-        raise ValueError("seeds must match circuits in length")
-
+    seeds = _seed_streams(seed, seeds, len(circuits))
     own_session = session is None
     if own_session:
         session = LeaderboardSession.for_search(

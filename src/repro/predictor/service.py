@@ -344,8 +344,14 @@ class FomService:
             else optimization_level
         )
         session = self._search_session() if level == "search" else None
-        results = self._compile_chunk(
-            circuits, 0, level, max_workers, session
+        results = compile_batch(
+            circuits,
+            self.device,
+            optimization_level=level,
+            seed=self.seed,
+            num_trials=self.num_trials,
+            max_workers=max_workers,
+            **self._compile_extras(level, session),
         )
         if session is not None:
             session.flush()
@@ -417,29 +423,6 @@ class FomService:
                 "session": session,
             },
         }
-
-    def _compile_chunk(
-        self,
-        chunk: List[QuantumCircuit],
-        offset: int,
-        optimization_level: "int | str",
-        max_workers: Optional[int],
-        search_session=None,
-    ) -> List[CompilationResult]:
-        return compile_batch(
-            chunk,
-            self.device,
-            optimization_level=optimization_level,
-            # Seeds follow the global input position, so chunking cannot
-            # change which compilation a circuit gets.
-            seeds=[
-                self.seed + SEED_STRIDE * (offset + index)
-                for index in range(len(chunk))
-            ],
-            num_trials=self.num_trials,
-            max_workers=max_workers,
-            **self._compile_extras(optimization_level, search_session),
-        )
 
     def _serve(
         self,

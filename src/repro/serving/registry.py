@@ -138,6 +138,12 @@ class ModelEntry(NamedTuple):
         }
 
 
+def _ident(source: ModelSource) -> tuple:
+    """What a source loads: sources are told apart by it, not by the
+    name they register, so two files under one name are both watched."""
+    return (source.kind, str(source.path), source.name, source.fingerprint)
+
+
 def _latest(entries: Iterable[ModelEntry]) -> List[ModelEntry]:
     """Per name, the highest-version entries (ties included), in
     first-seen name order."""
@@ -156,6 +162,11 @@ class ModelRegistry:
 
     def __init__(self):
         self._entries: "Dict[tuple[str, str], ModelEntry]" = {}
+        # What refresh watches, per source: the source (its ``stat`` the
+        # one its file was last hashed at) and the key of the entry that
+        # content is served under (``None`` for a store).  Kept apart
+        # from the entries because two files can hold one model.
+        self._watched: "Dict[tuple, tuple[ModelSource, Optional[tuple[str, str]]]]" = {}
         # Store checkpoints that failed to load, as (name, fingerprint,
         # mtime_ns): skipped by refresh until their file changes.
         self._rejected: "set[tuple[str, str, int]]" = set()
@@ -236,7 +247,7 @@ class ModelRegistry:
         check_source(source)
         source = source._replace(stat=_file_stat(path))
         service = FomService.load(path, device, **service_kwargs)
-        return self._add(
+        entry = self._add(
             ModelEntry(
                 name or path.stem,
                 _file_fingerprint(path),
@@ -244,6 +255,8 @@ class ModelRegistry:
                 source=source,
             )
         )
+        self._watched[_ident(source)] = (source, entry.key)
+        return entry
 
     def add_store(
         self,
@@ -290,51 +303,30 @@ class ModelRegistry:
                     )
                 )
             )
+        self._watched[_ident(source)] = (source, None)
         return loaded
 
     # ------------------------------------------------------------------
     # Refresh (hot reload)
     # ------------------------------------------------------------------
 
-    def _refreshable(self) -> List[ModelEntry]:
-        """Per source, the latest-version entry — the one a refresh of
-        changed content supersedes.
-
-        Sources are told apart by what they load, not by the name they
-        register: two model files registered under one name are both
-        watched.
-        """
-        by_source: Dict[tuple, ModelEntry] = {}
-        for entry in self._entries.values():
-            source = entry.source
-            if source is None:
-                continue
-            ident = (source.kind, str(source.path), source.name,
-                     source.fingerprint)
-            kept = by_source.get(ident)
-            if kept is None or entry.version > kept.version:
-                by_source[ident] = entry
-        return list(by_source.values())
-
     def maybe_stale(self) -> bool:
         """Cheap staleness probe, no hashing or loading.
 
-        File-backed entries compare ``(size, mtime_ns)`` against the
-        stat recorded when their fingerprint was computed; store-backed
-        entries scan the store directory for unseen checkpoints.  A
-        ``True`` answer means :meth:`refresh` has real work to check.
+        File sources compare ``(size, mtime_ns)`` against the stat
+        recorded when their file was last hashed; store sources scan the
+        store directory for unseen checkpoints.  A ``True`` answer means
+        :meth:`refresh` has real work to check.
         """
-        for entry in self._refreshable():
-            source = entry.source
+        for source, _ in self._watched.values():
             if source.kind == "file":
                 try:
                     if _file_stat(source.path) != source.stat:
                         return True
                 except OSError:
                     continue
-            elif source.kind == "store":
-                if self._newcomers(source):
-                    return True
+            elif self._newcomers(source):
+                return True
         return False
 
     def _newcomers(self, source: ModelSource):
@@ -376,10 +368,9 @@ class ModelRegistry:
         """
         changes: "Dict[tuple[str, str], ModelEntry]" = {}
         swapped: "List[tuple[Optional[ModelEntry], ModelEntry]]" = []
-        seen_store_sources = set()
+        watched = dict(self._watched)
 
-        for entry in self._refreshable():
-            source = entry.source
+        for ident, (source, key) in self._watched.items():
             if source.kind == "file":
                 try:
                     stat = _file_stat(source.path)
@@ -387,39 +378,32 @@ class ModelRegistry:
                     continue  # file gone: keep serving what we loaded
                 if not force and stat == source.stat:
                     continue
+                name, served = key
                 fingerprint = _file_fingerprint(source.path)
                 fresh_source = source._replace(stat=stat)
-                if fingerprint == entry.fingerprint:
-                    # Touched but unchanged (or a same-content rewrite):
-                    # just remember the new stat.
-                    changes[entry.key] = entry._replace(source=fresh_source)
-                    continue
-                version = self._next_version(entry.name, changes)
-                existing = self._entries.get((entry.name, fingerprint))
+                watched[ident] = (fresh_source, (name, fingerprint))
+                if fingerprint == served:
+                    continue  # touched but unchanged: just the new stat
+                version = self._next_version(name, changes)
+                existing = self._entries.get((name, fingerprint))
                 if existing is not None:
-                    # The file reverted to previously-served content:
+                    # The file now holds content already registered under
+                    # this name (a revert, or a copy of a sibling file):
                     # promote that entry instead of re-loading.
-                    successor = existing._replace(
-                        version=version, source=fresh_source
-                    )
+                    successor = existing._replace(version=version)
                 else:
-                    service = FomService.load(
-                        source.path, source.device, **source.service_kwargs
-                    )
                     successor = ModelEntry(
-                        entry.name,
+                        name,
                         fingerprint,
-                        service,
+                        FomService.load(
+                            source.path, source.device, **source.service_kwargs
+                        ),
                         version=version,
                         source=fresh_source,
                     )
                 changes[successor.key] = successor
-                swapped.append((entry, successor))
-            elif source.kind == "store":
-                ident = (str(source.path), source.name, source.fingerprint)
-                if ident in seen_store_sources:
-                    continue
-                seen_store_sources.add(ident)
+                swapped.append((self._entries[key], successor))
+            else:
                 from ..evaluation.artifacts import ArtifactStore
 
                 store = ArtifactStore.coerce(source.path)
@@ -451,6 +435,7 @@ class ModelRegistry:
                         (previous[0] if previous else None, successor)
                     )
 
+        self._watched = watched
         if changes:
             entries = dict(self._entries)
             entries.update(changes)

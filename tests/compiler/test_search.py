@@ -140,15 +140,31 @@ def test_model_fingerprint_tracks_content(estimator):
 
 
 def test_generations_zero_reproduces_stock_level3(device, estimator):
-    for index, circuit in enumerate(small_suite(3)):
-        stock = compile_circuit(
-            circuit, device, optimization_level=3, seed=17 + index
-        )
-        searched = search_circuit(
-            circuit, device, estimator, seed=17 + index,
-            beam_width=DEFAULT_BEAM_WIDTH, generations=0,
-        )
-        assert to_qasm(searched.circuit) == to_qasm(stock.circuit)
+    unmeasured = random_circuit(4, 8, seed=5)
+    unmeasured.name = "unmeasured"
+    unmeasured.metadata["origin"] = "test"
+    assert not any(ins.name == "measure" for ins in unmeasured.instructions)
+    circuits = small_suite(3) + [unmeasured]
+    assert any(ins.name == "measure" for ins in circuits[0].instructions)
+    for num_trials in (1, 3, 5):
+        for index, circuit in enumerate(circuits):
+            stock = compile_circuit(
+                circuit, device, optimization_level=3, seed=17 + index,
+                num_trials=num_trials,
+            )
+            searched = search_circuit(
+                circuit, device, estimator, seed=17 + index,
+                beam_width=DEFAULT_BEAM_WIDTH, generations=0,
+                num_trials=num_trials,
+            )
+            assert to_qasm(searched.circuit) == to_qasm(stock.circuit)
+            assert searched.initial_layout == stock.initial_layout
+            assert searched.final_layout == stock.final_layout
+            assert searched.circuit.name == stock.circuit.name
+            assert {**searched.circuit.metadata, "optimization_level": 3} == (
+                stock.circuit.metadata
+            )
+            assert searched.circuit.metadata["optimization_level"] == "search"
 
 
 def test_search_parity_or_win(device, estimator):

@@ -282,6 +282,33 @@ def test_every_file_under_a_shared_name_is_watched(estimator, tmp_path):
     assert not registry.maybe_stale()
 
 
+def test_a_file_copied_over_its_sibling_leaves_both_watched(estimator, tmp_path):
+    """Regression: when one file took on the content of another file
+    registered under the same name, refresh moved the other file's entry
+    onto it, so the other file was never checked again."""
+    path_a = tmp_path / "a.npz"
+    save_model(estimator, path_a)
+    path_b = tmp_path / "b.npz"
+    save_model(_fit_estimator(9), path_b)
+    registry = ModelRegistry()
+    old_a = registry.add_model_file(path_a, "q20a", name="model", seed=0)
+    old_b = registry.add_model_file(path_b, "q20a", name="model", seed=0)
+
+    path_b.write_bytes(path_a.read_bytes())
+    swapped = registry.refresh(force=True)
+    assert [(s.key, n.key) for s, n in swapped] == [(old_b.key, old_a.key)]
+    assert registry.resolve("model").fingerprint == old_a.fingerprint
+    assert not registry.maybe_stale()
+
+    save_model(_fit_estimator(10), path_a)
+    assert registry.maybe_stale()
+    swapped = registry.refresh(force=True)
+    expected = hashlib.sha256(path_a.read_bytes()).hexdigest()[:12]
+    assert [n.key for _, n in swapped] == [("model", expected)]
+    assert registry.resolve("model").fingerprint == expected
+    assert not registry.maybe_stale()
+
+
 def test_serving_entries_tracks_versions(estimator, tmp_path):
     path = tmp_path / "model.npz"
     save_model(estimator, path)
