@@ -24,7 +24,7 @@ from repro.compiler import (
 from repro.compiler.compile import compile_batch
 from repro.evaluation.persistence import save_model
 from repro.fom import feature_matrix, feature_vector
-from repro.hardware import make_q20a, make_zoo_device
+from repro.hardware import make_q20a, make_q20b, make_zoo_device
 from repro.ml import RandomForestRegressor, grid_search
 from repro.predictor import FomService, HellingerEstimator
 from repro.predictor.estimator import DEFAULT_PARAM_GRID
@@ -115,6 +115,30 @@ def test_perf_compile_level3_suite_process(benchmark, device):
         )
 
     benchmark.pedantic(run, rounds=2, iterations=1)
+
+
+def test_perf_compile_shared_topology(benchmark, device):
+    """The study suite (2-6 qubits) at level 3 on Q20-B after Q20-A,
+    default workers.
+
+    Both devices use the 4x5 grid, so Q20-A's level-3 trial sets, held
+    in the caller's compile cache, serve Q20-B: its compile runs no pass
+    and fans nothing out, and only re-picks each winner on Q20-B's
+    reported calibration.  Each round starts cold and compiles Q20-A
+    untimed.
+    """
+    suite = [entry.circuit for entry in build_suite(max_qubits=6)]
+    q20b = make_q20b()
+
+    def after_q20a():
+        clear_compile_cache()
+        compile_batch(suite, device, optimization_level=3, seed=0)
+        return (), {}
+
+    benchmark.pedantic(
+        lambda: compile_batch(suite, q20b, optimization_level=3, seed=0),
+        setup=after_q20a, rounds=3, iterations=1,
+    )
 
 
 @pytest.mark.skipif(

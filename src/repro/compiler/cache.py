@@ -23,12 +23,23 @@ Cached entries store an immutable snapshot of the output instructions plus
 the metadata/property *deltas* the pass produced, so a hit rebuilds a
 fresh, independently mutable circuit.  Two more kinds of entry live
 here, under tagged keys, so the knobs, the counters and the LRU below
-govern them too: a whole compile's output (``"compile"``, see
-:func:`~repro.compiler.compile._compile_key`), which makes a warm
-compile one lookup, and the serving path's read-only feature rows
-(``"features"``, see :class:`~repro.predictor.service.FomService`).
-:func:`~repro.compiler.compile.compile_batch` stores every whole
-compile in the caller's cache, including those a pool worker ran.  The
+govern them too:
+
+* ``"compile"`` — a whole compile's output (see
+  :func:`~repro.compiler.compile._compile_key`), which makes a warm
+  compile one lookup;
+* ``"trials"`` — a level-3 compile's candidate set, keyed like the
+  whole compile minus its calibration term, so a device that shares the
+  coupling map (Q20-A and Q20-B) only re-picks the winner on its own
+  reported calibration;
+* ``"pass-keys"`` — the hash of a pipeline's pass keys, a function of
+  the coupling map and the compile options alone, looked up through the
+  uncounted :meth:`CompileCache.memo`;
+* ``"features"`` — the serving path's read-only feature rows (see
+  :class:`~repro.predictor.service.FomService`).
+
+:func:`~repro.compiler.compile.compile_batch` stores whole compiles and
+trial sets in the caller's cache, including those a pool worker ran.  The
 cache is a bounded LRU shared process-wide; all operations take a lock,
 so concurrent :func:`~repro.compiler.compile.compile_batch` workers
 share work safely.
@@ -39,7 +50,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 #: Default number of cached entries.  One level-3 compilation stores
 #: roughly two dozen entries, so the default comfortably covers a full
@@ -102,6 +113,25 @@ class CompileCache:
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
+
+    def memo(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """The value stored under ``key``, computing and storing
+        ``compute()`` on a miss.
+
+        For values derived from a compile's settings rather than from its
+        circuit (a pipeline's pass-key hash), so these lookups count as
+        neither hits nor misses: the counters keep measuring compile and
+        pass results.
+        """
+        if not self.enabled:
+            return compute()
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+                return self._data[key]
+        value = compute()
+        self.put(key, value)
+        return value
 
     def clear(self) -> None:
         with self._lock:

@@ -18,19 +18,23 @@ Measurements must be terminal.  They are stripped before the pipeline and
 re-appended on the physical qubit that holds each measured program qubit
 after routing, so the output counts keep their program-level meaning.
 
-Throughput comes from three mechanisms.  Pass results that are pure
-functions of ``(circuit, device, options)`` are memoized in the shared
+Throughput comes from three mechanisms, each making a cold study do a
+piece of work once.  Pass results that are pure functions of
+``(circuit, device, options)`` are memoized in the shared
 :mod:`~repro.compiler.cache` (so warm recompiles and overlapping trials
 skip entire passes).  Level-3 trials share their trial-invariant prefix —
 the decompose + optimization-loop "body" runs once, not once per trial —
 and candidates are scored with one vectorized
 :func:`~repro.fom.metrics.expected_fidelity_batch` sweep over the
-calibration arrays.  A whole compile's output is itself a cache entry
-(see :func:`_compile_key`), so a warm compile runs no pass and scores
-nothing: it is one lookup that rebuilds one circuit.
-:func:`compile_batch` resolves those lookups in the caller before it
-compiles the misses through a worker pool with deterministic
-per-circuit seed streams, mirroring
+calibration arrays.  And whole compiles are cache entries, held in the
+caller: a compile's output (see :func:`_compile_key`), so a warm compile
+runs no pass and scores nothing, and a level-3 compile's trial set (see
+:func:`_trial_key`), which depends on the coupling map but not on the
+calibration, so a second device on the same topology (Q20-B after
+Q20-A) runs no pass either and only re-picks the winner on its own
+reported fidelities.  :func:`compile_batch` resolves those lookups in
+the caller before it compiles the misses through a worker pool with
+deterministic per-circuit seed streams, mirroring
 :meth:`repro.simulation.executor.QPUExecutor.run_batch` — and because
 compilation is pure Python (GIL-bound), the batch runs on a *process*
 pool (:mod:`repro.parallel`), which scales with cores where threads
@@ -49,6 +53,7 @@ from .passes.base import (
     Pass,
     PassManager,
     PropertySet,
+    _copy_property,
     circuit_cache_fingerprint,
     restore_result,
     snapshot_result,
@@ -229,11 +234,12 @@ def _stock_trials(
 
 
 def _pick_best(
-    candidates: Sequence[QuantumCircuit], device: Device
+    candidates: Sequence["QuantumCircuit | Dict"], device: Device
 ) -> Tuple[int, float]:
     """Index and score of the candidate with the best expected fidelity
     on the device's reported calibration.  The first occurrence of the
-    maximum wins, so earlier candidates win ties."""
+    maximum wins, so earlier candidates win ties.  Candidates may also
+    come in flat form (see :func:`_encode`)."""
     from ..fom.metrics import expected_fidelity_batch
 
     scores = expected_fidelity_batch(
@@ -326,6 +332,59 @@ def compile_circuit(
     )[0]
 
 
+def _pass_key_hash(
+    cache: CompileCache,
+    device: Device,
+    optimization_level: int,
+    seed: int,
+    keep_final_rz: bool,
+    num_trials: int,
+) -> Optional[int]:
+    """Hash of every pass key of a compile's pipelines (level 3: the
+    prefix, then each trial suffix), or ``None`` when some pass is
+    uncacheable.
+
+    Pass keys depend on the device only through its coupling map, so the
+    hash is memoized under the coupling fingerprint and the options: a
+    warm compile builds no pass object.
+    """
+
+    def pass_keys() -> Optional[int]:
+        if optimization_level < 3:
+            pipelines = [_build_pipeline(
+                device, optimization_level, seed, keep_final_rz
+            )]
+        else:
+            pipelines = [_prefix()] + _stock_trials(
+                device, seed, keep_final_rz, num_trials
+            )
+        keys = tuple(
+            tuple(pass_.cache_key() for pass_ in pipeline)
+            for pipeline in pipelines
+        )
+        if any(key is None for pipeline in keys for key in pipeline):
+            return None
+        return hash(keys)
+
+    return cache.memo(
+        (
+            "pass-keys", device.coupling.fingerprint(), optimization_level,
+            seed, keep_final_rz, num_trials,
+        ),
+        pass_keys,
+    )
+
+
+def _calibration_hash(device: Device) -> int:
+    """Content hash of the reported fidelities level 3 scores trials on."""
+    calibration = device.reported_calibration
+    return hash((
+        tuple(calibration.one_qubit_fidelity.items()),
+        tuple(calibration.two_qubit_fidelity.items()),
+        tuple(calibration.readout_fidelity.items()),
+    ))
+
+
 def _compile_key(
     cache: Optional[CompileCache],
     circuit: QuantumCircuit,
@@ -334,35 +393,28 @@ def _compile_key(
     seed: int,
     keep_final_rz: bool,
     num_trials: int,
+    calibration_hash: Optional[int] = None,
 ) -> Optional[Tuple]:
     """Compile-cache key of a whole compile, or ``None``.
 
     A compile is a pure function of the input circuit's content and of
     its pipeline's pass configurations, whose keys hold the seeds and
     the coupling map.  Level 3 also depends on the reported fidelities
-    its trials are scored on.  Calibrations are mutable dicts, so the
-    key holds their content, never their identity: an in-place edit
-    changes the key and the trials are scored again.  Pass keys and
-    fidelities enter as content hashes, as the circuit does in its
-    fingerprint, so a key holds a few ints rather than a copy of the
-    calibration.  The leading tag keeps these entries apart from the
-    pass-result keys.  ``None`` when caching is off or some pass is
-    uncacheable.
+    its trials are scored on: the key's last term is their content hash
+    (``calibration_hash``, computed here when not given), never the
+    calibration's identity, so an in-place edit changes the key and the
+    trials are scored again.  Pass keys enter as one memoized content
+    hash, as the circuit does in its fingerprint, so a key holds a few
+    ints rather than a copy of the calibration.  The leading tag keeps
+    these entries apart from the pass-result keys.  ``None`` when
+    caching is off or some pass is uncacheable.
     """
     if cache is None:
         return None
-    if optimization_level < 3:
-        pipelines = [_build_pipeline(
-            device, optimization_level, seed, keep_final_rz
-        )]
-    else:
-        pipelines = [_prefix()] + _stock_trials(
-            device, seed, keep_final_rz, num_trials
-        )
-    pass_keys = tuple(
-        tuple(pass_.cache_key() for pass_ in pipeline) for pipeline in pipelines
+    pass_hash = _pass_key_hash(
+        cache, device, optimization_level, seed, keep_final_rz, num_trials
     )
-    if any(key is None for keys in pass_keys for key in keys):
+    if pass_hash is None:
         return None
     key = (
         "compile",
@@ -370,16 +422,21 @@ def _compile_key(
         optimization_level,
         keep_final_rz,
         num_trials,
-        hash(pass_keys),
+        pass_hash,
     )
     if optimization_level == 3:
-        calibration = device.reported_calibration
-        key += (hash((
-            tuple(calibration.one_qubit_fidelity.items()),
-            tuple(calibration.two_qubit_fidelity.items()),
-            tuple(calibration.readout_fidelity.items()),
-        )),)
+        if calibration_hash is None:
+            calibration_hash = _calibration_hash(device)
+        key += (calibration_hash,)
     return key
+
+
+def _trial_key(key: Tuple) -> Tuple:
+    """The trial-set key of a level-3 whole-compile key: the same key
+    under the ``"trials"`` tag, without its calibration term.  Trials
+    depend on the device only through its coupling map, so devices that
+    share one share the trial set."""
+    return ("trials",) + key[1:-1]
 
 
 def _result(
@@ -425,28 +482,66 @@ def _finish(
     return result
 
 
-def _compile_uncached(
-    circuit: QuantumCircuit,
+#: A compile's candidates, each with its properties: the level-0/1/2
+#: pipeline's one output, or one output per level-3 trial.
+Candidates = List[Tuple[QuantumCircuit, PropertySet]]
+
+#: The flat form of a compile's candidates (see :func:`_encode`): what a
+#: worker returns, and a level-3 trial set's cache entry.
+Encoded = Tuple[Tuple[Dict, PropertySet], ...]
+
+
+def _encode(circuit: QuantumCircuit, candidates: Candidates) -> Encoded:
+    """``candidates`` of a compile of ``circuit`` in flat form: each
+    one's :meth:`~repro.circuits.circuit.QuantumCircuit.to_arrays`
+    encoding, holding only the metadata its passes added to or changed
+    in ``circuit``'s, and its properties.  Flat arrays pickle and store
+    cheaply, and only the candidates a caller uses are decoded."""
+    encoded = []
+    for compiled, properties in candidates:
+        arrays = compiled.to_arrays()
+        arrays["metadata"] = {
+            key: value for key, value in arrays["metadata"].items()
+            if key not in circuit.metadata or circuit.metadata[key] != value
+        }
+        encoded.append((arrays, properties))
+    return tuple(encoded)
+
+
+def _decode(
+    circuit: QuantumCircuit, candidate: Tuple[Dict, PropertySet]
+) -> Tuple[QuantumCircuit, PropertySet]:
+    """A fresh, independently mutable candidate of a compile of
+    ``circuit`` from its :func:`_encode` form: ``circuit``'s name and
+    metadata plus the candidate's own."""
+    arrays, properties = candidate
+    compiled = QuantumCircuit.from_arrays(arrays)
+    compiled.name = circuit.name
+    compiled.metadata = {**circuit.metadata, **compiled.metadata}
+    return compiled, PropertySet(
+        (key, _copy_property(value)) for key, value in properties.items()
+    )
+
+
+def _run_trials(
+    body: QuantumCircuit,
     device: Device,
-    optimization_level: int,
     seed: int,
     keep_final_rz: bool,
     num_trials: int,
-) -> CompilationResult:
-    """Run ``circuit``'s pipeline (its passes may still hit the cache)."""
-    body, measurements = _prepare(circuit, device)
-    if optimization_level < 3:
-        compiled, properties = _run(body, _build_pipeline(
-            device, optimization_level, seed, keep_final_rz
-        ))
-    else:
-        compiled, properties = _run_trials(
-            body, device, seed, keep_final_rz, num_trials
-        )
-    return _finish(
-        circuit, compiled, properties, measurements, device,
-        optimization_level,
-    )
+) -> Candidates:
+    """Level 3's candidates: one per layout/routing trial.
+
+    The trial-invariant prefix (decompose + optimization loop on the
+    program body) runs once and every trial continues from its output;
+    trials share the device's cached routing tables through their layout
+    and routing passes.
+    """
+    prepared, _ = _run(body, _prefix())
+    return [
+        _run(prepared, suffix)
+        for suffix in _stock_trials(device, seed, keep_final_rz, num_trials)
+    ]
 
 
 def _compile_task(
@@ -455,13 +550,31 @@ def _compile_task(
     keep_final_rz: bool,
     num_trials: int,
     task: Tuple[QuantumCircuit, int],
-) -> Tuple:
-    """Compile one ``(circuit, seed)`` miss of a :func:`compile_batch`."""
+) -> Tuple[Tuple, Optional[Encoded]]:
+    """Compile one ``(circuit, seed)`` miss of a :func:`compile_batch`.
+
+    Returns the finished result's :func:`_payload` and, at level 3, the
+    trial set in flat form: every trial's candidate, the winner picked
+    here on the device's reported calibration among them.
+    """
     circuit, task_seed = task
-    return _payload(_compile_uncached(
-        circuit, device, optimization_level, task_seed, keep_final_rz,
-        num_trials,
-    ))
+    body, measurements = _prepare(circuit, device)
+    trials = None
+    if optimization_level < 3:
+        winner = _run(body, _build_pipeline(
+            device, optimization_level, task_seed, keep_final_rz
+        ))
+    else:
+        candidates = _run_trials(
+            body, device, task_seed, keep_final_rz, num_trials
+        )
+        trials = _encode(circuit, candidates)
+        winner = candidates[
+            _pick_best([arrays for arrays, _ in trials], device)[0]
+        ]
+    return _payload(_finish(
+        circuit, *winner, measurements, device, optimization_level
+    )), trials
 
 
 def _payload(result: CompilationResult) -> Tuple:
@@ -475,6 +588,22 @@ def _payload(result: CompilationResult) -> Tuple:
     )
 
 
+def _unpack(
+    payload: Tuple, device: Device, optimization_level: "int | str"
+) -> CompilationResult:
+    """The :class:`CompilationResult` of a :func:`_payload`, with the
+    caller's ``device`` re-attached."""
+    compiled, initial_layout, final_layout, properties = payload
+    return CompilationResult(
+        circuit=compiled,
+        initial_layout=initial_layout,
+        final_layout=final_layout,
+        device=device,
+        optimization_level=optimization_level,
+        properties=properties,
+    )
+
+
 def _seed_streams(
     seed: int, seeds: Optional[Sequence[int]], n: int
 ) -> Sequence[int]:
@@ -485,49 +614,6 @@ def _seed_streams(
     if len(seeds) != n:
         raise ValueError("seeds must match circuits in length")
     return seeds
-
-
-def _map_compile(
-    task: Callable,
-    items: List,
-    shared: tuple,
-    device: Device,
-    optimization_level: "int | str",
-    max_workers: Optional[int],
-    on_result: Optional[Callable[[int, CompilationResult], None]],
-) -> List[CompilationResult]:
-    """Fan a compile batch out and decode every task payload in the
-    parent, re-attaching the caller's ``device``.
-
-    ``on_result`` fires with the decoded result as each item completes.
-    """
-    from ..parallel import parallel_map
-
-    device.routing_tables  # precompute once so pool workers inherit them
-    decoded: Dict[int, CompilationResult] = {}
-
-    def decode(index: int, payload: Tuple) -> None:
-        compiled, initial_layout, final_layout, properties = payload
-        decoded[index] = result = CompilationResult(
-            circuit=compiled,
-            initial_layout=initial_layout,
-            final_layout=final_layout,
-            device=device,
-            optimization_level=optimization_level,
-            properties=properties,
-        )
-        if on_result is not None:
-            on_result(index, result)
-
-    parallel_map(
-        task,
-        items,
-        max_workers=max_workers,
-        on_result=decode,
-        mode="process",
-        shared=shared,
-    )
-    return [decoded[index] for index in range(len(items))]
 
 
 def compile_batch(
@@ -552,18 +638,23 @@ def compile_batch(
     own seed (pinned by the golden-digest and property tests).
 
     Every circuit is first looked up in the caller's
-    :class:`~repro.compiler.cache.CompileCache` (one whole-compile entry
-    each, see :func:`_compile_key`); only the misses are compiled.
-    Compilation is pure Python, so threads cannot speed it up — the GIL
-    serializes them.  Pooled misses therefore fan out over the process's
-    shared spawn pool (:mod:`repro.parallel`), whose long-lived workers
-    each hold their own pass cache, emptied when the worker installs
-    this batch's invariants.  Circuits,
-    :class:`~repro.hardware.coupling.RoutingTables` and results cross the
-    process boundary through cheap flat-array encodings.  Each result
-    is stored under its whole-compile key in the caller's cache as it
-    comes back, whichever process compiled it, so the next batch of the
-    same circuits is all hits and fans nothing out.
+    :class:`~repro.compiler.cache.CompileCache`: its whole-compile entry
+    (see :func:`_compile_key`), then, at level 3, its trial set (see
+    :func:`_trial_key`), whose winner is re-picked on this device's
+    reported calibration and finished in the caller.  Only a miss on
+    both is compiled.  Compilation is pure Python, so threads cannot
+    speed it up — the GIL serializes them.  Pooled misses therefore fan
+    out over the process's shared spawn pool (:mod:`repro.parallel`),
+    whose long-lived workers each hold their own pass cache, emptied
+    when the worker installs this batch's invariants.  A worker returns
+    a miss's candidates and the index of the winner it picked; circuits,
+    :class:`~repro.hardware.coupling.RoutingTables` and candidates cross
+    the process boundary through cheap flat-array encodings.  The caller
+    finishes the winner and stores the trial set and the whole compile
+    as each miss comes back, whichever process compiled it, so the next
+    batch of the same circuits is all hits and fans nothing out, and the
+    same batch on another device with this coupling map fans nothing out
+    either.
 
     Args:
         circuits: program circuits to compile.
@@ -590,7 +681,7 @@ def compile_batch(
     Returns:
         One :class:`CompilationResult` per circuit, in input order.
     """
-    from ..parallel import resolve_workers
+    from ..parallel import parallel_map, resolve_workers
 
     if optimization_level == "search":
         from .search import compile_search
@@ -627,20 +718,33 @@ def compile_batch(
                 callback_errors.append(exc)
 
     cache = active_compile_cache()
+    calibration_hash = (
+        _calibration_hash(device)
+        if cache is not None and optimization_level == 3 else None
+    )
     keys = [
         _compile_key(
             cache, circuit, device, optimization_level, task_seed,
-            keep_final_rz, num_trials,
+            keep_final_rz, num_trials, calibration_hash,
         )
         for circuit, task_seed in zip(circuits, seeds)
     ]
     results: List[Optional[CompilationResult]] = [None] * n
+
+    def store(index: int, result: CompilationResult) -> None:
+        if keys[index] is not None:
+            cache.put(keys[index], snapshot_result(
+                circuits[index], result.circuit, result.properties
+            ))
+        deliver(index, result)
+
     misses = []
     for index, key in enumerate(keys):
-        entry = cache.get(key) if key is not None else None
-        if entry is None:
+        if key is None:
             misses.append(index)
-        else:
+            continue
+        entry = cache.get(key)
+        if entry is not None:
             properties = PropertySet()
             compiled = restore_result(entry, circuits[index], properties)
             device.validate_circuit(compiled)
@@ -648,48 +752,39 @@ def compile_batch(
                 circuits[index], compiled, properties, device,
                 optimization_level,
             ))
+            continue
+        trials = cache.get(_trial_key(key)) if optimization_level == 3 else None
+        if trials is None:
+            misses.append(index)
+            continue
+        # Another device with this coupling map ran these trials: pick
+        # the winner on this device's reported calibration, as the
+        # worker did, and rebuild only the winner.
+        best, _ = _pick_best([arrays for arrays, _ in trials], device)
+        _, measurements = _prepare(circuits[index], device)
+        store(index, _finish(
+            circuits[index], *_decode(circuits[index], trials[best]),
+            measurements, device, optimization_level,
+        ))
 
-    def store(position: int, result: CompilationResult) -> None:
+    def compiled(position: int, payload: Tuple[Tuple, Optional[Encoded]]) -> None:
         index = misses[position]
-        if keys[index] is not None:
-            cache.put(keys[index], snapshot_result(
-                circuits[index], result.circuit, result.properties
-            ))
-        deliver(index, result)
+        result, trials = payload
+        if keys[index] is not None and trials is not None:
+            cache.put(_trial_key(keys[index]), trials)
+        store(index, _unpack(result, device, optimization_level))
 
-    _map_compile(
+    device.routing_tables  # precompute once so pool workers inherit them
+    parallel_map(
         _compile_task,
         [(circuits[index], seeds[index]) for index in misses],
-        (device, optimization_level, keep_final_rz, num_trials),
-        device,
-        optimization_level,
-        resolve_workers(max_workers, n),
-        store,
+        max_workers=resolve_workers(max_workers, n),
+        on_result=compiled,
+        mode="process",
+        shared=(device, optimization_level, keep_final_rz, num_trials),
     )
     if callback_errors:
         raise callback_errors[0]
     return results
 
 
-def _run_trials(
-    body: QuantumCircuit,
-    device: Device,
-    seed: int,
-    keep_final_rz: bool,
-    num_trials: int,
-) -> Tuple[QuantumCircuit, PropertySet]:
-    """Level 3: several layout/routing trials, best expected fidelity wins.
-
-    The trial-invariant prefix (decompose + optimization loop on the
-    program body) runs once and every trial continues from its output;
-    trials share the device's cached routing tables through their layout
-    and routing passes, and all candidates are scored in one vectorized
-    expected-fidelity sweep.
-    """
-    prepared, _ = _run(body, _prefix())
-    candidates = [
-        _run(prepared, suffix)
-        for suffix in _stock_trials(device, seed, keep_final_rz, num_trials)
-    ]
-    best, _ = _pick_best([compiled for compiled, _ in candidates], device)
-    return candidates[best]

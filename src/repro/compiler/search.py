@@ -52,8 +52,8 @@ from .compile import (
     STOCK_LOOKAHEAD_SIZE,
     STOCK_OPT_ITERATIONS,
     _TRIAL_LAYOUTS,
+    CompilationResult,
     _finish,
-    _map_compile,
     _payload,
     _pick_best,
     _prefix,
@@ -64,6 +64,7 @@ from .compile import (
     _trial_layout,
     _trial_seeds,
     _trial_suffix,
+    _unpack,
 )
 from .passes.base import Pass, PropertySet
 
@@ -648,6 +649,8 @@ def compile_search(
     Returns one ``CompilationResult`` per circuit; each carries its
     search outcome in ``result.properties["search"]``.
     """
+    from ..parallel import parallel_map
+
     seeds = _seed_streams(seed, seeds, len(circuits))
     own_session = session is None
     if own_session:
@@ -667,21 +670,24 @@ def compile_search(
         "keep_final_rz": keep_final_rz,
     }
 
-    def fold(index: int, result) -> None:
+    results: List[Optional[CompilationResult]] = [None] * len(circuits)
+
+    def fold(index: int, payload: Tuple) -> None:
         # Fold each circuit's counter deltas into this process's totals,
         # whichever process searched it.
+        results[index] = result = _unpack(payload, device, "search")
         _bump_stats(result.properties["search"]["stats"])
         if on_result is not None:
             on_result(index, result)
 
-    results = _map_compile(
+    device.routing_tables  # precompute once so pool workers inherit them
+    parallel_map(
         _search_task,
         list(zip(circuits, seeds, incumbents)),
-        (device, estimator, options),
-        device,
-        "search",
-        max_workers,
-        fold,
+        max_workers=max_workers,
+        on_result=fold,
+        mode="process",
+        shared=(device, estimator, options),
     )
 
     # Deferred leaderboard writes, in input order: the lowest-index

@@ -17,7 +17,7 @@ paper discusses.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -95,8 +95,42 @@ def _calibration_fidelity_tables(
     return one_q, readout, edge
 
 
+def _encoded_factors(
+    arrays: Dict[str, object],
+    one_q: np.ndarray,
+    readout: np.ndarray,
+    edge: np.ndarray,
+) -> np.ndarray:
+    """The fidelity factors of a circuit given as its
+    :meth:`~repro.circuits.circuit.QuantumCircuit.to_arrays` encoding,
+    in instruction order, barriers skipped — without rebuilding it."""
+    names = arrays["gate_names"]
+    codes = np.asarray(arrays["codes"], dtype=np.intp)
+    counts = np.asarray(arrays["qubit_counts"], dtype=np.intp)
+    qubits = np.asarray(arrays["qubits"], dtype=np.intp)
+    first = np.cumsum(counts) - counts
+    kept = codes != (names.index("barrier") if "barrier" in names else -1)
+    codes, counts, first = codes[kept], counts[kept], first[kept]
+    measure = codes == (names.index("measure") if "measure" in names else -1)
+    gate = ~measure
+    if (gate & (counts != 1) & (counts != 2)).any():
+        bad = int(np.flatnonzero(gate & (counts != 1) & (counts != 2))[0])
+        raise ValueError(
+            f"expected a compiled circuit; found {counts[bad]}-qubit "
+            f"gate '{names[codes[bad]]}'"
+        )
+    head = qubits[first]
+    values = np.empty(len(codes))
+    values[measure] = readout[head[measure]]
+    one = gate & (counts == 1)
+    values[one] = one_q[head[one]]
+    two = counts == 2
+    values[two] = edge[head[two], qubits[first[two] + 1]]
+    return values
+
+
 def expected_fidelity_batch(
-    circuits: Sequence[QuantumCircuit],
+    circuits: Sequence["QuantumCircuit | Dict[str, object]"],
     device: Device,
     calibration: Optional[Calibration] = None,
 ) -> np.ndarray:
@@ -107,7 +141,10 @@ def expected_fidelity_batch(
     circuit's product in a single ``multiply.reduceat`` sweep.  The
     products fold left-to-right over the same factors as the scalar
     version, so results are bit-identical to calling
-    :func:`expected_fidelity` per circuit.
+    :func:`expected_fidelity` per circuit.  A circuit may also come as
+    its :meth:`~repro.circuits.circuit.QuantumCircuit.to_arrays`
+    encoding, which is scored without rebuilding it (a level-3 trial set
+    in the compile cache keeps its candidates that way).
     """
     cal = calibration if calibration is not None else device.reported_calibration
     if not circuits:
@@ -116,6 +153,9 @@ def expected_fidelity_batch(
 
     per_circuit: list = []
     for circuit in circuits:
+        if isinstance(circuit, dict):
+            per_circuit.append(_encoded_factors(circuit, one_q, readout, edge))
+            continue
         one_q_pos, one_q_idx = [], []
         two_q_pos, two_q_a, two_q_b = [], [], []
         meas_pos, meas_idx = [], []

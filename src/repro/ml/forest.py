@@ -7,14 +7,17 @@ quantity plotted in the paper's Fig. 3).
 
 Training is parallel (PR 3): the per-tree seeds and bootstrap rows are
 drawn up front from the master RNG in the original interleaved order, so
-every tree is an independent deterministic task and the fitted model is
-bit-identical for every ``max_workers`` value *and* execution mode — and
-to the sequential pre-vectorization implementation (pinned by the golden
-tests).  Tree fitting is pure Python (GIL-bound), so pooled fits default
-to the shared spawn pool of :mod:`repro.parallel`: each fit's ``(X, y)``
-travels as the call's ``shared`` payload, pickled once and installed in
-every worker before the first tree it fits for that call, and fitted
-trees return as flat numpy arrays.
+every tree is an independent deterministic computation and the fitted
+model is bit-identical for every ``max_workers`` value — and to the
+sequential pre-vectorization implementation (pinned by the golden
+tests).  The draws are split into contiguous chunks, an equal share per
+worker (:func:`~repro.parallel.contiguous_chunks`), and each chunk grows
+all of its trees together in one lockstep sweep
+(:func:`~.tree.fit_trees`).  Tree fitting is GIL-bound, so pooled fits
+run on the shared spawn pool of :mod:`repro.parallel`: each fit's
+``(X, y)`` travels as the call's ``shared`` payload, pickled once and
+installed in every worker before the first chunk it fits for that call,
+and fitted trees return as flat numpy arrays.
 
 Prediction descends every tree at once on one :class:`~.tree.FlatForest`,
 built whenever the member list is assigned (fit, refresh, model load),
@@ -28,21 +31,19 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..parallel import parallel_map
-from .tree import DecisionTreeRegressor, FlatForest
+from ..parallel import contiguous_chunks, parallel_map
+from .tree import DecisionTreeRegressor, FlatForest, fit_trees
 
 
-def _fit_tree(
+def _fit_chunk(
     X: np.ndarray,
     y: np.ndarray,
     tree_params: dict,
-    draw: Tuple[int, np.ndarray],
-) -> DecisionTreeRegressor:
-    """Fit one bootstrap ``(seed, rows)`` draw of a forest."""
-    seed, rows = draw
-    return DecisionTreeRegressor(random_state=seed, **tree_params).fit(
-        X[rows], y[rows]
-    )
+    draws: List[Tuple[int, np.ndarray]],
+) -> List[DecisionTreeRegressor]:
+    """Fit one contiguous chunk of a forest's bootstrap ``(seed, rows)``
+    draws, in one lockstep sweep."""
+    return fit_trees(X, y, draws, **tree_params)
 
 
 def tree_mean(leaf_values: np.ndarray) -> np.ndarray:
@@ -157,15 +158,14 @@ class RandomForestRegressor:
             **self.get_params(), max_workers=self.max_workers
         )
 
-    def tree_template(self, seed: int) -> DecisionTreeRegressor:
-        """An unfitted member tree carrying this forest's hyper-parameters."""
-        return DecisionTreeRegressor(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            random_state=seed,
-        )
+    def tree_params(self) -> dict:
+        """The per-tree hyper-parameters of this forest's members."""
+        return {
+            "max_depth": self.max_depth,
+            "min_samples_split": self.min_samples_split,
+            "min_samples_leaf": self.min_samples_leaf,
+            "max_features": self.max_features,
+        }
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=float)
@@ -195,9 +195,12 @@ class RandomForestRegressor:
         their seeds/rows from ``bootstrap_draws(random_state, ...)``, so
         the prefix property holds: the first ``k`` trees of an ``n``-tree
         call equal the ``k``-tree call — a refresh sweep over tree counts
-        fits ``max(n)`` trees once and slices prefixes.  Results are
-        bit-identical for every worker count; :meth:`fit` is this with
-        the forest's own tree count, seed and worker count.
+        fits ``max(n)`` trees once and slices prefixes.  The draws go out
+        in contiguous chunks, an equal share per worker, each grown in one
+        lockstep sweep (:func:`~.tree.fit_trees`), and come back in draw
+        order.
+        Results are bit-identical for every worker count; :meth:`fit` is
+        this with the forest's own tree count, seed and worker count.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -205,19 +208,16 @@ class RandomForestRegressor:
             raise ValueError("X and y length mismatch")
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        tree_params = {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-        }
-        return parallel_map(
-            _fit_tree,
-            bootstrap_draws(random_state, n_trees, len(X), self.bootstrap),
-            max_workers=self.max_workers if max_workers is None else max_workers,
+        draws = bootstrap_draws(random_state, n_trees, len(X), self.bootstrap)
+        workers = self.max_workers if max_workers is None else max_workers
+        chunks = parallel_map(
+            _fit_chunk,
+            contiguous_chunks(draws, workers),
+            max_workers=workers,
             mode="process",
-            shared=(X, y, tree_params),
+            shared=(X, y, self.tree_params()),
         )
+        return [tree for chunk in chunks for tree in chunk]
 
     def refreshed(
         self,

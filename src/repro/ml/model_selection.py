@@ -30,7 +30,7 @@ import numpy as np
 from ..parallel import parallel_map
 from .forest import RandomForestRegressor, bootstrap_draws, tree_mean
 from .metrics import pearson_r
-from .tree import FlatForest
+from .tree import FlatForest, fit_trees
 
 Scorer = Callable[[np.ndarray, np.ndarray], float]
 
@@ -233,27 +233,27 @@ def _score_forest_group(
     )
 
     # Fit the depth-uncapped sequence first so capped variants can
-    # reuse every tree whose natural depth stays below the cap.
+    # reuse every tree whose natural depth stays below the cap; each
+    # variant's remaining trees grow in one lockstep sweep.
     depth_values = sorted(
         group["depths"], key=lambda d: (d is not None, d)
     )
+    tree_params = template.tree_params()
     uncapped: List = []
     scored: List[Tuple[int, float]] = []
     for depth in depth_values:
-        trees = []
-        for tree_pos, (tree_seed, rows) in enumerate(draws):
-            reuse = (
-                depth is not None
-                and tree_pos < len(uncapped)
-                and uncapped[tree_pos].depth() < depth
-            )
-            if reuse:
-                tree = uncapped[tree_pos]
-            else:
-                tree = template.tree_template(tree_seed)
-                tree.max_depth = depth
-                tree.fit(X_train[rows], y_train[rows])
-            trees.append(tree)
+        # (``uncapped`` is still empty while ``depth`` is None.)
+        trees = uncapped + [None] * (len(draws) - len(uncapped))
+        refit = [
+            tree_pos for tree_pos, tree in enumerate(trees)
+            if tree is None or tree.depth() >= depth
+        ]
+        fitted = fit_trees(
+            X_train, y_train, [draws[tree_pos] for tree_pos in refit],
+            **{**tree_params, "max_depth": depth},
+        )
+        for tree_pos, tree in zip(refit, fitted):
+            trees[tree_pos] = tree
         if depth is None:
             uncapped = trees
         # One descent over every tree, shared by every n_estimators

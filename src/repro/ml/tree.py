@@ -6,20 +6,27 @@ decrease).  Supports the hyper-parameters the paper's grid search tunes:
 ``max_features`` (random feature subsampling, the ingredient that makes
 random forests de-correlated).
 
-The trainer is vectorized (PR 3) while staying bit-identical to the
-original recursive implementation (pinned by the golden tests against the
-frozen copy in ``tests/ml/reference_impl.py``):
+The trainer stays bit-identical to the original recursive implementation
+(pinned by the golden tests against the frozen copy in
+``tests/ml/reference_impl.py``), and grows many trees at once
+(:func:`fit_trees`; :meth:`DecisionTreeRegressor.fit` is its one-tree
+case):
 
-* every feature column is argsorted **once** at the root; child nodes
-  inherit sorted order through a stable boolean partition of the per-node
-  ``(num_features, node_size)`` index/value matrices, which restricted to a
-  subset of rows is exactly the stable argsort of that subset;
-* all candidate thresholds of all candidate features are scored in one
-  cumulative-sum sweep over a 2-D array instead of a per-feature Python
-  loop (the acceptance scan over per-feature maxima stays sequential in
-  the feature-draw order, preserving the original tie-breaking);
-* the recursion is replaced by an explicit depth-first frontier that
-  consumes the feature-subsampling RNG in the original preorder;
+* each tree keeps its own feature-subsampling RNG and an explicit
+  preorder depth-first stack, so it draws its candidate features in the
+  original recursion's order;
+* each lockstep step pops one node of every unfinished tree and scores
+  all candidate thresholds of all candidate features of all those nodes
+  in one padded cumulative-sum sweep, nodes of similar size together
+  (a prefix sum does not depend on what pads it, so every tree's sums
+  are the ones its own sweep would give);
+* a node's rows stay in increasing order, so a stable sort of a
+  candidate feature's values at the node is exactly the root presort
+  restricted to those rows, ties included;
+* what rounds by length — the node value and parent variance — reduces
+  exact-length slices, and the strictly-better acceptance scan over the
+  per-feature maxima runs per node in feature-draw order, preserving
+  the original tie-breaking;
 * fitted trees are stored as flat parallel node arrays (value, feature,
   threshold, children), which gives persistence a natural ``.npz``
   encoding (:meth:`to_arrays` / :meth:`from_arrays`).
@@ -33,7 +40,7 @@ case.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,164 +118,8 @@ class DecisionTreeRegressor:
             raise ValueError("X and y length mismatch")
         if len(X) == 0:
             raise ValueError("cannot fit on an empty dataset")
-        num_features = X.shape[1]
-        self._num_features = num_features
-        self._importance = np.zeros(num_features)
-        rng = np.random.default_rng(self.random_state)
-
-        # Presort every feature once; child nodes inherit sorted order by a
-        # stable partition of this row-index matrix, never re-sorting.
-        # (Feature/label values for the candidate features of a node are
-        # gathered on demand — partitioning one index matrix is 3x less
-        # traffic than carrying value matrices alongside it.)
-        sorted_rows = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-        self._x_t = np.ascontiguousarray(X.T)
-        self._y = y
-        self._pos_cache = {}
-        self._all_features = np.arange(num_features)
-
-        values, features, thresholds, depths = [], [], [], []
-        lefts, rights = [], []
-        # Scratch buffer over root rows for broadcasting a split decision
-        # onto the per-feature sorted matrix.
-        left_lookup = np.zeros(len(y), dtype=bool)
-
-        # Depth-first frontier in preorder (node, left subtree, right
-        # subtree) so the feature-subsampling RNG stream matches the
-        # original recursion.  Each entry: (parent slot, is-left-child,
-        # depth, row indices in original order, node y, per-feature sorted
-        # row matrix).
-        root_idx = np.arange(len(y))
-        stack = [(-1, False, 0, root_idx, y, sorted_rows)]
-        while stack:
-            parent, is_left, depth, idx, y_node, rows = stack.pop()
-            node_id = len(values)
-            if parent >= 0:
-                (lefts if is_left else rights)[parent] = node_id
-            n_node = len(y_node)
-            # np.add.reduce is the pairwise-summation kernel behind
-            # ndarray.mean, minus the wrapper overhead that dominates on
-            # the many small nodes deep in the tree (bit-identical).
-            values.append(float(np.add.reduce(y_node) / n_node))
-            features.append(-1)
-            thresholds.append(0.0)
-            depths.append(depth)
-            lefts.append(-1)
-            rights.append(-1)
-
-            if (
-                n_node < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or bool((y_node == y_node[0]).all())
-            ):
-                continue
-            feature, threshold, gain = self._best_split(y_node, rows, rng)
-            if feature < 0:
-                continue
-            goes_left = self._x_t[feature, idx] <= threshold
-            # Guard against degenerate thresholds: if two adjacent distinct
-            # values are so close that their midpoint rounds onto one of
-            # them, a child can end up empty — treat the node as a leaf.
-            n_left = int(goes_left.sum())
-            if n_left == 0 or n_left == n_node:
-                continue
-            self._importance[feature] += gain * n_node
-
-            features[node_id] = feature
-            thresholds[node_id] = threshold
-            left_lookup[idx] = goes_left
-            mask = left_lookup[rows]
-            stack.append((
-                node_id, False, depth + 1, idx[~goes_left], y_node[~goes_left],
-                rows[~mask].reshape(num_features, n_node - n_left),
-            ))
-            stack.append((
-                node_id, True, depth + 1, idx[goes_left], y_node[goes_left],
-                rows[mask].reshape(num_features, n_left),
-            ))
-        del self._x_t, self._y, self._pos_cache, self._all_features
-
-        self._value = np.array(values)
-        self._feature = np.array(features, dtype=np.intp)
-        self._threshold = np.array(thresholds)
-        self._left = np.array(lefts, dtype=np.intp)
-        self._right = np.array(rights, dtype=np.intp)
-        self._node_depth = np.array(depths, dtype=np.intp)
-        self._flat = None
-        total = self._importance.sum()
-        self.feature_importances_ = (
-            self._importance / total if total > 0 else self._importance.copy()
-        )
+        _grow([self], X[None], y[None])
         return self
-
-    def _best_split(
-        self, y_node: np.ndarray, rows: np.ndarray, rng: np.random.Generator
-    ):
-        """Best (feature, threshold, gain) over one 2-D cumulative-sum sweep.
-
-        ``rows`` is the node's per-feature sorted row-index matrix of shape
-        ``(num_features, node_size)``.
-        """
-        n = len(y_node)
-        # Inlined ndarray.var (same pairwise kernels, no wrapper cost).
-        deviation = y_node - np.add.reduce(y_node) / n
-        parent_var = np.add.reduce(deviation * deviation) / n
-        if parent_var <= 0:
-            return -1, 0.0, 0.0
-        k = self._n_split_features()
-        if k < self._num_features:
-            candidates = rng.choice(self._num_features, size=k, replace=False)
-            rows_k = rows[candidates]
-            xs = self._x_t[candidates[:, None], rows_k]
-        else:
-            candidates = None
-            rows_k = rows
-            xs = self._x_t[self._all_features[:, None], rows_k]
-        ys = self._y[rows_k]
-        min_leaf = self.min_samples_leaf
-        # Valid split positions: between i-1 and i for i in [lo, hi).
-        lo, hi = min_leaf, n - min_leaf + 1
-        if hi <= lo:
-            return -1, 0.0, 0.0
-
-        # Cumulative sums evaluate every split position of every candidate
-        # feature at once; positions where the value does not change are
-        # masked out (can't split there).
-        csum = ys.cumsum(axis=1)
-        csum_sq = (ys ** 2).cumsum(axis=1)
-        left_n, right_n = self._split_positions(n, lo, hi)
-        left_sum = csum[:, lo - 1:hi - 1]
-        left_sq = csum_sq[:, lo - 1:hi - 1]
-        right_sum = csum[:, -1:] - left_sum
-        right_sq = csum_sq[:, -1:] - left_sq
-        left_var = left_sq / left_n - (left_sum / left_n) ** 2
-        right_var = right_sq / right_n - (right_sum / right_n) ** 2
-        weighted = (left_n * left_var + right_n * right_var) / n
-        gains = parent_var - weighted
-        distinct = xs[:, lo - 1:hi - 1] < xs[:, lo:hi]
-        gains = np.where(distinct, gains, -np.inf)
-        best_pos = gains.argmax(axis=1)
-        best_gains = gains[self._all_features[:len(best_pos)], best_pos]
-
-        # Sequential acceptance in feature-draw order: strictly-better-only
-        # updates reproduce the original per-feature loop's tie-breaking.
-        best_feature, best_threshold, best_gain = -1, 0.0, 0.0
-        for j in range(len(best_gains)):
-            if best_gains[j] > best_gain + 1e-15:
-                best_gain = float(best_gains[j])
-                best_feature = int(candidates[j]) if candidates is not None else j
-                pos = lo + int(best_pos[j])
-                best_threshold = float((xs[j, pos - 1] + xs[j, pos]) / 2.0)
-        return best_feature, best_threshold, best_gain
-
-    def _split_positions(self, n: int, lo: int, hi: int):
-        """Cached (left-count, right-count) vectors for a node size."""
-        cached = self._pos_cache.get(n)
-        if cached is None:
-            left_n = np.arange(lo, hi).astype(float)
-            cached = (left_n, n - left_n)
-            self._pos_cache[n] = cached
-        return cached
 
     # ------------------------------------------------------------------
 
@@ -375,6 +226,278 @@ class DecisionTreeRegressor:
         if isinstance(mf, float):
             return max(1, int(mf * m))
         return max(1, min(int(mf), m))
+
+
+def fit_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    draws: Sequence[Tuple[int, np.ndarray]],
+    **params,
+) -> List[DecisionTreeRegressor]:
+    """One tree per ``(seed, rows)`` draw, fitted on ``(X[rows], y[rows])``
+    with seed ``seed`` and the hyper-parameters ``params``, all grown in
+    one lockstep sweep (see :func:`_grow`).  Every draw must pick the
+    same number of rows, as a forest's bootstrap draws do.
+
+    Each tree is bit-identical to ``DecisionTreeRegressor(random_state=
+    seed, **params).fit(X[rows], y[rows])``.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    trees = [
+        DecisionTreeRegressor(random_state=seed, **params) for seed, _ in draws
+    ]
+    if trees:
+        rows = np.stack([rows for _, rows in draws])
+        _grow(trees, X[rows], y[rows])
+    return trees
+
+
+class _Growth:
+    """One tree's state in a lockstep sweep: its RNG, its preorder DFS
+    stack and the node arrays grown so far."""
+
+    def __init__(self, tree: DecisionTreeRegressor, index: int):
+        self.tree = tree
+        self.index = index
+        self.rng = np.random.default_rng(tree.random_state)
+        self.stack: list = []
+        self.values: list = []
+        self.features: list = []
+        self.thresholds: list = []
+        self.depths: list = []
+        self.lefts: list = []
+        self.rights: list = []
+        self.importance = np.zeros(tree._num_features)
+
+    def finish(self) -> None:
+        """Store the grown node arrays and importances on the tree."""
+        tree = self.tree
+        tree._value = np.array(self.values)
+        tree._feature = np.array(self.features, dtype=np.intp)
+        tree._threshold = np.array(self.thresholds)
+        tree._left = np.array(self.lefts, dtype=np.intp)
+        tree._right = np.array(self.rights, dtype=np.intp)
+        tree._node_depth = np.array(self.depths, dtype=np.intp)
+        tree._flat = None
+        total = self.importance.sum()
+        tree.feature_importances_ = (
+            self.importance / total if total > 0 else self.importance.copy()
+        )
+
+
+def _grow(
+    trees: Sequence[DecisionTreeRegressor], X: np.ndarray, y: np.ndarray
+) -> None:
+    """Fit tree ``t`` of ``trees`` on ``(X[t], y[t])``, all in lockstep.
+
+    ``X`` is ``(trees, rows, features)`` and ``y`` is ``(trees, rows)``;
+    the trees share their hyper-parameters and differ in seed and data.
+    Each step pops the next preorder node of every unfinished tree and
+    scores the split candidates of all of them in one padded
+    cumulative-sum sweep (:func:`_split_pending`).  What decides a
+    tree's shape stays per tree: its RNG draws the feature subsample in
+    its own preorder, the node value and parent variance reduce
+    exact-length slices (pairwise summation rounds by length), and the
+    strictly-better acceptance scan runs in feature-draw order.  So every
+    tree is bit-identical to fitting it alone.
+    """
+    head = trees[0]
+    _, n_rows, num_features = X.shape
+    min_split = head.min_samples_split
+    min_leaf = head.min_samples_leaf
+    max_depth = head.max_depth
+    for tree in trees:
+        tree._num_features = num_features
+    k = head._n_split_features()
+    all_features = np.arange(num_features)
+    # Feature-major data with one NaN column (NaN sorts after every
+    # value) and one zero label past the rows, for padding a sweep.
+    x_t = np.concatenate(
+        [X.transpose(0, 2, 1), np.full((len(trees), num_features, 1), np.nan)],
+        axis=2,
+    )
+    y_padded = np.concatenate([y, np.zeros((len(trees), 1))], axis=1)
+    growths = [_Growth(tree, t) for t, tree in enumerate(trees)]
+    for growth in growths:
+        # Entry: (parent slot, is-left-child, depth, the node's row
+        # indices in increasing order, its labels).
+        growth.stack.append((-1, False, 0, np.arange(n_rows), y[growth.index]))
+
+    growing = growths
+    while growing:
+        # Pop one node per tree; the nodes that may split are scored
+        # together.
+        pending = []
+        for growth in growing:
+            parent, is_left, depth, idx, y_node = growth.stack.pop()
+            node_id = len(growth.values)
+            if parent >= 0:
+                (growth.lefts if is_left else growth.rights)[parent] = node_id
+            n_node = len(y_node)
+            # np.add.reduce is the pairwise-summation kernel behind
+            # ndarray.mean/var, minus the wrapper overhead that dominates
+            # on the many small nodes deep in a tree (bit-identical).  A
+            # one-row node (always a leaf) is its own mean.
+            mean = y_node[0] if n_node == 1 else np.add.reduce(y_node) / n_node
+            growth.values.append(float(mean))
+            growth.features.append(-1)
+            growth.thresholds.append(0.0)
+            growth.depths.append(depth)
+            growth.lefts.append(-1)
+            growth.rights.append(-1)
+            if (
+                n_node == 1
+                or n_node < min_split
+                or (max_depth is not None and depth >= max_depth)
+                # (Distinct end labels settle most nodes in one compare.)
+                or (y_node[0] == y_node[-1] and bool((y_node == y_node[0]).all()))
+            ):
+                continue
+            deviation = y_node - mean
+            parent_var = np.add.reduce(deviation * deviation) / n_node
+            if parent_var <= 0:
+                continue
+            if k < num_features:
+                candidates = growth.rng.choice(num_features, size=k, replace=False)
+            else:
+                candidates = all_features
+            if n_node - min_leaf + 1 <= min_leaf:
+                continue
+            pending.append(
+                (growth, node_id, depth, idx, y_node, candidates, parent_var)
+            )
+        for bucket in _size_buckets(pending, k):
+            _split_pending(bucket, x_t, y_padded, k, min_leaf)
+        growing = [growth for growth in growing if growth.stack]
+    for growth in growths:
+        growth.finish()
+
+
+#: Padded cells a size bucket must save before it pays for the fixed
+#: per-sweep cost of splitting it off (about 30 numpy calls).
+_BUCKET_CELLS = 1500
+
+
+def _size_buckets(pending: list, k: int) -> List[list]:
+    """``pending`` cut into groups of similar node size, each swept
+    separately: every sweep pads its nodes to its widest one, and the
+    padded cells cost as much as real ones.  Sizes are taken in
+    decreasing order, and a new group starts where the rest of the nodes
+    would save at least :data:`_BUCKET_CELLS` padded cells."""
+    if len(pending) < 2:
+        return [pending] if pending else []
+    ordered = sorted(pending, key=lambda entry: -len(entry[4]))
+    buckets = [[ordered[0]]]
+    width = len(ordered[0][4])
+    for position, entry in enumerate(ordered[1:], 1):
+        size = len(entry[4])
+        if (width - size) * (len(ordered) - position) * k >= _BUCKET_CELLS:
+            buckets.append([])
+            width = size
+        buckets[-1].append(entry)
+    return buckets
+
+
+def _split_pending(
+    pending: list, x_t: np.ndarray, y: np.ndarray, k: int, min_leaf: int
+) -> None:
+    """Score every pending node's split candidates in one sweep, then
+    split each node whose best candidate is accepted.
+
+    Node ``i``'s ``(k, n_i)`` candidate values are padded to the widest
+    node with NaN, which sorts after every value; split position ``p``
+    puts ``p + 1`` rows on the left.
+    """
+    count = len(pending)
+    sizes = np.array([len(entry[4]) for entry in pending])
+    width = int(sizes.max())
+    stride = x_t.shape[2]
+    # Padding cells index the NaN column past every tree's rows.
+    rows = np.full((count, width), stride - 1, dtype=np.intp)
+    for i, entry in enumerate(pending):
+        rows[i, :sizes[i]] = entry[3]
+    tree_index = np.array([entry[0].index for entry in pending])[:, None, None]
+    features = np.array([entry[5] for entry in pending])[:, :, None]
+    values = x_t[tree_index, features, rows[:, None, :]]
+    # A node's rows are in increasing order, so a stable sort of its
+    # values breaks ties by row, exactly as sorting the feature once and
+    # partitioning it down the tree would.
+    order = values.argsort(axis=2, kind="stable")
+    # Gathers along the sorted order are flat takes: far cheaper than
+    # indexing with several broadcast index arrays.
+    xs = values.reshape(-1).take(
+        order + (np.arange(count * k) * width).reshape(count, k, 1)
+    )
+    sorted_rows = rows.reshape(-1).take(
+        order + (np.arange(count) * width)[:, None, None]
+    )
+    ys = y.reshape(-1).take(tree_index * stride + sorted_rows)
+
+    # Cumulative sums evaluate every split position of every candidate
+    # feature of every node at once.  A prefix sum does not depend on the
+    # padding after it, so each node's sums equal its own sweep's, and
+    # the element-wise steps below round exactly as they would alone.
+    csum = ys.cumsum(axis=2)
+    csum_sq = (ys ** 2).cumsum(axis=2)
+    n = sizes.astype(float)[:, None, None]
+    node_rows = np.arange(count)
+    total = csum[node_rows, :, sizes - 1][:, :, None]
+    total_sq = csum_sq[node_rows, :, sizes - 1][:, :, None]
+    left_n = np.arange(1, width, dtype=float)
+    right_n = n - left_n
+    left_sum = csum[:, :, :-1]
+    left_sq = csum_sq[:, :, :-1]
+    right_sum = total - left_sum
+    right_sq = total_sq - left_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left_var = left_sq / left_n - (left_sum / left_n) ** 2
+        right_var = right_sq / right_n - (right_sum / right_n) ** 2
+        weighted = (left_n * left_var + right_n * right_var) / n
+    parent_var = np.array([entry[6] for entry in pending])[:, None, None]
+    gains = parent_var - weighted
+    # A valid position leaves min_leaf rows on each side (so none lies
+    # past a node's end) and splits between distinct values.
+    valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+    valid = valid & (xs[:, :, :-1] < xs[:, :, 1:])
+    gains[~valid] = -np.inf
+    best_pos = gains.argmax(axis=2)
+    best_gains = gains.reshape(-1, width - 1)[
+        np.arange(count * k), best_pos.reshape(-1)
+    ].reshape(count, k)
+
+    for i, (growth, node_id, depth, idx, y_node, candidates, _), node_gains, (
+        node_pos
+    ) in zip(range(count), pending, best_gains.tolist(), best_pos.tolist()):
+        # Sequential acceptance in feature-draw order: strictly-better-only
+        # updates reproduce the original per-feature loop's tie-breaking.
+        best_j, best_gain = -1, 0.0
+        for j, gain in enumerate(node_gains):
+            if gain > best_gain + 1e-15:
+                best_j, best_gain = j, gain
+        if best_j < 0:
+            continue
+        feature = int(candidates[best_j])
+        pos = node_pos[best_j]
+        threshold = float((xs[i, best_j, pos] + xs[i, best_j, pos + 1]) / 2.0)
+        n_node = int(sizes[i])
+        goes_left = values[i, best_j, :n_node] <= threshold
+        # Guard against degenerate thresholds: if two adjacent distinct
+        # values are so close that their midpoint rounds onto one of
+        # them, a child can end up empty — treat the node as a leaf.
+        n_left = int(np.count_nonzero(goes_left))
+        if n_left == 0 or n_left == n_node:
+            continue
+        growth.importance[feature] += best_gain * n_node
+        growth.features[node_id] = feature
+        growth.thresholds[node_id] = threshold
+        goes_right = ~goes_left
+        growth.stack.append(
+            (node_id, False, depth + 1, idx[goes_right], y_node[goes_right])
+        )
+        growth.stack.append(
+            (node_id, True, depth + 1, idx[goes_left], y_node[goes_left])
+        )
 
 
 class FlatForest:

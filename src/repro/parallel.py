@@ -169,6 +169,27 @@ def resolve_workers(max_workers: Optional[int], num_items: int) -> int:
     return max(1, min(max_workers, num_items))
 
 
+def contiguous_chunks(
+    items: Sequence[_T], max_workers: Optional[int]
+) -> List[List[_T]]:
+    """``items`` in order, split into contiguous chunks of near-equal
+    size: one per worker, for stages whose per-chunk work amortizes over
+    many items.
+
+    A pooled split has at least :data:`PROCESS_MIN_ITEMS` chunks (so the
+    batch still reaches the pool) in a multiple of the worker count (so
+    workers get equal shares).
+    """
+    if not items:
+        return []
+    workers = resolve_workers(max_workers, len(items))
+    count = workers
+    if workers > 1:
+        count = min(workers * -(-PROCESS_MIN_ITEMS // workers), len(items))
+    bounds = [len(items) * i // count for i in range(count + 1)]
+    return [list(items[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def parallel_map(
     fn: Callable[..., _R],
     items: Sequence[_T],

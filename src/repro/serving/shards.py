@@ -31,7 +31,10 @@ Pieces:
   the respawn runs — values must never silently move lanes on crash).
 * :class:`ShardManager` — the backend itself.  Lifecycle: spawn + ready
   handshake over a pipe, keep-alive connection pooling, crash detection
-  via the process sentinel, respawn, and a drain that reaps every
+  via the process sentinel, respawn with bounded exponential backoff
+  (a worker that keeps failing to boot is retried after 1, 2, 4 … up
+  to 30 s, and ``/healthz`` shows its failures and next retry), and a
+  drain that reaps every
   worker before returning.  Per endpoint: ``predict`` relays (streams
   chunk-for-chunk), and ``health`` / ``stats`` / ``reload`` poll every
   worker and fold the reports — the only code that knows their shape.
@@ -315,6 +318,10 @@ class ShardManager:
 
     #: seconds a worker gets to build its registry and report ready
     READY_TIMEOUT = 300.0
+    #: seconds before the first retry of a failed respawn; each further
+    #: consecutive failure doubles the wait, up to the cap
+    RESPAWN_BACKOFF = 1.0
+    RESPAWN_BACKOFF_CAP = 30.0
 
     def __init__(self, sources: Tuple, config, count: int):
         self.sources = sources
@@ -324,6 +331,10 @@ class ShardManager:
         self.crashes = 0
         self.respawns = 0
         self.spills = 0
+        #: per shard: consecutive failed respawns, and the event-loop
+        #: time of the next retry (``None`` when none is pending)
+        self.boot_failures = [0] * count
+        self.retry_at: List[Optional[float]] = [None] * count
         self._draining = False
         self._ctx = multiprocessing.get_context("spawn")
 
@@ -419,19 +430,34 @@ class ShardManager:
         loop.create_task(self._respawn(shard.index))
 
     async def _respawn(self, index: int) -> None:
+        """Boot shard ``index`` again until it reports ready, backing off
+        exponentially between failed boots."""
         loop = asyncio.get_running_loop()
         while not self._draining:
             try:
                 await loop.run_in_executor(None, self._launch, index)
                 await self._await_ready(index)
-                self.respawns += 1
-                return
             except Exception as exc:  # noqa: BLE001 - keep trying
+                self.boot_failures[index] += 1
+                # (The exponent is bounded so that days of failures
+                # cannot overflow the float.)
+                doublings = min(self.boot_failures[index] - 1, 32)
+                delay = min(
+                    self.RESPAWN_BACKOFF * 2 ** doublings,
+                    self.RESPAWN_BACKOFF_CAP,
+                )
+                self.retry_at[index] = loop.time() + delay
                 print(
-                    f"repro-serve shard {index} respawn failed: {exc}",
+                    f"repro-serve shard {index} respawn failed: {exc}; "
+                    f"retrying in {delay:g}s",
                     flush=True,
                 )
-                await asyncio.sleep(1.0)
+                await asyncio.sleep(delay)
+                continue
+            self.respawns += 1
+            self.boot_failures[index] = 0
+            self.retry_at[index] = None
+            return
 
     async def stop(self) -> None:
         """SIGTERM every worker, reap them all; returns only when reaped."""
@@ -704,13 +730,21 @@ class ShardManager:
     # -- folded worker reports ------------------------------------------
 
     async def health(self) -> Tuple[str, Dict[str, Any]]:
-        """Fold every worker's ``/healthz``: per-worker liveness, the
-        first live worker's models, and summed reload counters.  The
-        status is ``"degraded"`` while any worker is down."""
+        """Fold every worker's ``/healthz``: per-worker liveness and
+        respawn state (consecutive failed boots, seconds to the next
+        retry), the first live worker's models, and summed reload
+        counters.  The status is ``"degraded"`` while any worker is
+        down."""
         workers: List[Dict[str, Any]] = []
         models: List[Dict[str, Any]] = []
         reload_totals = {"checks": 0, "refreshes": 0, "swaps": 0}
+        now = asyncio.get_running_loop().time()
         for worker, _, payload in await self.poll("GET", "/healthz"):
+            retry_at = self.retry_at[worker["shard"]]
+            worker["boot_failures"] = self.boot_failures[worker["shard"]]
+            worker["retry_in_s"] = (
+                None if retry_at is None else round(max(0.0, retry_at - now), 3)
+            )
             if worker["alive"]:
                 worker["status"] = payload.get("status")
                 models = models or payload.get("models", [])

@@ -49,7 +49,10 @@ MODEL = {
 }
 BATCH = {"max_batch": ".", "queue_limit": ".", "request_timeout_s": "."}
 RELOAD = {"interval_s": ".", "checks": ".", "refreshes": ".", "swaps": "."}
-WORKER = {"shard": ".", "alive": ".", "pid": ".", "status": "."}
+WORKER = {
+    "shard": ".", "alive": ".", "pid": ".", "boot_failures": ".",
+    "retry_in_s": ".", "status": ".",
+}
 QUEUE = {
     "depth": ".", "requests_waiting": ".", "in_flight": ".",
     "limit": ".", "rejected_total": ".",

@@ -721,3 +721,61 @@ def test_worker_crash_503_respawn_recovers(model_path, direct, circuits):
     finally:
         client.close()
         thread.stop()
+
+
+def test_respawn_backs_off_exponentially_and_reports_in_healthz(monkeypatch):
+    """A shard whose boot keeps failing is retried after 1, 2, 4, 8, 16
+    and then every 30 s, not every second forever; ``/healthz`` shows
+    its consecutive failures and the wait to the next retry, and a
+    successful boot resets both."""
+    import asyncio
+
+    import repro.serving.shards as shards_mod
+
+    manager = shards_mod.ShardManager((), ServerConfig(), 1)
+    failing_boots = 8
+    launches = []
+
+    def launch(index):
+        launches.append(index)
+        if len(launches) <= failing_boots:
+            raise RuntimeError("worker failed to boot")
+
+    async def ready(index):
+        return None
+
+    monkeypatch.setattr(manager, "_launch", launch)
+    monkeypatch.setattr(manager, "_await_ready", ready)
+    delays, reports = [], []
+    real_sleep = asyncio.sleep
+
+    async def sleep(delay):
+        # Record each backoff and what /healthz says during it, without
+        # waiting it out.
+        delays.append(delay)
+        reports.append((await manager.health())[1]["shards"]["workers"][0])
+        await real_sleep(0)
+
+    monkeypatch.setattr(shards_mod.asyncio, "sleep", sleep)
+
+    async def run():
+        await manager._respawn(0)
+        return (await manager.health())[1]["shards"]["workers"][0]
+
+    after = asyncio.run(run())
+    assert launches == [0] * (failing_boots + 1)
+    assert delays == [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0, 30.0]
+    assert [report["boot_failures"] for report in reports] == list(
+        range(1, failing_boots + 1)
+    )
+    for delay, report in zip(delays, reports):
+        assert 0.0 < report["retry_in_s"] <= delay
+    assert manager.respawns == 1
+    assert after["boot_failures"] == 0 and after["retry_in_s"] is None
+
+    # Days of failures still wait the cap (the doubling cannot overflow).
+    launches.clear()
+    failing_boots = 1
+    manager.boot_failures[0] = 5000
+    asyncio.run(run())
+    assert delays[-1] == 30.0 and manager.boot_failures[0] == 0
