@@ -488,36 +488,53 @@ Candidates = List[Tuple[QuantumCircuit, PropertySet]]
 
 #: The flat form of a compile's candidates (see :func:`_encode`): what a
 #: worker returns, and a level-3 trial set's cache entry.
-Encoded = Tuple[Tuple[Dict, PropertySet], ...]
+Encoded = Tuple[Tuple[Dict, Dict], ...]
 
 
 def _encode(circuit: QuantumCircuit, candidates: Candidates) -> Encoded:
     """``candidates`` of a compile of ``circuit`` in flat form: each
     one's :meth:`~repro.circuits.circuit.QuantumCircuit.to_arrays`
     encoding, holding only the metadata its passes added to or changed
-    in ``circuit``'s, and its properties.  Flat arrays pickle and store
-    cheaply, and only the candidates a caller uses are decoded."""
+    in ``circuit``'s, and its properties, all copied (as
+    :func:`~repro.compiler.passes.base.snapshot_result` copies), so later
+    edits to the winner's result cannot reach a stored trial set.
+
+    Unlike a whole compile, which is restored on every warm hit and so
+    keeps its instructions as objects, a trial set is read at most once
+    per device and mostly crosses the process boundary: flat arrays
+    pickle and unpickle cheaply, are scored without rebuilding (see
+    :func:`~repro.fom.metrics.expected_fidelity_batch`), and only the
+    winner a caller picks is decoded."""
     encoded = []
     for compiled, properties in candidates:
         arrays = compiled.to_arrays()
         arrays["metadata"] = {
-            key: value for key, value in arrays["metadata"].items()
+            key: _copy_property(value)
+            for key, value in arrays["metadata"].items()
             if key not in circuit.metadata or circuit.metadata[key] != value
         }
-        encoded.append((arrays, properties))
+        encoded.append((arrays, {
+            key: _copy_property(value) for key, value in properties.items()
+        }))
     return tuple(encoded)
 
 
 def _decode(
-    circuit: QuantumCircuit, candidate: Tuple[Dict, PropertySet]
+    circuit: QuantumCircuit, candidate: Tuple[Dict, Dict]
 ) -> Tuple[QuantumCircuit, PropertySet]:
     """A fresh, independently mutable candidate of a compile of
     ``circuit`` from its :func:`_encode` form: ``circuit``'s name and
-    metadata plus the candidate's own."""
+    metadata plus copies of the candidate's own, and its properties."""
     arrays, properties = candidate
     compiled = QuantumCircuit.from_arrays(arrays)
     compiled.name = circuit.name
-    compiled.metadata = {**circuit.metadata, **compiled.metadata}
+    compiled.metadata = {
+        **circuit.metadata,
+        **{
+            key: _copy_property(value)
+            for key, value in compiled.metadata.items()
+        },
+    }
     return compiled, PropertySet(
         (key, _copy_property(value)) for key, value in properties.items()
     )
@@ -646,12 +663,12 @@ def compile_batch(
     speed it up — the GIL serializes them.  Pooled misses therefore fan
     out over the process's shared spawn pool (:mod:`repro.parallel`),
     whose long-lived workers each hold their own pass cache, emptied
-    when the worker installs this batch's invariants.  A worker returns
-    a miss's candidates and the index of the winner it picked; circuits,
-    :class:`~repro.hardware.coupling.RoutingTables` and candidates cross
-    the process boundary through cheap flat-array encodings.  The caller
-    finishes the winner and stores the trial set and the whole compile
-    as each miss comes back, whichever process compiled it, so the next
+    when the worker installs this batch's invariants.  A worker picks
+    and finishes a miss's winner and returns it with the miss's
+    candidates; circuits, :class:`~repro.hardware.coupling.RoutingTables`
+    and candidates cross the process boundary through cheap flat-array
+    encodings.  The caller stores the trial set and the whole compile as
+    each miss comes back, whichever process compiled it, so the next
     batch of the same circuits is all hits and fans nothing out, and the
     same batch on another device with this coupling map fans nothing out
     either.

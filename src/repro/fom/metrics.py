@@ -95,6 +95,24 @@ def _calibration_fidelity_tables(
     return one_q, readout, edge
 
 
+def _gate_arrays(circuit: QuantumCircuit) -> Dict[str, object]:
+    """The part of ``circuit``'s
+    :meth:`~repro.circuits.circuit.QuantumCircuit.to_arrays` encoding
+    that scoring reads: gate names, gate codes, qubit counts, qubits."""
+    vocab: Dict[str, int] = {}
+    codes, counts, qubits = [], [], []
+    for instruction in circuit.instructions:
+        codes.append(vocab.setdefault(instruction.name, len(vocab)))
+        counts.append(len(instruction.qubits))
+        qubits.extend(instruction.qubits)
+    return {
+        "gate_names": tuple(vocab),
+        "codes": codes,
+        "qubit_counts": counts,
+        "qubits": qubits,
+    }
+
+
 def _encoded_factors(
     arrays: Dict[str, object],
     one_q: np.ndarray,
@@ -102,8 +120,9 @@ def _encoded_factors(
     edge: np.ndarray,
 ) -> np.ndarray:
     """The fidelity factors of a circuit given as its
-    :meth:`~repro.circuits.circuit.QuantumCircuit.to_arrays` encoding,
-    in instruction order, barriers skipped — without rebuilding it."""
+    :meth:`~repro.circuits.circuit.QuantumCircuit.to_arrays` encoding
+    (or :func:`_gate_arrays`), in instruction order, barriers skipped:
+    the rules of :func:`expected_fidelity`, applied to whole arrays."""
     names = arrays["gate_names"]
     codes = np.asarray(arrays["codes"], dtype=np.intp)
     counts = np.asarray(arrays["qubit_counts"], dtype=np.intp)
@@ -144,46 +163,22 @@ def expected_fidelity_batch(
     :func:`expected_fidelity` per circuit.  A circuit may also come as
     its :meth:`~repro.circuits.circuit.QuantumCircuit.to_arrays`
     encoding, which is scored without rebuilding it (a level-3 trial set
-    in the compile cache keeps its candidates that way).
+    in the compile cache keeps its candidates that way); a circuit
+    object is gathered into the same arrays first, so both go through
+    one set of rules.
     """
     cal = calibration if calibration is not None else device.reported_calibration
     if not circuits:
         return np.empty(0)
     one_q, readout, edge = _calibration_fidelity_tables(device, cal)
 
-    per_circuit: list = []
-    for circuit in circuits:
-        if isinstance(circuit, dict):
-            per_circuit.append(_encoded_factors(circuit, one_q, readout, edge))
-            continue
-        one_q_pos, one_q_idx = [], []
-        two_q_pos, two_q_a, two_q_b = [], [], []
-        meas_pos, meas_idx = [], []
-        pos = 0
-        for instruction in circuit.instructions:
-            if instruction.name == "barrier":
-                continue
-            if instruction.name == "measure":
-                meas_pos.append(pos)
-                meas_idx.append(instruction.qubits[0])
-            elif instruction.num_qubits == 1:
-                one_q_pos.append(pos)
-                one_q_idx.append(instruction.qubits[0])
-            elif instruction.num_qubits == 2:
-                two_q_pos.append(pos)
-                two_q_a.append(instruction.qubits[0])
-                two_q_b.append(instruction.qubits[1])
-            else:
-                raise ValueError(
-                    f"expected a compiled circuit; found "
-                    f"{instruction.num_qubits}-qubit gate '{instruction.name}'"
-                )
-            pos += 1
-        values = np.empty(pos)
-        values[one_q_pos] = one_q[one_q_idx]
-        values[two_q_pos] = edge[two_q_a, two_q_b]
-        values[meas_pos] = readout[meas_idx]
-        per_circuit.append(values)
+    per_circuit = [
+        _encoded_factors(
+            circuit if isinstance(circuit, dict) else _gate_arrays(circuit),
+            one_q, readout, edge,
+        )
+        for circuit in circuits
+    ]
 
     lengths = np.array([len(v) for v in per_circuit])
     results = np.ones(len(circuits))

@@ -17,9 +17,9 @@ case):
   original recursion's order;
 * each lockstep step pops one node of every unfinished tree and scores
   all candidate thresholds of all candidate features of all those nodes
-  in one padded cumulative-sum sweep, nodes of similar size together
-  (a prefix sum does not depend on what pads it, so every tree's sums
-  are the ones its own sweep would give);
+  in one padded cumulative-sum sweep (a prefix sum does not depend on
+  what pads it, so every tree's sums are the ones its own sweep would
+  give);
 * a node's rows stay in increasing order, so a stable sort of a
   candidate feature's values at the node is exactly the root presort
   restricted to those rows, ties included;
@@ -367,36 +367,11 @@ def _grow(
             pending.append(
                 (growth, node_id, depth, idx, y_node, candidates, parent_var)
             )
-        for bucket in _size_buckets(pending, k):
-            _split_pending(bucket, x_t, y_padded, k, min_leaf)
+        if pending:
+            _split_pending(pending, x_t, y_padded, k, min_leaf)
         growing = [growth for growth in growing if growth.stack]
     for growth in growths:
         growth.finish()
-
-
-#: Padded cells a size bucket must save before it pays for the fixed
-#: per-sweep cost of splitting it off (about 30 numpy calls).
-_BUCKET_CELLS = 1500
-
-
-def _size_buckets(pending: list, k: int) -> List[list]:
-    """``pending`` cut into groups of similar node size, each swept
-    separately: every sweep pads its nodes to its widest one, and the
-    padded cells cost as much as real ones.  Sizes are taken in
-    decreasing order, and a new group starts where the rest of the nodes
-    would save at least :data:`_BUCKET_CELLS` padded cells."""
-    if len(pending) < 2:
-        return [pending] if pending else []
-    ordered = sorted(pending, key=lambda entry: -len(entry[4]))
-    buckets = [[ordered[0]]]
-    width = len(ordered[0][4])
-    for position, entry in enumerate(ordered[1:], 1):
-        size = len(entry[4])
-        if (width - size) * (len(ordered) - position) * k >= _BUCKET_CELLS:
-            buckets.append([])
-            width = size
-        buckets[-1].append(entry)
-    return buckets
 
 
 def _split_pending(

@@ -194,6 +194,33 @@ def test_disabled_cache_keeps_no_trial_set(workers):
     assert compile_cache_stats()["size"] == 0
 
 
+@pytest.mark.parametrize("workers", WORKERS)
+def test_edits_to_results_do_not_reach_the_cache(workers):
+    """A result shares nothing with the cache entries made from its
+    compile: computing its schedule, clearing its layouts or emptying its
+    circuit leaves the next Q20-B (trial set) and Q20-A (whole compile)
+    results equal to cold compiles."""
+    circuits = _circuits()
+    q20a, q20b = make_q20a(), make_q20b()
+    cold = [_cold(circuits, device, workers) for device in (q20a, q20b)]
+    for result in compile_batch(
+        circuits, q20a, optimization_level=3, seed=5, max_workers=workers
+    ):
+        assert result.schedule is result.properties["schedule"]
+        result.properties["final_layout"].clear()
+        result.properties["initial_layout"].clear()
+        result.circuit.metadata.clear()
+        result.circuit.instructions.clear()
+    warm = [
+        _snapshot(compile_batch(
+            circuits, device, optimization_level=3, seed=5,
+            max_workers=workers,
+        ))
+        for device in (q20b, q20a)
+    ]
+    assert warm[::-1] == cold
+
+
 def test_flat_candidates_score_like_circuits():
     """The trial-set pick scores candidates in flat form; the scores are
     bit-identical to scoring the rebuilt circuits."""
