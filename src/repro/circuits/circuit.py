@@ -17,30 +17,57 @@ import numpy as np
 from .gates import NON_UNITARY, get_spec
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
 class Instruction:
-    """One operation in a circuit.
+    """One immutable operation in a circuit, equal by value.
 
     Attributes:
         name: gate name (must be registered in :data:`repro.circuits.gates.GATES`).
         qubits: qubit indices the operation acts on, in argument order.
         params: float gate parameters.
         clbits: classical bit indices (only used by ``measure``).
+
+    A slotted class rather than a dataclass: a compiled circuit holds one
+    instance per gate, and caches hold many circuits, so each instance
+    is built without a ``__dict__``.  Setting or deleting an attribute
+    raises ``AttributeError``.
     """
 
-    name: str
-    qubits: Tuple[int, ...]
-    params: Tuple[float, ...] = ()
-    clbits: Tuple[int, ...] = ()
+    __slots__ = ("name", "qubits", "params", "clbits", "_hash")
 
-    def __post_init__(self) -> None:
-        # Precomputed content hash: instructions are immutable and hashed
-        # in bulk by the simulator's cache-revalidation fingerprints, so
-        # paying the tuple hash once at construction keeps those hot.
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.name, self.qubits, self.params, self.clbits)),
+    def __init__(
+        self,
+        name: str,
+        qubits: Tuple[int, ...],
+        params: Tuple[float, ...] = (),
+        clbits: Tuple[int, ...] = (),
+    ) -> None:
+        _setattr(self, "name", name)
+        _setattr(self, "qubits", qubits)
+        _setattr(self, "params", params)
+        _setattr(self, "clbits", clbits)
+        # Precomputed content hash: instructions are hashed in bulk by the
+        # simulator's cache-revalidation fingerprints, so paying the tuple
+        # hash once at construction keeps those hot.
+        _setattr(self, "_hash", hash((name, qubits, params, clbits)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Instruction:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.name == other.name
+            and self.qubits == other.qubits
+            and self.params == other.params
+            and self.clbits == other.clbits
         )
 
     def __hash__(self) -> int:
@@ -407,25 +434,30 @@ class QuantumCircuit:
         The rebuilt instructions are bit-identical to the originals
         (names, integer indices, and float64 parameters all round-trip
         exactly); validation is skipped because the encoder only emits
-        circuits that already passed it.
+        circuits that already passed it.  Equal qubit tuples are one
+        shared tuple object, so a decoded circuit holds one per qubit or
+        coupler it touches rather than one per gate.
         """
         gate_names = arrays["gate_names"]
         codes = np.asarray(arrays["codes"]).tolist()
         q_counts = np.asarray(arrays["qubit_counts"]).tolist()
         p_counts = np.asarray(arrays["param_counts"]).tolist()
         c_counts = np.asarray(arrays["clbit_counts"]).tolist()
-        q_flat = np.asarray(arrays["qubits"]).tolist()
-        p_flat = np.asarray(arrays["params"]).tolist()
-        c_flat = np.asarray(arrays["clbits"]).tolist()
+        # Tuples, so a slice is the field itself (an empty one is ``()``).
+        q_flat = tuple(np.asarray(arrays["qubits"]).tolist())
+        p_flat = tuple(np.asarray(arrays["params"]).tolist())
+        c_flat = tuple(np.asarray(arrays["clbits"]).tolist())
+        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         instructions: List[Instruction] = []
         qi = pi = ci = 0
         for code, nq, npar, nc in zip(codes, q_counts, p_counts, c_counts):
+            qubits = q_flat[qi:qi + nq]
             instructions.append(
                 Instruction(
                     gate_names[code],
-                    tuple(q_flat[qi:qi + nq]),
-                    tuple(p_flat[pi:pi + npar]),
-                    tuple(c_flat[ci:ci + nc]),
+                    shared.setdefault(qubits, qubits),
+                    p_flat[pi:pi + npar],
+                    c_flat[ci:ci + nc],
                 )
             )
             qi += nq

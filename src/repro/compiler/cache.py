@@ -19,19 +19,21 @@ Keys combine three ingredients (assembled by
 * the frozen values of the property-set keys the pass declares it reads
   (e.g. routing reads ``initial_layout``).
 
-Cached entries store an immutable snapshot of the output instructions plus
-the metadata/property *deltas* the pass produced, so a hit rebuilds a
-fresh, independently mutable circuit.  Two more kinds of entry live
-here, under tagged keys, so the knobs, the counters and the LRU below
-govern them too:
+A pass result, a whole compile and each candidate of a level-3 trial
+set are stored alike, as a :class:`CachedPassResult`: an immutable
+snapshot of the output instructions plus the metadata and property
+*deltas* its pass or compile produced, so a hit rebuilds a fresh,
+independently mutable circuit.  Besides pass results, four kinds of
+entry live here, under tagged keys, so the knobs, the counters and the
+LRU below govern them too:
 
 * ``"compile"`` — a whole compile's output (see
   :func:`~repro.compiler.compile._compile_key`), which makes a warm
   compile one lookup;
-* ``"trials"`` — a level-3 compile's candidate set, keyed like the
-  whole compile minus its calibration term, so a device that shares the
-  coupling map (Q20-A and Q20-B) only re-picks the winner on its own
-  reported calibration;
+* ``"trials"`` — a level-3 compile's candidates, a tuple of snapshots,
+  keyed like the whole compile minus its calibration term, so a device
+  that shares the coupling map (Q20-A and Q20-B) only re-picks the
+  winner on its own reported calibration;
 * ``"pass-keys"`` — the hash of a pipeline's pass keys, a function of
   the coupling map and the compile options alone, looked up through the
   uncounted :meth:`CompileCache.memo`;
@@ -52,15 +54,33 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
+from ..circuits.circuit import QuantumCircuit
+
 #: Default number of cached entries.  One level-3 compilation stores
 #: roughly two dozen entries, so the default comfortably covers a full
 #: benchmark-suite sweep (~335 circuits) without evictions.
 DEFAULT_MAXSIZE = 32768
 
 
+def circuit_cache_fingerprint(circuit: QuantumCircuit) -> Tuple:
+    """Content fingerprint of a circuit for compile-cache keys.
+
+    Instructions are immutable and pre-hashed, so the tuple hash is cheap;
+    length is included alongside to shrink the collision surface.
+    """
+    return (
+        circuit.num_qubits,
+        circuit.num_clbits,
+        circuit.global_phase,
+        len(circuit.instructions),
+        hash(tuple(circuit.instructions)),
+    )
+
+
 @dataclass
 class CachedPassResult:
-    """Immutable snapshot of one pass run, or of one whole compile.
+    """Immutable snapshot of one pass run, of one whole compile, or of
+    one candidate of a level-3 trial set.
 
     ``instructions`` is a tuple (instructions themselves are frozen), so a
     stored entry can never be corrupted by callers mutating the circuit a
@@ -78,6 +98,34 @@ class CachedPassResult:
     fingerprint: Tuple
     metadata_delta: Dict[str, Any] = field(default_factory=dict)
     properties_delta: Dict[str, Any] = field(default_factory=dict)
+
+    def __reduce__(self):
+        # Ship the instructions as one circuit, which pickles as flat
+        # arrays rather than one object per instruction.  ``fingerprint``
+        # holds ``hash()`` values, salted per interpreter, so the loading
+        # one recomputes it.
+        circuit = QuantumCircuit(
+            self.num_qubits, self.num_clbits, global_phase=self.global_phase,
+            instructions=list(self.instructions),
+        )
+        return (_load_entry, (circuit, self.metadata_delta, self.properties_delta))
+
+
+def _load_entry(
+    circuit: QuantumCircuit,
+    metadata_delta: Dict[str, Any],
+    properties_delta: Dict[str, Any],
+) -> CachedPassResult:
+    """Pickle target for :meth:`CachedPassResult.__reduce__`."""
+    return CachedPassResult(
+        num_qubits=circuit.num_qubits,
+        num_clbits=circuit.num_clbits,
+        global_phase=circuit.global_phase,
+        instructions=tuple(circuit.instructions),
+        fingerprint=circuit_cache_fingerprint(circuit),
+        metadata_delta=metadata_delta,
+        properties_delta=properties_delta,
+    )
 
 
 class CompileCache:

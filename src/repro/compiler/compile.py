@@ -25,8 +25,8 @@ piece of work once.  Pass results that are pure functions of
 skip entire passes).  Level-3 trials share their trial-invariant prefix —
 the decompose + optimization-loop "body" runs once, not once per trial —
 and candidates are scored with one vectorized
-:func:`~repro.fom.metrics.expected_fidelity_batch` sweep over the
-calibration arrays.  And whole compiles are cache entries, held in the
+:func:`~repro.fom.metrics.expected_fidelity_batch` sweep over a dense
+calibration table.  And whole compiles are cache entries, held in the
 caller: a compile's output (see :func:`_compile_key`), so a warm compile
 runs no pass and scores nothing, and a level-3 compile's trial set (see
 :func:`_trial_key`), which depends on the coupling map but not on the
@@ -48,12 +48,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..hardware.device import Device
-from .cache import CompileCache, active_compile_cache
+from .cache import CachedPassResult, CompileCache, active_compile_cache
 from .passes.base import (
     Pass,
     PassManager,
     PropertySet,
-    _copy_property,
     circuit_cache_fingerprint,
     restore_result,
     snapshot_result,
@@ -234,12 +233,13 @@ def _stock_trials(
 
 
 def _pick_best(
-    candidates: Sequence["QuantumCircuit | Dict"], device: Device
+    candidates: Sequence["QuantumCircuit | CachedPassResult"], device: Device
 ) -> Tuple[int, float]:
     """Index and score of the candidate with the best expected fidelity
     on the device's reported calibration.  The first occurrence of the
-    maximum wins, so earlier candidates win ties.  Candidates may also
-    come in flat form (see :func:`_encode`)."""
+    maximum wins, so earlier candidates win ties.  Candidates are
+    compiled circuits or their snapshot entries (see
+    :func:`_compile_task`), scored alike."""
     from ..fom.metrics import expected_fidelity_batch
 
     scores = expected_fidelity_batch(
@@ -486,58 +486,10 @@ def _finish(
 #: pipeline's one output, or one output per level-3 trial.
 Candidates = List[Tuple[QuantumCircuit, PropertySet]]
 
-#: The flat form of a compile's candidates (see :func:`_encode`): what a
-#: worker returns, and a level-3 trial set's cache entry.
-Encoded = Tuple[Tuple[Dict, Dict], ...]
-
-
-def _encode(circuit: QuantumCircuit, candidates: Candidates) -> Encoded:
-    """``candidates`` of a compile of ``circuit`` in flat form: each
-    one's :meth:`~repro.circuits.circuit.QuantumCircuit.to_arrays`
-    encoding, holding only the metadata its passes added to or changed
-    in ``circuit``'s, and its properties, all copied (as
-    :func:`~repro.compiler.passes.base.snapshot_result` copies), so later
-    edits to the winner's result cannot reach a stored trial set.
-
-    Unlike a whole compile, which is restored on every warm hit and so
-    keeps its instructions as objects, a trial set is read at most once
-    per device and mostly crosses the process boundary: flat arrays
-    pickle and unpickle cheaply, are scored without rebuilding (see
-    :func:`~repro.fom.metrics.expected_fidelity_batch`), and only the
-    winner a caller picks is decoded."""
-    encoded = []
-    for compiled, properties in candidates:
-        arrays = compiled.to_arrays()
-        arrays["metadata"] = {
-            key: _copy_property(value)
-            for key, value in arrays["metadata"].items()
-            if key not in circuit.metadata or circuit.metadata[key] != value
-        }
-        encoded.append((arrays, {
-            key: _copy_property(value) for key, value in properties.items()
-        }))
-    return tuple(encoded)
-
-
-def _decode(
-    circuit: QuantumCircuit, candidate: Tuple[Dict, Dict]
-) -> Tuple[QuantumCircuit, PropertySet]:
-    """A fresh, independently mutable candidate of a compile of
-    ``circuit`` from its :func:`_encode` form: ``circuit``'s name and
-    metadata plus copies of the candidate's own, and its properties."""
-    arrays, properties = candidate
-    compiled = QuantumCircuit.from_arrays(arrays)
-    compiled.name = circuit.name
-    compiled.metadata = {
-        **circuit.metadata,
-        **{
-            key: _copy_property(value)
-            for key, value in compiled.metadata.items()
-        },
-    }
-    return compiled, PropertySet(
-        (key, _copy_property(value)) for key, value in properties.items()
-    )
+#: A compile's candidates as snapshot entries (see
+#: :func:`~repro.compiler.passes.base.snapshot_result`): what a worker
+#: returns, and a level-3 trial set's cache entry.
+Entries = Tuple[CachedPassResult, ...]
 
 
 def _run_trials(
@@ -567,58 +519,31 @@ def _compile_task(
     keep_final_rz: bool,
     num_trials: int,
     task: Tuple[QuantumCircuit, int],
-) -> Tuple[Tuple, Optional[Encoded]]:
+) -> Tuple[int, Entries]:
     """Compile one ``(circuit, seed)`` miss of a :func:`compile_batch`.
 
-    Returns the finished result's :func:`_payload` and, at level 3, the
-    trial set in flat form: every trial's candidate, the winner picked
-    here on the device's reported calibration among them.
+    Returns the winner's index and the compile's candidates, each a
+    :func:`~repro.compiler.passes.base.snapshot_result` entry of
+    ``circuit`` without its measurements: the level-0/1/2 pipeline's
+    one output, or every level-3 trial's, the winner picked here on the
+    device's reported calibration.  The caller finishes the winner.
     """
     circuit, task_seed = task
-    body, measurements = _prepare(circuit, device)
-    trials = None
+    body, _ = _prepare(circuit, device)
     if optimization_level < 3:
-        winner = _run(body, _build_pipeline(
+        candidates = [_run(body, _build_pipeline(
             device, optimization_level, task_seed, keep_final_rz
-        ))
+        ))]
     else:
         candidates = _run_trials(
             body, device, task_seed, keep_final_rz, num_trials
         )
-        trials = _encode(circuit, candidates)
-        winner = candidates[
-            _pick_best([arrays for arrays, _ in trials], device)[0]
-        ]
-    return _payload(_finish(
-        circuit, *winner, measurements, device, optimization_level
-    )), trials
-
-
-def _payload(result: CompilationResult) -> Tuple:
-    """A batch task's result *without* the device: shipping the device
-    back from a pool worker on every item would dominate the payload."""
-    return (
-        result.circuit,
-        result.initial_layout,
-        result.final_layout,
-        result.properties,
+    entries = tuple(
+        snapshot_result(circuit, compiled, properties)
+        for compiled, properties in candidates
     )
-
-
-def _unpack(
-    payload: Tuple, device: Device, optimization_level: "int | str"
-) -> CompilationResult:
-    """The :class:`CompilationResult` of a :func:`_payload`, with the
-    caller's ``device`` re-attached."""
-    compiled, initial_layout, final_layout, properties = payload
-    return CompilationResult(
-        circuit=compiled,
-        initial_layout=initial_layout,
-        final_layout=final_layout,
-        device=device,
-        optimization_level=optimization_level,
-        properties=properties,
-    )
+    best = _pick_best(entries, device)[0] if optimization_level == 3 else 0
+    return best, entries
 
 
 def _seed_streams(
@@ -663,15 +588,16 @@ def compile_batch(
     speed it up — the GIL serializes them.  Pooled misses therefore fan
     out over the process's shared spawn pool (:mod:`repro.parallel`),
     whose long-lived workers each hold their own pass cache, emptied
-    when the worker installs this batch's invariants.  A worker picks
-    and finishes a miss's winner and returns it with the miss's
-    candidates; circuits, :class:`~repro.hardware.coupling.RoutingTables`
-    and candidates cross the process boundary through cheap flat-array
-    encodings.  The caller stores the trial set and the whole compile as
-    each miss comes back, whichever process compiled it, so the next
-    batch of the same circuits is all hits and fans nothing out, and the
-    same batch on another device with this coupling map fans nothing out
-    either.
+    when the worker installs this batch's invariants.  A worker returns
+    a miss's candidates as snapshot entries with the index of the winner
+    it picked (see :func:`_compile_task`); circuits,
+    :class:`~repro.hardware.coupling.RoutingTables` and snapshots cross
+    the process boundary through cheap flat-array encodings.  As each
+    miss comes back, whichever process compiled it, the caller rebuilds
+    and finishes the winner exactly as on a trial-set hit and stores the
+    trial set and the whole compile, so the next batch of the same
+    circuits is all hits and fans nothing out, and the same batch on
+    another device with this coupling map fans nothing out either.
 
     Args:
         circuits: program circuits to compile.
@@ -748,10 +674,20 @@ def compile_batch(
     ]
     results: List[Optional[CompilationResult]] = [None] * n
 
-    def store(index: int, result: CompilationResult) -> None:
+    def finish(index: int, entry: CachedPassResult) -> None:
+        # Rebuild the winner of circuit ``index`` from its snapshot,
+        # finish it, and store the whole compile.
+        circuit = circuits[index]
+        properties = PropertySet()
+        compiled = restore_result(entry, circuit, properties)
+        _, measurements = _prepare(circuit, device)
+        result = _finish(
+            circuit, compiled, properties, measurements, device,
+            optimization_level,
+        )
         if keys[index] is not None:
             cache.put(keys[index], snapshot_result(
-                circuits[index], result.circuit, result.properties
+                circuit, result.circuit, result.properties
             ))
         deliver(index, result)
 
@@ -776,20 +712,15 @@ def compile_batch(
             continue
         # Another device with this coupling map ran these trials: pick
         # the winner on this device's reported calibration, as the
-        # worker did, and rebuild only the winner.
-        best, _ = _pick_best([arrays for arrays, _ in trials], device)
-        _, measurements = _prepare(circuits[index], device)
-        store(index, _finish(
-            circuits[index], *_decode(circuits[index], trials[best]),
-            measurements, device, optimization_level,
-        ))
+        # worker did.
+        finish(index, trials[_pick_best(trials, device)[0]])
 
-    def compiled(position: int, payload: Tuple[Tuple, Optional[Encoded]]) -> None:
+    def compiled(position: int, payload: Tuple[int, Entries]) -> None:
         index = misses[position]
-        result, trials = payload
-        if keys[index] is not None and trials is not None:
-            cache.put(_trial_key(keys[index]), trials)
-        store(index, _unpack(result, device, optimization_level))
+        best, entries = payload
+        if keys[index] is not None and optimization_level == 3:
+            cache.put(_trial_key(keys[index]), entries)
+        finish(index, entries[best])
 
     device.routing_tables  # precompute once so pool workers inherit them
     parallel_map(

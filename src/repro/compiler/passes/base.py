@@ -20,7 +20,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ...circuits.circuit import QuantumCircuit
-from ..cache import CachedPassResult, CompileCache
+from ..cache import CachedPassResult, CompileCache, circuit_cache_fingerprint
 
 
 class PropertySet(dict):
@@ -65,21 +65,6 @@ class Pass(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return self.name
-
-
-def circuit_cache_fingerprint(circuit: QuantumCircuit) -> Tuple:
-    """Content fingerprint of a circuit for compile-cache keys.
-
-    Instructions are immutable and pre-hashed, so the tuple hash is cheap;
-    length is included alongside to shrink the collision surface.
-    """
-    return (
-        circuit.num_qubits,
-        circuit.num_clbits,
-        circuit.global_phase,
-        len(circuit.instructions),
-        hash(tuple(circuit.instructions)),
-    )
 
 
 def _freeze_property(value: Any) -> Hashable:

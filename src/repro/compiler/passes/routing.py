@@ -18,8 +18,9 @@ lists) come from the :class:`~repro.hardware.coupling.RoutingTables` cached
 per coupling map, the virtual/physical permutation and its inverse are
 maintained incrementally, and candidate SWAPs are scored in one vectorized
 batch per decision (:func:`_select_swap`).  Distances are whole numbers, so
-the vectorized sums are exact and the selected SWAP is bit-identical to the
-scalar reference (:func:`_swap_score`, kept for verification).
+the vectorized sums are exact and the selected SWAP is bit-identical to a
+scalar scan of the candidates (a frozen copy of that scalar scorer lives in
+``tests/compiler/routing_reference.py``).
 """
 
 from __future__ import annotations
@@ -302,7 +303,8 @@ def _select_swap(
     arithmetic.  On hop-count metrics (every :func:`compile_circuit`
     level) the distance sums are over whole numbers — exact in float64 —
     so the scores, and therefore the selected SWAP, are bit-identical to
-    scanning candidates with the scalar :func:`_swap_score`; ties resolve
+    scanning candidates with a scalar scorer (the frozen one in
+    ``tests/compiler/routing_reference.py``); ties resolve
     to the first candidate in ``order``, matching the scalar scan's
     strict-less-than update rule.  On real-valued metrics (the
     noise-aware router's error-weighted distances) numpy's pairwise
@@ -335,47 +337,6 @@ def _select_swap(
         front_cost + look_cost
     )
     return order[int(np.argmin(scores))]
-
-
-def _swap_score(
-    swap: Tuple[int, int],
-    front_gates: Sequence[Instruction],
-    lookahead_gates: Sequence[Instruction],
-    tau: Dict[int, int],
-    distance: np.ndarray,
-    decay: np.ndarray,
-) -> float:
-    """SABRE cost of applying ``swap``: front distance + weighted lookahead.
-
-    Scalar reference for :func:`_select_swap`; kept for the equivalence
-    tests that pin the vectorized scorer to the historical behaviour.
-    """
-    a, b = swap
-    # Build the trial mapping lazily: only qubits a/b change.
-    inv = {p: v for v, p in tau.items()}
-    va, vb = inv[a], inv[b]
-
-    def phys(virtual: int) -> int:
-        if virtual == va:
-            return b
-        if virtual == vb:
-            return a
-        return tau[virtual]
-
-    front_cost = 0.0
-    for gate in front_gates:
-        qa, qb = gate.qubits
-        front_cost += distance[phys(qa), phys(qb)]
-    front_cost /= max(len(front_gates), 1)
-
-    look_cost = 0.0
-    if lookahead_gates:
-        for gate in lookahead_gates:
-            qa, qb = gate.qubits
-            look_cost += distance[phys(qa), phys(qb)]
-        look_cost *= _LOOKAHEAD_WEIGHT / len(lookahead_gates)
-
-    return max(decay[a], decay[b]) * (front_cost + look_cost)
 
 
 class PathRouting(Pass):

@@ -54,7 +54,6 @@ from .compile import (
     _TRIAL_LAYOUTS,
     CompilationResult,
     _finish,
-    _payload,
     _pick_best,
     _prefix,
     _prepare,
@@ -64,7 +63,6 @@ from .compile import (
     _trial_layout,
     _trial_seeds,
     _trial_suffix,
-    _unpack,
 )
 from .passes.base import Pass, PropertySet
 
@@ -604,12 +602,17 @@ def _search_circuit(
 
 def _search_task(device: Device, estimator, options: dict, task: Tuple):
     """Search one ``(circuit, seed, incumbent)`` task of a
-    :func:`compile_search` batch; the parent folds its counter deltas."""
+    :func:`compile_search` batch; the parent folds its counter deltas.
+    The result comes back without its device, which the parent
+    re-attaches: shipping the device back from a pool worker on every
+    item would dominate the payload."""
     circuit, task_seed, incumbent = task
-    return _payload(_search_circuit(
+    result = _search_circuit(
         circuit, device, estimator,
         seed=task_seed, incumbent=incumbent, **options,
-    ))
+    )
+    result.device = None
+    return result
 
 
 def compile_search(
@@ -672,10 +675,11 @@ def compile_search(
 
     results: List[Optional[CompilationResult]] = [None] * len(circuits)
 
-    def fold(index: int, payload: Tuple) -> None:
+    def fold(index: int, result: CompilationResult) -> None:
         # Fold each circuit's counter deltas into this process's totals,
         # whichever process searched it.
-        results[index] = result = _unpack(payload, device, "search")
+        result.device = device
+        results[index] = result
         _bump_stats(result.properties["search"]["stats"])
         if on_result is not None:
             on_result(index, result)

@@ -17,7 +17,7 @@ paper discusses.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -73,112 +73,75 @@ def expected_fidelity(
     return fidelity
 
 
-def _calibration_fidelity_tables(
-    device: Device, cal: Calibration
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense per-qubit / per-edge fidelity arrays for vectorized scoring.
+def _calibration_fidelity_table(device: Device, cal: Calibration) -> np.ndarray:
+    """Every fidelity of ``cal`` in one dense ``(n + 2, n)`` array for
+    vectorized scoring, for a device of ``n`` qubits: per-qubit gate
+    fidelities in row 0, readout fidelities in row 1 and the fidelity of
+    edge ``(a, b)`` at ``[2 + a, b]`` and ``[2 + b, a]``.
 
     Missing calibration entries become NaN, which
     :func:`expected_fidelity_batch` rejects loudly — mirroring the
     ``KeyError`` the scalar :func:`expected_fidelity` would raise.
     """
     n = device.num_qubits
-    one_q = np.full(n, np.nan)
-    readout = np.full(n, np.nan)
+    table = np.full((n + 2, n), np.nan)
     for qubit, value in cal.one_qubit_fidelity.items():
-        one_q[qubit] = value
+        table[0, qubit] = value
     for qubit, value in cal.readout_fidelity.items():
-        readout[qubit] = value
-    edge = np.full((n, n), np.nan)
+        table[1, qubit] = value
     for (a, b), value in cal.two_qubit_fidelity.items():
-        edge[a, b] = edge[b, a] = value
-    return one_q, readout, edge
+        table[2 + a, b] = table[2 + b, a] = value
+    return table
 
 
-def _gate_arrays(circuit: QuantumCircuit) -> Dict[str, object]:
-    """The part of ``circuit``'s
-    :meth:`~repro.circuits.circuit.QuantumCircuit.to_arrays` encoding
-    that scoring reads: gate names, gate codes, qubit counts, qubits."""
-    vocab: Dict[str, int] = {}
-    codes, counts, qubits = [], [], []
+def _fidelity_factors(circuit, table: np.ndarray) -> np.ndarray:
+    """The fidelity factors of ``circuit``'s instructions, in order,
+    barriers skipped: the rules of :func:`expected_fidelity`, looked up
+    in a :func:`_calibration_fidelity_table`."""
+    rows, columns = [], []
     for instruction in circuit.instructions:
-        codes.append(vocab.setdefault(instruction.name, len(vocab)))
-        counts.append(len(instruction.qubits))
-        qubits.extend(instruction.qubits)
-    return {
-        "gate_names": tuple(vocab),
-        "codes": codes,
-        "qubit_counts": counts,
-        "qubits": qubits,
-    }
-
-
-def _encoded_factors(
-    arrays: Dict[str, object],
-    one_q: np.ndarray,
-    readout: np.ndarray,
-    edge: np.ndarray,
-) -> np.ndarray:
-    """The fidelity factors of a circuit given as its
-    :meth:`~repro.circuits.circuit.QuantumCircuit.to_arrays` encoding
-    (or :func:`_gate_arrays`), in instruction order, barriers skipped:
-    the rules of :func:`expected_fidelity`, applied to whole arrays."""
-    names = arrays["gate_names"]
-    codes = np.asarray(arrays["codes"], dtype=np.intp)
-    counts = np.asarray(arrays["qubit_counts"], dtype=np.intp)
-    qubits = np.asarray(arrays["qubits"], dtype=np.intp)
-    first = np.cumsum(counts) - counts
-    kept = codes != (names.index("barrier") if "barrier" in names else -1)
-    codes, counts, first = codes[kept], counts[kept], first[kept]
-    measure = codes == (names.index("measure") if "measure" in names else -1)
-    gate = ~measure
-    if (gate & (counts != 1) & (counts != 2)).any():
-        bad = int(np.flatnonzero(gate & (counts != 1) & (counts != 2))[0])
-        raise ValueError(
-            f"expected a compiled circuit; found {counts[bad]}-qubit "
-            f"gate '{names[codes[bad]]}'"
-        )
-    head = qubits[first]
-    values = np.empty(len(codes))
-    values[measure] = readout[head[measure]]
-    one = gate & (counts == 1)
-    values[one] = one_q[head[one]]
-    two = counts == 2
-    values[two] = edge[head[two], qubits[first[two] + 1]]
-    return values
+        if instruction.name == "barrier":
+            continue
+        qubits = instruction.qubits
+        if instruction.name == "measure":
+            row, column = 1, qubits[0]
+        elif len(qubits) == 1:
+            row, column = 0, qubits[0]
+        elif len(qubits) == 2:
+            row, column = 2 + qubits[0], qubits[1]
+        else:
+            raise ValueError(
+                f"expected a compiled circuit; found {len(qubits)}-qubit "
+                f"gate '{instruction.name}'"
+            )
+        rows.append(row)
+        columns.append(column)
+    return table[rows, columns]
 
 
 def expected_fidelity_batch(
-    circuits: Sequence["QuantumCircuit | Dict[str, object]"],
+    circuits: Sequence[QuantumCircuit],
     device: Device,
     calibration: Optional[Calibration] = None,
 ) -> np.ndarray:
     """:func:`expected_fidelity` of many compiled circuits in one pass.
 
     Level-3 trial selection scores every candidate; this gathers all
-    per-gate fidelities from dense calibration arrays and reduces every
-    circuit's product in a single ``multiply.reduceat`` sweep.  The
+    per-gate fidelities from one dense calibration table and reduces
+    every circuit's product in a single ``multiply.reduceat`` sweep.  The
     products fold left-to-right over the same factors as the scalar
     version, so results are bit-identical to calling
-    :func:`expected_fidelity` per circuit.  A circuit may also come as
-    its :meth:`~repro.circuits.circuit.QuantumCircuit.to_arrays`
-    encoding, which is scored without rebuilding it (a level-3 trial set
-    in the compile cache keeps its candidates that way); a circuit
-    object is gathered into the same arrays first, so both go through
-    one set of rules.
+    :func:`expected_fidelity` per circuit.  Anything with an
+    ``instructions`` sequence is scored as a circuit: a level-3 trial set
+    keeps its candidates as compile-cache snapshot entries
+    (:class:`~repro.compiler.cache.CachedPassResult`), scored without
+    rebuilding them.
     """
     cal = calibration if calibration is not None else device.reported_calibration
     if not circuits:
         return np.empty(0)
-    one_q, readout, edge = _calibration_fidelity_tables(device, cal)
-
-    per_circuit = [
-        _encoded_factors(
-            circuit if isinstance(circuit, dict) else _gate_arrays(circuit),
-            one_q, readout, edge,
-        )
-        for circuit in circuits
-    ]
+    table = _calibration_fidelity_table(device, cal)
+    per_circuit = [_fidelity_factors(circuit, table) for circuit in circuits]
 
     lengths = np.array([len(v) for v in per_circuit])
     results = np.ones(len(circuits))

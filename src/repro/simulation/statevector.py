@@ -68,14 +68,6 @@ class Statevector:
             matrix = matrix.astype(self.dtype)
         self.data = apply_matrix(self.data, matrix, qubits, self.num_qubits)
 
-    def _apply_general(self, matrix: np.ndarray, qubits: Sequence[int]) -> None:
-        """Generic tensor-reshape path (reference implementation for tests)."""
-        from .kernels import _apply_general
-
-        self.data = _apply_general(
-            self.data, matrix.astype(self.dtype), qubits, self.num_qubits, 1
-        )
-
     def probabilities(self) -> np.ndarray:
         """Probability of each computational-basis state."""
         real, imag = self.data.real, self.data.imag

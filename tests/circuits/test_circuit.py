@@ -276,6 +276,37 @@ def test_to_arrays_round_trip():
     assert rebuilt.instructions == qc.instructions
 
 
+def test_from_arrays_shares_equal_qubit_tuples():
+    """A decode holds one tuple object per distinct qubit tuple, so a
+    decoded circuit does not pay one tuple per gate."""
+    qc = QuantumCircuit(3, 1)
+    qc.h(0).cx(0, 1).rz(0.5, 0).cx(0, 1).cx(1, 0).measure(0, 0)
+    rebuilt = QuantumCircuit.from_arrays(qc.to_arrays())
+    assert rebuilt.instructions == qc.instructions
+    by_value = {}
+    for instruction in rebuilt.instructions:
+        assert by_value.setdefault(instruction.qubits, instruction.qubits) is (
+            instruction.qubits
+        )
+    assert len(by_value) == 3
+
+
+def test_instruction_fields_cannot_be_set_or_deleted():
+    instruction = Instruction("rz", (1,), (0.5,))
+    for field in ("name", "qubits", "params", "clbits", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(instruction, field, getattr(instruction, field))
+        with pytest.raises(AttributeError):
+            delattr(instruction, field)
+    with pytest.raises(AttributeError):
+        instruction.extra = 1
+    assert not hasattr(instruction, "__dict__")
+    assert instruction == Instruction("rz", (1,), (0.5,))
+    assert hash(instruction) == hash(Instruction("rz", (1,), (0.5,)))
+    assert instruction != Instruction("rz", (1,), (0.25,))
+    assert instruction != ("rz", (1,), (0.5,), ())
+
+
 def test_pickle_round_trip_preserves_instruction_hashing():
     """Unpickled instructions must be usable as dict/set keys alongside
     the originals (the precomputed hash cannot ship across processes

@@ -5,13 +5,12 @@ import pytest
 
 from repro.circuits.random import random_circuit
 from repro.compiler import SEED_STRIDE, compile_batch, compile_circuit
-from repro.compiler.passes.routing import (
-    _select_swap,
-    _swap_score,
-)
+from repro.compiler.passes.routing import _select_swap
 from repro.fom.metrics import expected_fidelity, expected_fidelity_batch
 from repro.hardware import make_q20a
 from repro.hardware.coupling import grid_map
+
+from .routing_reference import _swap_score
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,13 @@ from repro.compiler import (
     configure_compile_cache,
 )
 from repro.compiler.cache import DEFAULT_MAXSIZE, CompileCache, get_compile_cache
-from repro.compiler.passes.base import PassManager, PropertySet
+from repro.compiler.passes.base import (
+    PassManager,
+    PropertySet,
+    circuit_cache_fingerprint,
+    restore_result,
+    snapshot_result,
+)
 from repro.compiler.passes.decompose import Decompose
 from repro.compiler.passes.layout import GreedySubgraphLayout, LineLayout, TrivialLayout
 from repro.compiler.passes.optimization import OptimizationLoop
@@ -368,3 +374,47 @@ def test_choice_hit_recomputes_evicted_winner_suffix():
     warm = compile_circuit(circuit, device, optimization_level=3, seed=7)
     assert result_digest(warm) == result_digest(cold)
     assert warm.final_layout == cold.final_layout
+
+
+def test_entries_pickled_under_another_hash_salt_load_rehashed():
+    """A snapshot entry crosses a process boundary (a pool worker's
+    trial set) as flat arrays; the loading interpreter recomputes its
+    fingerprint and its instructions' hashes, which are salted per
+    interpreter."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    import repro
+
+    script = (
+        "import pickle, sys\n"
+        "from repro.circuits.random import random_circuit\n"
+        "from repro.compiler.passes.base import snapshot_result\n"
+        "source = random_circuit(4, 30, seed=11, measure=True)\n"
+        "result = random_circuit(4, 40, seed=12, measure=True)\n"
+        "result.metadata['routed'] = True\n"
+        "entry = snapshot_result(source, result, {'final_layout': {0: 1, 1: 0}})\n"
+        "sys.stdout.buffer.write(pickle.dumps(entry))\n"
+    )
+    source = random_circuit(4, 30, seed=11, measure=True)
+    result = random_circuit(4, 40, seed=12, measure=True)
+    result.metadata["routed"] = True
+    local = snapshot_result(source, result, {"final_layout": {0: 1, 1: 0}})
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    for salt in ("0", "1234567"):
+        env = dict(os.environ, PYTHONHASHSEED=salt, PYTHONPATH=src_dir)
+        entry = pickle.loads(subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, env=env, check=True,
+        ).stdout)
+        restored = restore_result(entry, source, PropertySet())
+        assert entry.fingerprint == circuit_cache_fingerprint(restored)
+        assert entry.fingerprint == local.fingerprint
+        assert entry.instructions == local.instructions
+        assert [hash(i) for i in entry.instructions] == [
+            hash(i) for i in local.instructions
+        ]
+        assert entry.metadata_delta == local.metadata_delta == {"routed": True}
+        assert entry.properties_delta == local.properties_delta

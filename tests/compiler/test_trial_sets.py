@@ -22,9 +22,20 @@ from repro.compiler import (
     compile_cache_stats,
     configure_compile_cache,
 )
-from repro.compiler.cache import DEFAULT_MAXSIZE, get_compile_cache
-from repro.compiler.passes.base import PassManager
-from repro.fom.metrics import expected_fidelity_batch
+from repro.circuits.circuit import Instruction
+from repro.compiler.cache import (
+    DEFAULT_MAXSIZE,
+    CachedPassResult,
+    get_compile_cache,
+)
+from repro.compiler.passes.base import (
+    PassManager,
+    PropertySet,
+    restore_result,
+    snapshot_result,
+)
+from repro.fom import metrics
+from repro.fom.metrics import expected_fidelity
 from repro.hardware import make_q20a, make_q20b
 
 WORKERS = (1, 2)
@@ -221,19 +232,52 @@ def test_edits_to_results_do_not_reach_the_cache(workers):
     assert warm[::-1] == cold
 
 
-def test_flat_candidates_score_like_circuits():
-    """The trial-set pick scores candidates in flat form; the scores are
-    bit-identical to scoring the rebuilt circuits."""
-    device = make_q20a()
-    compiled = [
-        result.circuit
-        for result in compile_batch(
-            _circuits(), device, optimization_level=2, seed=1, max_workers=1
-        )
-    ]
-    compiled[0].barrier(*range(compiled[0].num_qubits))
-    flat = [circuit.to_arrays() for circuit in compiled]
-    assert (
-        expected_fidelity_batch(flat, device).tolist()
-        == expected_fidelity_batch(compiled, device).tolist()
+@pytest.mark.parametrize("workers", WORKERS)
+def test_repick_scores_equal_restored_candidates(monkeypatch, workers):
+    """Q20-B re-picks from Q20-A's trial sets by scoring the snapshot
+    entries themselves; each score is bit-identical to the scalar
+    expected fidelity of the restored candidate, a barrier included."""
+    circuits = _circuits()
+    q20a, q20b = make_q20a(), make_q20b()
+    compile_batch(
+        circuits, q20a, optimization_level=3, seed=5, max_workers=workers
     )
+    cache = get_compile_cache()
+    key = _trial_keys()[0]
+    entries = cache._data[key]
+    properties = PropertySet()
+    barred = restore_result(entries[0], circuits[0], properties)
+    barred.instructions.insert(
+        len(barred.instructions) // 2,
+        Instruction("barrier", tuple(range(barred.num_qubits))),
+    )
+    cache._data[key] = (
+        (snapshot_result(circuits[0], barred, properties),) + entries[1:]
+    )
+
+    scored = []
+    score = metrics.expected_fidelity_batch
+
+    def spy(candidates, device, calibration=None):
+        scores = score(candidates, device, calibration=calibration)
+        scored.append((list(candidates), scores.tolist()))
+        return scores
+
+    monkeypatch.setattr(metrics, "expected_fidelity_batch", spy)
+    compile_batch(
+        circuits, q20b, optimization_level=3, seed=5, max_workers=workers
+    )
+    assert len(scored) == len(circuits)
+    assert any(
+        instruction.name == "barrier"
+        for candidates, _ in scored
+        for candidate in candidates
+        for instruction in candidate.instructions
+    )
+    for candidates, scores in scored:
+        assert all(isinstance(c, CachedPassResult) for c in candidates)
+        restored = [
+            restore_result(candidate, circuits[0], PropertySet())
+            for candidate in candidates
+        ]
+        assert scores == [expected_fidelity(c, q20b) for c in restored]
