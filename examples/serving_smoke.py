@@ -11,7 +11,9 @@ behind, it:
    ``stats``,
 3. asserts every daemon response is **bit-identical** to a direct
    :class:`~repro.predictor.service.FomService` call on the same inputs
-   (float64 values survive the JSON round-trip exactly),
+   (float64 values survive the JSON round-trip exactly), and that
+   re-sending them is answered warm (``/stats`` ``warm_total`` rises)
+   in unchanged bytes,
 4. exercises the hot-reload loop: ``repro client reload`` with an
    unchanged file is a no-op, then the model file is overwritten with a
    fine-tuned estimator and reloaded **under concurrent traffic** — no
@@ -32,6 +34,7 @@ Run:  python examples/predict_service.py --quick --workdir /tmp/serve
 """
 
 import argparse
+import json
 import os
 import signal
 import socket
@@ -72,6 +75,23 @@ def processes_referencing(needle: str, ignore: set) -> list:
         if needle.encode() in cmdline:
             found.append((int(entry.name), cmdline.decode(errors="replace")))
     return found
+
+
+def check_warm_repeat(client, requests: list, responses: list) -> None:
+    """Re-send ``requests`` once their first answers are in: every
+    circuit is compiled now, so each must be answered warm (the
+    ``/stats`` warm counter rises once per request) in unchanged bytes."""
+    before = client.stats()["batches"]["warm_total"]
+    for index, request in enumerate(requests):
+        repeat = client.predict(request)
+        if json.dumps(repeat) != json.dumps(responses[index]):
+            fail(f"warm repeat of request {index} changed its bytes:\n"
+                 f"  first:  {responses[index]}\n  repeat: {repeat}")
+    warm = client.stats()["batches"]["warm_total"] - before
+    if warm != len(requests):
+        fail(f"{warm} of {len(requests)} repeated requests answered warm")
+    print(f"[smoke] {len(requests)} repeated requests answered warm, "
+          "bytes unchanged")
 
 
 def main() -> None:
@@ -156,6 +176,7 @@ def main() -> None:
                      f"  served: {served}\n  direct: {direct}")
         print(f"[smoke] {len(requests)} concurrent requests bit-identical "
               "to direct FomService calls")
+        check_warm_repeat(client, requests, responses)
 
         panel = client.foms(qasm[:3])["foms"]
         direct_panel = service.score_established_foms(
@@ -444,6 +465,7 @@ def sharded_phase(model_path: Path, qasm: list, args) -> None:
                 fail(f"sharded request {index} not bit-identical")
         print(f"[smoke] {len(requests)} concurrent sharded requests "
               "bit-identical to direct FomService calls")
+        check_warm_repeat(client, requests, responses)
 
         stats = client.stats()
         per_shard = stats.get("shards", {}).get("per_shard", [])

@@ -321,7 +321,8 @@ def _render_stats(stats: dict) -> str:
         f"limit={queue.get('limit', 0)} "
         f"rejected={queue.get('rejected_total', 0)}",
         f"batches: total={batches.get('total', 0)} "
-        f"requests={batches.get('requests_total', 0)}",
+        f"requests={batches.get('requests_total', 0)} "
+        f"warm={batches.get('warm_total', 0)}",
         f"latency: p50={_format_latency(latency.get('request_p50_s'))} "
         f"p99={_format_latency(latency.get('request_p99_s'))} "
         f"max={_format_latency(latency.get('request_max_s'))} "

@@ -399,15 +399,18 @@ def _compile_key(
 
     A compile is a pure function of the input circuit's content and of
     its pipeline's pass configurations, whose keys hold the seeds and
-    the coupling map.  Level 3 also depends on the reported fidelities
-    its trials are scored on: the key's last term is their content hash
-    (``calibration_hash``, computed here when not given), never the
-    calibration's identity, so an in-place edit changes the key and the
-    trials are scored again.  Pass keys enter as one memoized content
-    hash, as the circuit does in its fingerprint, so a key holds a few
-    ints rather than a copy of the calibration.  The leading tag keeps
-    these entries apart from the pass-result keys.  ``None`` when
-    caching is off or some pass is uncacheable.
+    the coupling map.  The device's native gates are a term too: they
+    do not change the output, but an entry is validated against them
+    once, when it is stored, so a hit under the same key is valid
+    without a second check.  Level 3 also depends on the reported
+    fidelities its trials are scored on: the key's last term is their
+    content hash (``calibration_hash``, computed here when not given),
+    never the calibration's identity, so an in-place edit changes the
+    key and the trials are scored again.  Pass keys enter as one
+    memoized content hash, as the circuit does in its fingerprint, so a
+    key holds a few ints rather than a copy of the calibration.  The
+    leading tag keeps these entries apart from the pass-result keys.
+    ``None`` when caching is off or some pass is uncacheable.
     """
     if cache is None:
         return None
@@ -423,6 +426,7 @@ def _compile_key(
         keep_final_rz,
         num_trials,
         pass_hash,
+        frozenset(device.native_gates),
     )
     if optimization_level == 3:
         if calibration_hash is None:
@@ -433,10 +437,10 @@ def _compile_key(
 
 def _trial_key(key: Tuple) -> Tuple:
     """The trial-set key of a level-3 whole-compile key: the same key
-    under the ``"trials"`` tag, without its calibration term.  Trials
-    depend on the device only through its coupling map, so devices that
-    share one share the trial set."""
-    return ("trials",) + key[1:-1]
+    under the ``"trials"`` tag, without its native-gates and calibration
+    terms.  Trials depend on the device only through its coupling map,
+    so devices that share one share the trial set."""
+    return ("trials",) + key[1:-2]
 
 
 def _result(
@@ -698,9 +702,9 @@ def compile_batch(
             continue
         entry = cache.get(key)
         if entry is not None:
+            # Validated against this key's native gates when stored.
             properties = PropertySet()
             compiled = restore_result(entry, circuits[index], properties)
-            device.validate_circuit(compiled)
             deliver(index, _result(
                 circuits[index], compiled, properties, device,
                 optimization_level,

@@ -80,6 +80,7 @@ class GreedySubgraphLayout(Pass):
             range(circuit.num_qubits), key=lambda q: (-weight[q], q)
         )
         distance = self.coupling.distance_matrix()
+        median_distance = self.coupling.median_distances()
         degree = [self.coupling.degree(q) for q in range(self.coupling.num_qubits)]
         free = set(range(self.coupling.num_qubits))
         layout: Dict[int, int] = {}
@@ -102,7 +103,7 @@ class GreedySubgraphLayout(Pass):
                     )
                 else:
                     # No placed partners yet: prefer central, high-degree spots.
-                    cost = -degree[phys] + 0.01 * float(np.median(distance[phys]))
+                    cost = -degree[phys] + 0.01 * median_distance[phys]
                 # Prefer denser neighbourhoods on ties.
                 cost -= 1e-3 * degree[phys]
                 if cost < best_cost:

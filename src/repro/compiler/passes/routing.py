@@ -214,9 +214,7 @@ def route_circuit(
         a, b = _select_swap(
             order, front_gates, lookahead_gates, tau, distance, decay
         )
-        va, vb = phys_to_virt[a], phys_to_virt[b]
-        tau[va], tau[vb] = b, a
-        phys_to_virt[a], phys_to_virt[b] = vb, va
+        _apply_swap(tau, phys_to_virt, a, b)
         if swap_gate == "swap":
             out.instructions.append(Instruction("swap", (a, b)))
         else:
@@ -243,11 +241,14 @@ def route_circuit(
     return out, final_mapping
 
 
-def _apply_swap(tau: Dict[int, int], phys_a: int, phys_b: int) -> None:
-    """Swap the virtual wires sitting on physical qubits ``a`` and ``b``."""
-    inv = {p: v for v, p in tau.items()}
-    va, vb = inv[phys_a], inv[phys_b]
+def _apply_swap(
+    tau: List[int], phys_to_virt: List[int], phys_a: int, phys_b: int
+) -> None:
+    """Swap the virtual wires sitting on physical qubits ``a`` and ``b``,
+    keeping ``tau`` (virtual -> physical) and its inverse up to date."""
+    va, vb = phys_to_virt[phys_a], phys_to_virt[phys_b]
     tau[va], tau[vb] = phys_b, phys_a
+    phys_to_virt[phys_a], phys_to_virt[phys_b] = vb, va
 
 
 def _candidate_swaps(
@@ -368,7 +369,8 @@ class PathRouting(Pass):
 
     def route(self, circuit: QuantumCircuit) -> Tuple[QuantumCircuit, Dict[int, int]]:
         coupling = self.coupling
-        tau = {q: q for q in range(coupling.num_qubits)}
+        tau = list(range(coupling.num_qubits))
+        phys_to_virt = list(range(coupling.num_qubits))
         out = QuantumCircuit(
             coupling.num_qubits, circuit.num_clbits,
             name=circuit.name, global_phase=circuit.global_phase,
@@ -387,7 +389,7 @@ class PathRouting(Pass):
                     for step in range(len(path) - 2):
                         x, y = path[step], path[step + 1]
                         out.append("swap", (x, y))
-                        _apply_swap(tau, x, y)
+                        _apply_swap(tau, phys_to_virt, x, y)
                         swaps += 1
             out.instructions.append(
                 Instruction(
@@ -407,4 +409,4 @@ class PathRouting(Pass):
                 )
             )
         out.metadata["routing_swaps"] = swaps
-        return out, dict(tau)
+        return out, dict(enumerate(tau))

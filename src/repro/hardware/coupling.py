@@ -110,6 +110,7 @@ class CouplingMap:
             self._adj[a][b] = None
             self._adj[b][a] = None
         self._distance: np.ndarray | None = None
+        self._median_distances: List[float] | None = None
         self._routing_tables: RoutingTables | None = None
         self._fingerprint: int | None = None
 
@@ -200,6 +201,17 @@ class CouplingMap:
                     dist[source, target] = length
             self._distance = dist
         return self._distance
+
+    def median_distances(self) -> List[float]:
+        """Each qubit's median distance to every qubit (cached), the
+        centrality term of :class:`~repro.compiler.passes.layout.
+        GreedySubgraphLayout`."""
+        if self._median_distances is None:
+            distance = self.distance_matrix()
+            self._median_distances = [
+                float(np.median(distance[q])) for q in range(self.num_qubits)
+            ]
+        return self._median_distances
 
     def routing_tables(self) -> RoutingTables:
         """Cached :class:`RoutingTables` (distance/adjacency/neighbours)."""
@@ -341,6 +353,7 @@ class CouplingMap:
             None if self._routing_tables is None
             else self._routing_tables.distance
         )
+        self._median_distances = None
         # ``hash()`` is salted per interpreter; recompute lazily instead
         # of shipping a fingerprint that is wrong in the receiving process.
         self._fingerprint = None

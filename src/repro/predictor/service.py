@@ -29,7 +29,13 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..compiler.cache import active_compile_cache
-from ..compiler.compile import SEED_STRIDE, CompilationResult, compile_batch
+from ..compiler.compile import (
+    SEED_STRIDE,
+    CompilationResult,
+    _calibration_hash,
+    _compile_key,
+    compile_batch,
+)
 from ..compiler.passes.base import circuit_cache_fingerprint
 from ..fom.features import NUM_FEATURES, feature_matrix
 from ..fom.metrics import FOM_ORDER, PROPOSED_LABEL, esp, expected_fidelity_batch
@@ -271,6 +277,10 @@ class FomService:
         wall-clock seconds under ``"compile_s"``, ``"featurize_s"``, and
         ``"predict_s"`` — the daemon's ``/stats`` feed.
 
+        When every circuit is warm (see :meth:`predict_warm`) and no
+        panel is wanted, the call compiles and featurizes nothing: it
+        predicts from the cached feature rows.
+
         At ``optimization_level="search"``, ``search_session`` (a
         :class:`~repro.compiler.search.LeaderboardSession`) shares one
         leaderboard snapshot across several calls; without one the call
@@ -290,31 +300,33 @@ class FomService:
             if optimization_level is None
             else optimization_level
         )
-        own_session = level == "search" and search_session is None
-        if own_session:
-            search_session = self._search_session()
+        seeds = [self.seed + SEED_STRIDE * position for position in positions]
         started = time.perf_counter()
-        results = compile_batch(
-            circuits,
-            self.device,
-            optimization_level=level,
-            seeds=[self.seed + SEED_STRIDE * position for position in positions],
-            num_trials=self.num_trials,
-            max_workers=max_workers,
-            **self._compile_extras(level, search_session),
-        )
-        if own_session:
-            search_session.flush()
-        compiled = [result.circuit for result in results]
-        compiled_at = time.perf_counter()
-        features = self._features(compiled, max_workers)
-        featurized_at = time.perf_counter()
-        if circuits:
-            predictions = np.asarray(
-                self.estimator.predict(features), dtype=float
+        # The panel needs the compiled circuits, which a warm row skips.
+        rows = None if want_foms else self._warm_rows(circuits, seeds, level)
+        if rows is None:
+            own_session = level == "search" and search_session is None
+            if own_session:
+                search_session = self._search_session()
+            results = compile_batch(
+                circuits,
+                self.device,
+                optimization_level=level,
+                seeds=seeds,
+                num_trials=self.num_trials,
+                max_workers=max_workers,
+                **self._compile_extras(level, search_session),
             )
+            if own_session:
+                search_session.flush()
+            compiled = [result.circuit for result in results]
+            compiled_at = time.perf_counter()
+            features = self._features(compiled, max_workers)
         else:
-            predictions = np.empty(0)
+            compiled_at = time.perf_counter()
+            features = _stack(rows)
+        featurized_at = time.perf_counter()
+        predictions = self._predict_rows(features)
         predicted_at = time.perf_counter()
         foms = self._established_panel(compiled) if want_foms else {}
         if timings is not None:
@@ -328,6 +340,33 @@ class FomService:
                 timings.get("predict_s", 0.0) + (predicted_at - featurized_at)
             )
         return predictions, foms
+
+    def predict_warm(
+        self,
+        circuits: "List[QuantumCircuit]",
+        optimization_level: "Optional[int | str]" = None,
+    ) -> Optional[np.ndarray]:
+        """``predict(circuits)`` when every circuit is warm, else ``None``.
+
+        Warm means that the compile cache holds the circuit's whole
+        compile at its request position and the feature row of that
+        compile's output.  The answer is then one compile key and two
+        lookups per circuit and one forest ``predict``: no pass runs, no
+        compiled circuit is rebuilt, and no worker is involved.  The
+        serving daemon calls this on its event loop before it queues a
+        request.
+        """
+        level = (
+            self.optimization_level
+            if optimization_level is None
+            else optimization_level
+        )
+        seeds = [
+            self.seed + SEED_STRIDE * position
+            for position in range(len(circuits))
+        ]
+        rows = self._warm_rows(circuits, seeds, level)
+        return None if rows is None else self._predict_rows(_stack(rows))
 
     def compile_only(
         self,
@@ -380,6 +419,48 @@ class FomService:
             num_trials=self.num_trials,
         )
 
+    def _warm_rows(
+        self,
+        circuits: "List[QuantumCircuit]",
+        seeds: List[int],
+        level,
+    ) -> Optional[List[np.ndarray]]:
+        """The cached feature rows of ``circuits``, or ``None`` unless
+        every circuit is warm (see :meth:`predict_warm`).
+
+        A whole-compile entry carries its output's cache fingerprint,
+        which keys the output's feature row, so the row is found without
+        rebuilding the circuit; and the entry was validated against this
+        device's native gates when it was stored under the same key (see
+        :func:`~repro.compiler.compile._compile_key`).  The lookups stop
+        at the first miss.  ``"search"`` compiles have no whole-compile
+        entry.
+        """
+        cache = active_compile_cache()
+        if cache is None or not (isinstance(level, int) and 0 <= level <= 3):
+            return None
+        calibration_hash = _calibration_hash(self.device) if level == 3 else None
+        rows = []
+        for circuit, seed in zip(circuits, seeds):
+            key = _compile_key(
+                cache, circuit, self.device, level, seed, False,
+                self.num_trials, calibration_hash,
+            )
+            entry = None if key is None else cache.get(key)
+            row = None if entry is None else cache.get(
+                ("features", entry.fingerprint)
+            )
+            if row is None:
+                return None
+            rows.append(row)
+        return rows
+
+    def _predict_rows(self, features: np.ndarray) -> np.ndarray:
+        """One forest ``predict`` over ``features`` (none for no rows)."""
+        if not len(features):
+            return np.empty(0)
+        return np.asarray(self.estimator.predict(features), dtype=float)
+
     @staticmethod
     def _features(
         compiled: "List[QuantumCircuit]",
@@ -409,7 +490,7 @@ class FomService:
             row.flags.writeable = False
             if cache is not None:
                 cache.put(keys[index], row)
-        return np.vstack(rows) if rows else np.empty((0, NUM_FEATURES))
+        return _stack(rows)
 
     def _compile_extras(self, level, session) -> Dict:
         """compile_batch keywords that only the ``"search"`` level needs."""
@@ -492,6 +573,11 @@ class FomService:
             f"FomService(device={self.device.name!r}, "
             f"level={self.optimization_level}, chunk_size={self.chunk_size})"
         )
+
+
+def _stack(rows: List[np.ndarray]) -> np.ndarray:
+    """A fresh feature matrix of ``rows``, which stay read-only."""
+    return np.vstack(rows) if rows else np.empty((0, NUM_FEATURES))
 
 
 def _chunked(

@@ -16,7 +16,9 @@ package puts a network front end on that machinery:
 * :mod:`repro.serving.server` — :class:`ServingDaemon`, a stdlib-only
   asyncio HTTP daemon exposing ``/predict``, ``/foms``, ``/healthz``,
   ``/stats`` and ``/reload``, with per-request timeouts, chunked
-  streaming responses, and graceful SIGTERM shutdown.  It is one front
+  streaming responses, and graceful SIGTERM shutdown.  A ``/predict``
+  whose circuits are all warm in the compile cache is answered on the
+  event loop, without the batcher.  It is one front
   end (framing, limits, routing, counters, payload parsing) over one of
   two backends, picked at construction: the in-process registry +
   batcher, or a shard pool.

@@ -24,7 +24,10 @@ Endpoints (all JSON):
 
 * ``POST /predict`` — ``{"circuits": [qasm, ...], "model"?, "fingerprint"?,
   "optimization_level"?}`` → ``{"predictions": [...], "model":,
-  "fingerprint":}``.  Concurrent requests coalesce into dynamic batches;
+  "fingerprint":}``.  A request whose every circuit is warm (its whole
+  compile and feature row cached, see
+  :meth:`~repro.predictor.service.FomService.predict_warm`) is answered
+  on the event loop.  Other requests coalesce into dynamic batches;
   responses are bit-identical to a direct
   :meth:`~repro.predictor.service.FomService.predict` call on the same
   inputs (request-local compile-seed positions).  With ``"stream": true``
@@ -38,12 +41,13 @@ Endpoints (all JSON):
 * ``GET /healthz`` — 200 ``{"status": "serving", ...}`` while accepting
   work, 503 ``{"status": "draining"}`` once shutdown has begun.  A shard
   pool adds a ``"shards"`` section (live/degraded, per-worker pids).
-* ``GET /stats`` — queue depth, batch-size histogram, per-stage latency
-  totals, request-latency percentiles, response counters, and the
-  currently-serving model fingerprints + reload counters.  A shard pool
-  merges its workers' reports: counters and histograms sum, and
-  percentiles are nearest-rank over the *union* of the per-shard
-  latency reservoirs (averaging per-shard percentiles would be wrong).
+* ``GET /stats`` — queue depth, batch-size histogram, warm answers,
+  per-stage latency totals, request-latency percentiles, response
+  counters, and the currently-serving model fingerprints + reload
+  counters.  A shard pool merges its workers' reports: counters and
+  histograms sum, and percentiles are nearest-rank over the *union* of
+  the per-shard latency reservoirs (averaging per-shard percentiles
+  would be wrong).
 * ``POST /reload`` — re-check every model source
   (:meth:`~repro.serving.registry.ModelRegistry.refresh`) and hot-swap
   changed estimators without dropping a request; a shard pool
@@ -698,8 +702,9 @@ class _InProcess:
     """The backend that computes in this process.
 
     It owns the daemon's registry and a :class:`DynamicBatcher` over
-    :meth:`ServingDaemon._run_batch`, streams ``predict_stream`` chunks
-    itself, and polls the registry for stale model sources when
+    :meth:`ServingDaemon._run_batch`, answers warm ``/predict`` requests
+    on the event loop, streams ``predict_stream`` chunks itself, and
+    polls the registry for stale model sources when
     ``reload_interval > 0``.  Every shard worker runs this backend.
     """
 
@@ -713,6 +718,7 @@ class _InProcess:
             max_queue=self.config.queue_limit,
         )
         self.reload_checks = 0
+        self.warm_answers = 0
         self._reload_lock: Optional[asyncio.Lock] = None
         self._reload_task: Optional[asyncio.Task] = None
 
@@ -820,6 +826,7 @@ class _InProcess:
             "batches": {
                 "total": batch.batches_total,
                 "requests_total": batch.requests_total,
+                "warm_total": self.warm_answers,
                 "size_histogram": {
                     str(size): count
                     for size, count in sorted(
@@ -856,7 +863,8 @@ class _InProcess:
     async def predict(
         self, parsed: ParsedPredict, body: bytes, want_foms: bool
     ):
-        """Resolve the model, parse QASM, and batch (or stream) it."""
+        """Resolve the model, parse QASM, then answer a warm request
+        here and batch (or stream) any other."""
         try:
             entry = self.registry.resolve(parsed.model, parsed.fingerprint)
         except ValueError as exc:
@@ -887,10 +895,12 @@ class _InProcess:
         loop = asyncio.get_running_loop()
         started = loop.time()
         try:
-            result = await asyncio.wait_for(
-                self.batcher.submit(key, circuits, weight=len(circuits)),
-                timeout=self.config.request_timeout,
-            )
+            result = self._answer_warm(entry, circuits, level, want_foms)
+            if result is None:
+                result = await asyncio.wait_for(
+                    self.batcher.submit(key, circuits, weight=len(circuits)),
+                    timeout=self.config.request_timeout,
+                )
         except BacklogFull as exc:
             return 503, {"error": str(exc)}
         except BatcherClosed:
@@ -901,7 +911,8 @@ class _InProcess:
                 f"{self.config.request_timeout}s in the batch queue"
             }
         except Exception as exc:  # noqa: BLE001 - the batch itself failed
-            # Every request coalesced into the failed batch lands here.
+            # Every request coalesced into the failed batch lands here,
+            # and so does a warm answer that raised.
             traceback.print_exception(exc)
             return 500, {"error": f"batch failed: {exc}"}
         self.daemon._latencies.append(loop.time() - started)
@@ -919,6 +930,24 @@ class _InProcess:
         else:
             response["predictions"] = result["predictions"]
         return 200, response
+
+    def _answer_warm(
+        self, entry, circuits: List, level, want_foms: bool
+    ) -> Optional[Dict[str, Any]]:
+        """The result of a warm ``/predict``, computed here on the loop,
+        or ``None`` for a request that queues.
+
+        The work is a few cache lookups per circuit and one forest
+        predict over at most ``max_batch`` rows: less than waking the
+        batcher's worker thread.
+        """
+        if want_foms or len(circuits) > self.config.max_batch:
+            return None
+        predictions = entry.service.predict_warm(circuits, level)
+        if predictions is None:
+            return None
+        self.warm_answers += 1
+        return {"predictions": predictions.tolist()}
 
     async def _write_stream(
         self,

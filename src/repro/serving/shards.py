@@ -866,15 +866,15 @@ def merge_latency_reservoirs(
 def merge_shard_stats(reports: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Merge per-worker ``/stats`` payloads into one daemon-wide view.
 
-    Queue depths, batch counters, and size histograms sum; stage
-    seconds sum; queue-wait max is the max; latency percentiles come
-    from :func:`merge_latency_reservoirs` on the raw reservoirs.
+    Queue depths, batch and warm-answer counters, size histograms and
+    stage seconds sum; queue-wait max is the max; latency percentiles
+    come from :func:`merge_latency_reservoirs` on the raw reservoirs.
     """
     queue = {
         "depth": 0, "requests_waiting": 0, "in_flight": 0,
         "rejected_total": 0,
     }
-    batches = {"total": 0, "requests_total": 0}
+    batches = {"total": 0, "requests_total": 0, "warm_total": 0}
     histogram: Dict[str, int] = {}
     stages: Dict[str, float] = {}
     reservoirs: List[List[float]] = []
@@ -885,10 +885,8 @@ def merge_shard_stats(reports: List[Dict[str, Any]]) -> Dict[str, Any]:
         for field in queue:
             queue[field] += int(report_queue.get(field, 0))
         report_batches = report.get("batches", {})
-        batches["total"] += int(report_batches.get("total", 0))
-        batches["requests_total"] += int(
-            report_batches.get("requests_total", 0)
-        )
+        for field in batches:
+            batches[field] += int(report_batches.get(field, 0))
         for size, count in report_batches.get("size_histogram", {}).items():
             histogram[size] = histogram.get(size, 0) + int(count)
         latency = report.get("latency", {})

@@ -28,6 +28,7 @@ from repro.compiler.cache import (
     CachedPassResult,
     get_compile_cache,
 )
+from repro.compiler.compile import _compile_key, _trial_key
 from repro.compiler.passes.base import (
     PassManager,
     PropertySet,
@@ -185,6 +186,53 @@ def test_same_coupling_with_other_native_gates_still_raises(workers):
         compile_batch(
             circuits, other, optimization_level=3, seed=5, max_workers=workers
         )
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_other_native_gates_split_the_whole_compile_not_the_trials(level):
+    """A whole-compile entry is validated once, when stored, against the
+    native gates its key holds; a device with the same coupling map and
+    other native gates gets its own entry (and its own validation), but
+    shares the level-3 trial set."""
+    circuits = _circuits()
+    q20a = make_q20a()
+    other = dataclasses.replace(
+        q20a, name="Q20-CX", native_gates=frozenset({"cx", "u3", "measure"})
+    )
+    cache = get_compile_cache()
+    key_a, key_other = (
+        _compile_key(cache, circuits[0], device, level, 5, False, 4)
+        for device in (q20a, other)
+    )
+    assert key_a != key_other
+    if level == 3:
+        assert _trial_key(key_a) == _trial_key(key_other)
+    compile_batch(circuits, q20a, optimization_level=level, seed=5, max_workers=1)
+    before = compile_cache_stats()
+    with pytest.raises(ValueError, match="not native"):
+        compile_batch(
+            circuits[:1], other, optimization_level=level, seed=5, max_workers=1
+        )
+    # The other device's lookup missed: q20a's entry was not handed out.
+    assert compile_cache_stats()["misses"] == before["misses"] + 1
+
+
+def test_whole_compile_hit_is_not_validated_again(monkeypatch):
+    circuits = _circuits()
+    q20a = make_q20a()
+    cold = _snapshot(compile_batch(
+        circuits, q20a, optimization_level=3, seed=5, max_workers=1
+    ))
+    validated = []
+    monkeypatch.setattr(
+        type(q20a), "validate_circuit",
+        lambda self, circuit: validated.append(circuit),
+    )
+    warm = compile_batch(
+        circuits, q20a, optimization_level=3, seed=5, max_workers=1
+    )
+    assert validated == []
+    assert _snapshot(warm) == cold
 
 
 @pytest.mark.parametrize("workers", WORKERS)

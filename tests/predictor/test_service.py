@@ -349,3 +349,38 @@ def test_memoized_results_are_isolated_from_caller_mutation(
     assert [result.circuit.instructions for result in again] == expected
     assert all("mangled" not in r.circuit.metadata for r in again)
     assert all(r.properties["final_layout"] for r in again)
+
+
+def test_warm_requests_rebuild_and_validate_no_circuit(
+    estimator, device, circuits, monkeypatch
+):
+    """A fully warm request is answered from the cached feature rows:
+    ``predict_warm`` and ``predict_at`` restore, validate and featurize
+    no circuit, and answer the cold bytes.  Anything not fully warm gets
+    ``None`` from ``predict_warm`` after at most one missed lookup."""
+    import repro.compiler.compile as compile_mod
+    import repro.predictor.service as service_mod
+    from repro.compiler import clear_compile_cache, compile_cache_stats
+
+    clear_compile_cache()
+    service = FomService(estimator, device, optimization_level=3, seed=0)
+    warm, cold = circuits[:4], circuits[4]
+    before = compile_cache_stats()
+    assert service.predict_warm(warm) is None
+    assert compile_cache_stats()["misses"] == before["misses"] + 1
+    expected = service.predict(warm)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm request rebuilt or checked a circuit")
+
+    monkeypatch.setattr(compile_mod, "restore_result", forbidden)
+    monkeypatch.setattr(type(device), "validate_circuit", forbidden)
+    monkeypatch.setattr(service_mod, "feature_matrix", forbidden)
+    assert service.predict_warm(warm).tobytes() == expected.tobytes()
+    solo, _ = service.predict_at(warm, positions=range(len(warm)))
+    assert solo.tobytes() == expected.tobytes()
+    assert service.predict_warm(warm, optimization_level=2) is None
+    assert service.predict_warm(warm, optimization_level="search") is None
+    assert service.predict_warm(warm + [cold]) is None
+    # Seeds follow request positions: the same circuits reordered are cold.
+    assert service.predict_warm(warm[::-1]) is None

@@ -19,6 +19,7 @@ import pytest
 
 from repro.circuits.qasm import to_qasm
 from repro.circuits.random import random_circuit
+from repro.compiler import clear_compile_cache
 from repro.evaluation.persistence import save_model
 from repro.predictor.estimator import HellingerEstimator
 from repro.serving import ModelSource, ServerConfig, ServingClient, ServingDaemon
@@ -62,7 +63,8 @@ MERGED_QUEUE = {
     "rejected_total": ".", "limit": ".",
 }
 BATCHES = {
-    "total": ".", "requests_total": ".", "size_histogram": {"2": "."},
+    "total": ".", "requests_total": ".", "warm_total": ".",
+    "size_histogram": {"2": "."},
 }
 STAGES = {"compile_s": ".", "featurize_s": ".", "predict_s": "."}
 LATENCY = {
@@ -155,6 +157,9 @@ def test_admin_endpoint_shapes_and_draining_codes(model_path, shards):
         to_qasm(random_circuit(3, 5, seed=seed, measure=True))
         for seed in range(2)
     ]
+    # The in-process daemon shares this process's compile cache; emptying
+    # it makes the first request a batch and the second a warm answer.
+    clear_compile_cache()
     thread = DaemonThread(
         ServingDaemon([source], ServerConfig(port=0, shards=shards))
     )
@@ -163,8 +168,10 @@ def test_admin_endpoint_shapes_and_draining_codes(model_path, shards):
         with ServingClient(host, port) as client:
             status, health = client.healthz()
             assert status == 200
-            client.predict(qasm)
+            assert client.predict(qasm) == client.predict(qasm)
             stats = client.stats()
+            assert stats["batches"]["requests_total"] == 1
+            assert stats["batches"]["warm_total"] == 1
             reload = client.reload()
             observed = {
                 "healthz": shape(health),

@@ -10,6 +10,7 @@ a :class:`threading.Event` (:mod:`.gating`) instead of waiting on timers.
 
 import asyncio
 import json
+import sys
 import threading
 import time
 
@@ -18,6 +19,7 @@ import pytest
 
 from repro.circuits.qasm import to_qasm
 from repro.circuits.random import random_circuit
+from repro.compiler import clear_compile_cache
 from repro.evaluation.persistence import save_model
 from repro.predictor.estimator import HellingerEstimator
 from repro.predictor.service import PROPOSED_LABEL, FomService
@@ -81,7 +83,13 @@ def make_daemon(model_path, **config_kwargs):
 
 def hold_batches(daemon):
     """Block every batch of an in-process daemon until the returned
-    :class:`threading.Event` is set."""
+    :class:`threading.Event` is set.
+
+    A warm request is answered before it reaches the batcher, and the
+    daemon shares this process's compile cache, so the cache is emptied:
+    every circuit sent next is cold and really queues.
+    """
+    clear_compile_cache()
     gate = threading.Event()
     batcher = daemon._backend.batcher
     batcher._runner = gated(batcher._runner, gate)
@@ -473,6 +481,140 @@ def test_stats_shape_and_counters(client, circuits):
     }
 
 
+def test_warm_path_skips_only_plain_warm_requests(model_path, circuits):
+    """Only a /predict whose every circuit is warm, within ``max_batch``
+    and not streamed is answered without the batcher; /foms, streams,
+    oversized requests and a request with one cold circuit queue as
+    before."""
+    daemon = make_daemon(model_path, max_batch=2)
+    clear_compile_cache()
+    warm = circuits[:3]
+    with DaemonThread(daemon) as (host, port):
+        with ServingClient(host, port) as client:
+            client.predict(warm[:2])
+            client.predict(warm[2:])
+
+            def counters():
+                batches = client.stats()["batches"]
+                return batches["requests_total"], batches["warm_total"]
+
+            assert counters() == (2, 0)
+            assert client.predict(warm[:2])["count"] == 2
+            assert counters() == (2, 1)
+            client.foms(warm[:2])
+            assert counters() == (3, 1)
+            assert len(list(client.predict_stream(warm[:2]))) == 1
+            assert counters() == (3, 1)
+            assert client.predict(warm)["count"] == 3
+            assert counters() == (4, 1)
+            assert client.predict([warm[0], circuits[8]])["count"] == 2
+            assert counters() == (5, 1)
+            # Every answer, streamed or not, is one latency sample.
+            assert client.stats()["latency"]["samples"] == 7
+
+
+def test_warm_and_batched_requests_interleave_under_load(
+    model_path, direct, circuits
+):
+    """Clients racing warm answers on the loop against batches in the
+    runner thread, which share the compile cache, all get their solo
+    bytes."""
+    clear_compile_cache()
+    requests = [circuits[start:start + 2] for start in range(0, 8, 2)]
+    expected = [direct.predict(request).tolist() for request in requests]
+    clear_compile_cache()
+    answers, errors = [], []
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with DaemonThread(make_daemon(model_path)) as (host, port):
+
+            def drive(offset):
+                with ServingClient(host, port) as client:
+                    for round_ in range(3):
+                        for index in range(len(requests)):
+                            index = (index + offset) % len(requests)
+                            try:
+                                served = client.predict(requests[index])
+                            except Exception as exc:  # noqa: BLE001
+                                errors.append(exc)
+                                return
+                            answers.append((index, served["predictions"]))
+
+            drivers = [
+                threading.Thread(target=drive, args=(offset,))
+                for offset in range(4)
+            ]
+            for driver in drivers:
+                driver.start()
+            for driver in drivers:
+                driver.join(timeout=300)
+            assert not any(driver.is_alive() for driver in drivers)
+            with ServingClient(host, port) as client:
+                batches = client.stats()["batches"]
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not errors
+    assert len(answers) == 4 * 3 * len(requests)
+    for index, predictions in answers:
+        assert predictions == expected[index]
+    assert batches["warm_total"] > 0 and batches["requests_total"] > 0
+    assert batches["warm_total"] + batches["requests_total"] == len(answers)
+
+
+def test_warm_answer_that_raises_is_a_500_like_a_failed_batch(
+    model_path, circuits
+):
+    clear_compile_cache()
+    daemon = make_daemon(model_path)
+    payload = {"circuits": [to_qasm(circuit) for circuit in circuits[:2]]}
+    with DaemonThread(daemon) as (host, port):
+        with ServingClient(host, port) as client:
+            first = client.request("POST", "/predict", payload)
+            service = daemon.registry.resolve().service
+            estimator = service.estimator
+
+            class Broken:
+                def predict(self, X):
+                    raise RuntimeError("forest unavailable")
+
+            service.estimator = Broken()
+            try:
+                failed = client.request("POST", "/predict", payload)
+            finally:
+                service.estimator = estimator
+            assert failed == (
+                500, {"error": "batch failed: forest unavailable"}
+            )
+            # The daemon keeps serving, warm, in the first answer's bytes.
+            assert client.request("POST", "/predict", payload) == first
+            batches = client.stats()["batches"]
+            assert (batches["requests_total"], batches["warm_total"]) == (1, 1)
+
+
+def test_draining_daemon_refuses_warm_and_batched_requests_alike(
+    model_path, circuits
+):
+    clear_compile_cache()
+    thread = DaemonThread(make_daemon(model_path))
+    host, port = thread.start()
+    try:
+        with ServingClient(host, port) as client:
+            client.predict(circuits[:1])
+            thread.daemon.begin_drain()
+            warm = client.request(
+                "POST", "/predict", {"circuits": [to_qasm(circuits[0])]}
+            )
+            cold = client.request(
+                "POST", "/predict", {"circuits": [to_qasm(circuits[5])]}
+            )
+            assert warm == cold
+            assert warm[0] == 503
+            assert client.stats()["batches"]["warm_total"] == 0
+    finally:
+        thread.stop()
+
+
 def test_empty_registry_is_rejected():
     with pytest.raises(ValueError, match="empty model registry"):
         ServingDaemon([])
@@ -612,6 +754,7 @@ def test_render_stats_handles_null_percentiles(model_path):
 
     rendered = _render_stats(asyncio.run(run()))
     assert "p50=n/a p99=n/a max=n/a" in rendered
+    assert "warm=0" in rendered
     assert "samples=0" in rendered
     rendered = _render_stats(
         {"latency": {"request_p50_s": 0.25, "samples": 1}}

@@ -169,7 +169,7 @@ def test_merge_shard_stats_sums_counters_and_histograms():
                 "rejected_total": 4,
             },
             "batches": {
-                "total": 10, "requests_total": 20,
+                "total": 10, "requests_total": 20, "warm_total": 7,
                 "size_histogram": {"1": 5, "4": 5},
             },
             "latency": {
@@ -185,7 +185,7 @@ def test_merge_shard_stats_sums_counters_and_histograms():
                 "rejected_total": 0,
             },
             "batches": {
-                "total": 3, "requests_total": 6,
+                "total": 3, "requests_total": 6, "warm_total": 2,
                 "size_histogram": {"4": 2, "16": 1},
             },
             "latency": {
@@ -203,6 +203,7 @@ def test_merge_shard_stats_sums_counters_and_histograms():
     }
     assert merged["batches"]["total"] == 13
     assert merged["batches"]["requests_total"] == 26
+    assert merged["batches"]["warm_total"] == 9
     # Histogram keys sum and sort numerically, not lexically.
     assert merged["batches"]["size_histogram"] == {"1": 5, "4": 7, "16": 1}
     assert list(merged["batches"]["size_histogram"]) == ["1", "4", "16"]
@@ -506,6 +507,41 @@ def test_sharded_stats_aggregate(matrix, circuits):
 # ----------------------------------------------------------------------
 # Operational paths (dedicated short-lived pools)
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_warm_answer_bytes_equal_batched_and_solo(
+    model_path, direct, circuits, shards
+):
+    """The second send of a request is answered warm, without a batch,
+    in the bytes of the first (batched) answer and of a solo
+    ``predict_at`` call."""
+    from repro.compiler import clear_compile_cache
+
+    payload = {"circuits": [to_qasm(circuit) for circuit in circuits[:3]]}
+    # The in-process daemon shares this process's compile cache.
+    clear_compile_cache()
+    thread = DaemonThread(make_sharded(model_path, shards))
+    thread.start()
+    try:
+        batched = raw_exchange(thread.daemon, payload)
+        warm = raw_exchange(thread.daemon, payload)
+        with ServingClient(thread.daemon.host, thread.daemon.port) as client:
+            stats = client.stats()
+    finally:
+        thread.stop()
+    assert warm == batched
+    assert stats["batches"]["requests_total"] == 1
+    assert stats["batches"]["warm_total"] == 1
+    assert stats["latency"]["samples"] == 2
+    body = response_body(warm)
+    predictions, _ = direct.predict_at(circuits[:3], positions=range(3))
+    solo = {
+        "model": body["model"], "fingerprint": body["fingerprint"],
+        "optimization_level": LEVEL, "count": 3,
+        "predictions": predictions.tolist(),
+    }
+    assert warm.partition(b"\r\n\r\n")[2] == json.dumps(solo).encode()
 
 
 def test_drain_during_streaming_completes_then_reaps(

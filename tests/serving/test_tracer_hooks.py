@@ -18,6 +18,7 @@ import numpy as np
 import repro.serving.server as server
 from repro.circuits.qasm import to_qasm
 from repro.circuits.random import random_circuit
+from repro.compiler import clear_compile_cache
 from repro.evaluation.persistence import save_model
 from repro.predictor.estimator import HellingerEstimator
 from repro.serving import ModelSource, ServerConfig, ServingClient
@@ -74,6 +75,9 @@ def test_predict_calls_through_every_traced_hook(tmp_path, monkeypatch):
         to_qasm(random_circuit(3, 5, seed=seed, measure=True))
         for seed in range(2)
     ]
+    # Cold circuits: a warm request is answered without a batch.  The
+    # daemon shares this process's compile cache, so empty it.
+    clear_compile_cache()
     with DaemonThread(
         ServingDaemon([source], ServerConfig(port=0))
     ) as (host, port):
