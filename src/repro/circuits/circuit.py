@@ -48,9 +48,9 @@ class Instruction:
         _setattr(self, "qubits", qubits)
         _setattr(self, "params", params)
         _setattr(self, "clbits", clbits)
-        # Precomputed content hash: instructions are hashed in bulk by the
-        # simulator's cache-revalidation fingerprints, so paying the tuple
-        # hash once at construction keeps those hot.
+        # Precomputed content hash: instructions are hashed in bulk by
+        # :func:`circuit_cache_fingerprint`, so paying the tuple hash once
+        # at construction keeps those hot.
         _setattr(self, "_hash", hash((name, qubits, params, clbits)))
 
     def __setattr__(self, name: str, value) -> None:
@@ -675,3 +675,21 @@ def circuit_from_instructions(
         else:
             circuit.append_instruction(instruction)
     return circuit
+
+
+def circuit_cache_fingerprint(circuit: QuantumCircuit) -> Tuple:
+    """Content fingerprint of a circuit: the key of every circuit memo.
+
+    The compile cache, the served feature rows and the simulator's plan
+    and profile memos all key on it.  Instructions are immutable and
+    pre-hashed, so the tuple hash is cheap; the widths keep
+    equal-instruction circuits of different sizes apart, and the length
+    shrinks the collision surface.
+    """
+    return (
+        circuit.num_qubits,
+        circuit.num_clbits,
+        circuit.global_phase,
+        len(circuit.instructions),
+        hash(tuple(circuit.instructions)),
+    )

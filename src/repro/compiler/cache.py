@@ -14,8 +14,9 @@ Keys combine three ingredients (assembled by
   class plus every option that affects its output (seeds, tolerances, the
   coupling-map fingerprint),
 * a content fingerprint of the input circuit (qubit/clbit counts, global
-  phase, and a hash over the immutable instruction tuple — the same
-  machinery the simulation caches use),
+  phase, and a hash over the immutable instruction tuple), from
+  :func:`~repro.circuits.circuit.circuit_cache_fingerprint`, which the
+  simulator's plan and profile memos key on too,
 * the frozen values of the property-set keys the pass declares it reads
   (e.g. routing reads ``initial_layout``).
 
@@ -54,27 +55,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
-from ..circuits.circuit import QuantumCircuit
+from ..circuits.circuit import QuantumCircuit, circuit_cache_fingerprint
 
 #: Default number of cached entries.  One level-3 compilation stores
 #: roughly two dozen entries, so the default comfortably covers a full
 #: benchmark-suite sweep (~335 circuits) without evictions.
 DEFAULT_MAXSIZE = 32768
-
-
-def circuit_cache_fingerprint(circuit: QuantumCircuit) -> Tuple:
-    """Content fingerprint of a circuit for compile-cache keys.
-
-    Instructions are immutable and pre-hashed, so the tuple hash is cheap;
-    length is included alongside to shrink the collision surface.
-    """
-    return (
-        circuit.num_qubits,
-        circuit.num_clbits,
-        circuit.global_phase,
-        len(circuit.instructions),
-        hash(tuple(circuit.instructions)),
-    )
 
 
 @dataclass

@@ -28,8 +28,8 @@ background.
 Throughput comes from two mechanisms.  All circuit-static quantities
 (success probability, idle schedule, readout flip rates, the structural
 signature of the coherent distortion) are computed once per ``(circuit,
-device)`` pair and cached, so repeated executions — PST sweeps, seed
-ensembles, shot-count scans — only pay for sampling.  Sampling itself is
+device)`` content pair and memoized, so repeated executions — PST sweeps,
+seed ensembles, shot-count scans — only pay for sampling.  Sampling itself is
 fully vectorized: one cumulative-distribution table serves every shot via a
 single ``searchsorted`` batch, and scramble/readout bit flips are drawn as
 one ``(shots, width)`` matrix.  :meth:`QPUExecutor.run_batch` executes many
@@ -40,17 +40,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.circuit import QuantumCircuit
+from ..circuits.circuit import QuantumCircuit, circuit_cache_fingerprint
 from ..circuits.dag import CircuitDag
 from ..hardware.device import Device
 from ..parallel import parallel_map
-from .kernels import circuit_fingerprint
 from .statevector import bitstring_keys, ideal_distribution, sample_indices
 
 _SCRAMBLE_FLIP_PROB = 0.3
@@ -78,14 +76,16 @@ class ExecutionResult:
 def _device_fingerprint(device: Device) -> int:
     """Content hash of everything the execution profile reads off a device.
 
-    Covers the true calibration tables, noise parameters, and coupling
-    edges, so in-place drift (e.g. scaling ``true_calibration.t2``) is
-    detected and the cached profile recomputed.
+    Covers the true calibration tables, noise parameters, coupling edges
+    and native gates (which :meth:`Device.validate_circuit` reads), so
+    in-place drift (e.g. scaling ``true_calibration.t2``) or an edited gate
+    set keys a fresh, re-validated profile.
     """
     cal = device.true_calibration
     noise = device.noise
     return hash((
         device.name,
+        frozenset(device.native_gates),
         tuple(sorted(cal.one_qubit_fidelity.items())),
         tuple(sorted(cal.two_qubit_fidelity.items())),
         tuple(sorted(cal.readout_fidelity.items())),
@@ -112,8 +112,6 @@ def _device_fingerprint(device: Device) -> int:
 class _CircuitProfile:
     """Everything about executing a circuit that does not depend on shots."""
 
-    fingerprint: int
-    device_fingerprint: int
     success: float
     diag: Dict[str, float]
     idle: Dict[int, float]
@@ -121,38 +119,14 @@ class _CircuitProfile:
     clbit_to_qubit: Dict[int, int]
 
 
-#: Cache of circuit-static execution profiles, keyed by
-#: ``(id(circuit), id(device))`` — object identity on both sides, so two
-#: devices that share a name but differ in calibration/noise never reuse
-#: each other's profiles.  Entries are evicted when either object is
-#: garbage collected (guarding against ``id`` reuse) and revalidated
-#: against content fingerprints of both the circuit and the device
-#: (guarding against in-place edits and calibration drift).
-_PROFILE_CACHE: Dict[Tuple[int, int], _CircuitProfile] = {}
-
-#: Live cache keys per device id, so a device's finalizer can evict every
-#: profile computed against it (long-lived circuits executed on short-lived
-#: devices would otherwise pin dead-device entries until the *circuit*
-#: died).  ``_DEVICE_FINALIZED`` tracks which device ids currently carry a
-#: finalizer; the id is released in the finalizer so a recycled id gets a
-#: fresh one.
-_DEVICE_KEYS: Dict[int, set] = {}
-_DEVICE_FINALIZED: set = set()
-
-
-def _evict_device_profiles(device_id: int) -> None:
-    """Drop every cached profile computed against a now-dead device."""
-    _DEVICE_FINALIZED.discard(device_id)
-    for key in _DEVICE_KEYS.pop(device_id, ()):
-        _PROFILE_CACHE.pop(key, None)
-
-
-def _profile_cache_evict(key: Tuple[int, int]) -> None:
-    """Drop one profile when its circuit dies (device bookkeeping included)."""
-    _PROFILE_CACHE.pop(key, None)
-    device_keys = _DEVICE_KEYS.get(key[1])
-    if device_keys is not None:
-        device_keys.discard(key)
+#: Circuit-static execution profiles keyed by
+#: ``(circuit_cache_fingerprint(circuit), _device_fingerprint(device))``,
+#: emptied when full.  Content on both sides: an equal copy of a circuit
+#: reuses its profile, while an in-place edit of the circuit or of the
+#: device's calibration, noise, coupling or gate set misses and is
+#: validated afresh.  A reduced Table-I study builds 174 profiles.
+_PROFILE_CACHE: Dict[Tuple[Tuple, int], _CircuitProfile] = {}
+_PROFILE_CACHE_MAX = 1024
 
 
 class QPUExecutor:
@@ -276,14 +250,12 @@ class QPUExecutor:
 
     def _profile(self, circuit: QuantumCircuit) -> _CircuitProfile:
         """Validate the circuit and compute (or recall) its static profile."""
-        key = (id(circuit), id(self.device))
-        fingerprint = circuit_fingerprint(circuit)
-        device_fingerprint = _device_fingerprint(self.device)
+        key = (
+            circuit_cache_fingerprint(circuit),
+            _device_fingerprint(self.device),
+        )
         cached = _PROFILE_CACHE.get(key)
-        if cached is not None and (
-            cached.fingerprint == fingerprint
-            and cached.device_fingerprint == device_fingerprint
-        ):
+        if cached is not None:
             return cached
 
         self.device.validate_circuit(circuit)
@@ -293,29 +265,15 @@ class QPUExecutor:
 
         success, diag, idle = self._success_probability(circuit)
         profile = _CircuitProfile(
-            fingerprint=fingerprint,
-            device_fingerprint=device_fingerprint,
             success=success,
             diag=diag,
             idle=idle,
             signature=self._structural_hash(circuit),
             clbit_to_qubit={clbit: qubit for qubit, clbit in measured},
         )
-        # One finalizer per live (circuit, device) key: entries only leave
-        # the cache when the circuit dies, so a key absent at insertion has
-        # no live finalizer yet.  The device side mirrors this with one
-        # finalizer per live device id, evicting every key computed against
-        # it, so dead devices release their profiles without waiting for
-        # the circuits to be collected.
-        is_new_key = key not in _PROFILE_CACHE
+        if len(_PROFILE_CACHE) >= _PROFILE_CACHE_MAX:
+            _PROFILE_CACHE.clear()
         _PROFILE_CACHE[key] = profile
-        device_id = id(self.device)
-        _DEVICE_KEYS.setdefault(device_id, set()).add(key)
-        if device_id not in _DEVICE_FINALIZED:
-            _DEVICE_FINALIZED.add(device_id)
-            weakref.finalize(self.device, _evict_device_profiles, device_id)
-        if is_new_key:
-            weakref.finalize(circuit, _profile_cache_evict, key)
         return profile
 
     # ------------------------------------------------------------------

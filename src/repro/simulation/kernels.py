@@ -19,8 +19,8 @@ applications through it.  Four ideas carry the speedup:
 3. **Adjacent-gate fusion.**  Runs of single-qubit gates on the same wire
    are folded into one 2x2 matrix, and pending 1q matrices are absorbed
    into the next two-qubit gate touching their wire, so a fused circuit
-   performs roughly one contraction per *entangling* gate.  Fused gate
-   lists are cached per circuit.
+   performs roughly one contraction per *entangling* gate.  The fused,
+   compiled plan is memoized by circuit content (:func:`circuit_plan`).
 
 4. **Matrix caching.**  Gate matrices are memoized on ``(name, params)``;
    parameterized rotations in loops (QFT's controlled phases, random
@@ -33,11 +33,11 @@ index ``i`` holds qubit ``k`` in bit ``(i >> k) & 1``.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..circuits.circuit import circuit_cache_fingerprint
 from ..circuits.gates import SWAP_MATRIX, cached_gate_matrix
 
 #: Operation kinds precomputed at fusion time.
@@ -244,38 +244,6 @@ def fuse_instructions(instructions, dtype=np.complex128) -> List[FusedOp]:
             emit(matrix, instruction.qubits)
     for qubit in sorted(pending):
         emit(pending[qubit], (qubit,))
-    return ops
-
-
-def circuit_fingerprint(circuit) -> int:
-    """Cheap content hash used to revalidate identity-keyed caches.
-
-    Instructions are frozen dataclasses, so the tuple hash covers names,
-    qubits, parameters, and clbits — in-place edits that keep the length
-    unchanged (e.g. parameter rebinding) still change the fingerprint.
-    """
-    return hash(tuple(circuit.instructions))
-
-
-#: Cache of fused gate lists, keyed by ``(id(circuit), dtype)``.  Entries
-#: are evicted when the circuit is garbage collected (guarding against
-#: ``id`` reuse) and revalidated against the content fingerprint (guarding
-#: against in-place edits).
-_FUSION_CACHE: Dict[Tuple[int, str], Tuple[int, List[FusedOp]]] = {}
-
-
-def fused_circuit_ops(circuit, dtype=np.complex128) -> List[FusedOp]:
-    """Memoized :func:`fuse_instructions` for a circuit object."""
-    key = (id(circuit), np.dtype(dtype).str)
-    fingerprint = circuit_fingerprint(circuit)
-    cached = _FUSION_CACHE.get(key)
-    if cached is not None and cached[0] == fingerprint:
-        return cached[1]
-    ops = fuse_instructions(circuit.instructions, dtype=dtype)
-    is_new_key = key not in _FUSION_CACHE
-    _FUSION_CACHE[key] = (fingerprint, ops)
-    if is_new_key:
-        weakref.finalize(circuit, _FUSION_CACHE.pop, key, None)
     return ops
 
 
@@ -663,22 +631,23 @@ def run_fused_ops(
     )
 
 
-#: Cache of compiled plans, keyed like :data:`_FUSION_CACHE`.
-_PLAN_CACHE: Dict[Tuple[int, str], Tuple[int, Plan]] = {}
+#: Compiled plans keyed by ``(circuit_cache_fingerprint(circuit), dtype)``,
+#: emptied when full.  A reduced Table-I study builds 88 plans, under 1 MB
+#: of matrices in all, so one study never reaches the bound.
+_PLAN_CACHE: Dict[Tuple[Tuple, str], Plan] = {}
+_PLAN_CACHE_MAX = 256
 
 
 def circuit_plan(circuit, dtype=np.complex128) -> Plan:
-    """Memoized fuse-and-compile pipeline for a circuit object."""
-    key = (id(circuit), np.dtype(dtype).str)
-    fingerprint = circuit_fingerprint(circuit)
-    cached = _PLAN_CACHE.get(key)
-    if cached is not None and cached[0] == fingerprint:
-        return cached[1]
-    plan = compile_plan(
-        fused_circuit_ops(circuit, dtype=dtype), circuit.num_qubits
-    )
-    is_new_key = key not in _PLAN_CACHE
-    _PLAN_CACHE[key] = (fingerprint, plan)
-    if is_new_key:
-        weakref.finalize(circuit, _PLAN_CACHE.pop, key, None)
+    """Memoized fuse-and-compile pipeline, keyed by circuit content."""
+    key = (circuit_cache_fingerprint(circuit), np.dtype(dtype).str)
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        plan = compile_plan(
+            fuse_instructions(circuit.instructions, dtype=dtype),
+            circuit.num_qubits,
+        )
+        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
+            _PLAN_CACHE.clear()
+        _PLAN_CACHE[key] = plan
     return plan

@@ -1,26 +1,29 @@
-"""Lifecycle of the executor's circuit-static profile cache.
+"""The simulator's content-keyed memos: compiled plans and execution profiles.
 
-Profiles are keyed by ``(id(circuit), id(device))`` and must be evicted
-when *either* side dies: circuit finalization has been covered since PR 1;
-device finalization is the PR-1 follow-up regression covered here (a
-long-lived circuit executed against short-lived devices used to pin
-dead-device entries until the circuit itself was collected).
+``kernels._PLAN_CACHE`` is keyed by ``(circuit_cache_fingerprint, dtype)``
+and ``executor._PROFILE_CACHE`` by ``(circuit_cache_fingerprint, device
+fingerprint)``.  Both are plain dicts emptied when they reach their module
+bound, so equal circuits share entries and neither grows past its bound.
 """
 
-import gc
+import math
+
+import numpy as np
+import pytest
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.compiler import compile_circuit
 from repro.hardware import make_q20a
+from repro.simulation import kernels
 from repro.simulation.executor import (
-    _DEVICE_KEYS,
     _PROFILE_CACHE,
+    _PROFILE_CACHE_MAX,
     QPUExecutor,
 )
+from repro.simulation.statevector import ideal_distribution, simulate_statevector
 
 
 def _compiled_bell(device):
-    from repro.compiler import compile_circuit
-
     qc = QuantumCircuit(2)
     qc.h(0)
     qc.cx(0, 1)
@@ -28,59 +31,66 @@ def _compiled_bell(device):
     return compile_circuit(qc, device, optimization_level=1, seed=0).circuit
 
 
-def test_profile_cached_per_circuit_and_device():
+def test_equal_copy_builds_no_second_plan_or_profile():
+    device = make_q20a()
+    circuit = _compiled_bell(device)
+    recompiled = _compiled_bell(device)
+    assert recompiled is not circuit
+    plan = kernels.circuit_plan(circuit)
+    profile = QPUExecutor(device)._profile(circuit)
+    for equal in (circuit.copy(), recompiled):
+        assert kernels.circuit_plan(equal) is plan
+        assert QPUExecutor(device)._profile(equal) is profile
+    # The device side is keyed by content too: an equal device reuses it.
+    assert QPUExecutor(make_q20a())._profile(circuit.copy()) is profile
+
+
+def test_memos_hold_at_most_their_bound():
+    executor = QPUExecutor(make_q20a())
+    for index in range(max(kernels._PLAN_CACHE_MAX, _PROFILE_CACHE_MAX) + 1):
+        qc = QuantumCircuit(1, 1)
+        qc.rz(1e-3 * index, 0)
+        qc.measure(0, 0)
+        kernels.circuit_plan(qc)
+        executor._profile(qc)
+        assert len(kernels._PLAN_CACHE) <= kernels._PLAN_CACHE_MAX
+        assert len(_PROFILE_CACHE) <= _PROFILE_CACHE_MAX
+
+
+def test_plan_key_separates_width_and_dtype():
+    narrow = QuantumCircuit(2, 2)
+    wide = QuantumCircuit(3, 2)
+    for qc in (narrow, wide):
+        qc.h(0)
+        qc.cx(0, 1)
+        qc.ry(math.pi / 3, 1)
+        qc.measure(0, 0)
+        qc.measure(1, 1)
+    assert narrow.instructions == wide.instructions
+    narrow_probs = ideal_distribution(narrow)
+    wide_probs = ideal_distribution(wide)
+    kernels._PLAN_CACHE.clear()
+    assert wide_probs == ideal_distribution(wide)
+    kernels._PLAN_CACHE.clear()
+    assert narrow_probs == ideal_distribution(narrow)
+
+    single = simulate_statevector(wide, dtype=np.complex64).data
+    double = simulate_statevector(wide, dtype=np.complex128).data
+    kernels._PLAN_CACHE.clear()
+    expected = simulate_statevector(wide, dtype=np.complex128).data
+    assert double.dtype == np.complex128
+    assert np.array_equal(double, expected)
+    kernels._PLAN_CACHE.clear()
+    assert np.array_equal(
+        single, simulate_statevector(wide, dtype=np.complex64).data
+    )
+
+
+def test_cached_profile_revalidates_after_native_gates_edit():
     device = make_q20a()
     circuit = _compiled_bell(device)
     executor = QPUExecutor(device)
     executor.execute(circuit, shots=16, seed=0)
-    key = (id(circuit), id(device))
-    assert key in _PROFILE_CACHE
-    assert key in _DEVICE_KEYS[id(device)]
-
-
-def test_dead_device_entries_are_evicted():
-    device = make_q20a()
-    circuit = _compiled_bell(device)
-    QPUExecutor(device).execute(circuit, shots=16, seed=0)
-    device_id = id(device)
-    key = (id(circuit), device_id)
-    assert key in _PROFILE_CACHE
-
-    del device
-    gc.collect()
-
-    # The circuit is still alive, but the device finalizer must have
-    # dropped every profile computed against the dead device.
-    assert key not in _PROFILE_CACHE
-    assert device_id not in _DEVICE_KEYS
-    assert circuit is not None  # keep the circuit alive to the end
-
-
-def test_dead_circuit_entries_leave_device_bookkeeping_clean():
-    device = make_q20a()
-    circuit = _compiled_bell(device)
-    QPUExecutor(device).execute(circuit, shots=16, seed=0)
-    key = (id(circuit), id(device))
-    assert key in _DEVICE_KEYS[id(device)]
-
-    del circuit
-    gc.collect()
-
-    assert key not in _PROFILE_CACHE
-    # The per-device key set must not retain keys of dead circuits.
-    assert key not in _DEVICE_KEYS.get(id(device), set())
-    assert device is not None  # keep the device alive to the end
-
-
-def test_device_id_reuse_gets_fresh_finalizer():
-    # Exercise several create/collect cycles: recycled device ids must be
-    # re-registered and still evict on death.
-    for _ in range(3):
-        device = make_q20a()
-        circuit = _compiled_bell(device)
-        QPUExecutor(device).execute(circuit, shots=16, seed=0)
-        device_id = id(device)
-        assert _DEVICE_KEYS.get(device_id)
-        del device
-        gc.collect()
-        assert device_id not in _DEVICE_KEYS
+    device.native_gates = device.native_gates - {"cz"}
+    with pytest.raises(ValueError, match="gate 'cz' is not native"):
+        executor.execute(circuit, shots=16, seed=0)
