@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -693,3 +693,22 @@ def circuit_cache_fingerprint(circuit: QuantumCircuit) -> Tuple:
         len(circuit.instructions),
         hash(tuple(circuit.instructions)),
     )
+
+
+#: Stride between the per-circuit seed streams of a batch (prime, so
+#: overlapping batches decorrelate quickly); compilation and execution
+#: share it.
+SEED_STRIDE = 7919
+
+
+def batch_seeds(
+    seed: int, positions: Sequence[int], seeds: Optional[Sequence[int]] = None
+) -> Sequence[int]:
+    """Per-circuit seeds of a batch: ``seeds`` when given (one per
+    position), else the circuit at position ``i`` gets
+    ``seed + SEED_STRIDE * i``."""
+    if seeds is None:
+        return [seed + SEED_STRIDE * position for position in positions]
+    if len(seeds) != len(positions):
+        raise ValueError("seeds must match circuits in length")
+    return seeds

@@ -46,7 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..circuits.circuit import QuantumCircuit
+from ..circuits.circuit import SEED_STRIDE as SEED_STRIDE  # re-exported
+from ..circuits.circuit import QuantumCircuit, batch_seeds
 from ..hardware.device import Device
 from .cache import CachedPassResult, CompileCache, active_compile_cache
 from .passes.base import (
@@ -63,11 +64,6 @@ from .passes.optimization import Merge1QRuns, OptimizationLoop, RemoveIdentities
 from .passes.routing import _LOOKAHEAD_SIZE, PathRouting, SabreRouting
 from .passes.scheduling import Schedule, schedule_asap
 from .passes.synthesis import NativeSynthesis, VirtualRZ
-
-#: Stride between the default per-circuit seed streams of
-#: :func:`compile_batch` (the same prime :mod:`repro.simulation.executor`
-#: uses, so compile and execute streams decorrelate identically).
-SEED_STRIDE = 7919
 
 
 @dataclass
@@ -550,18 +546,6 @@ def _compile_task(
     return best, entries
 
 
-def _seed_streams(
-    seed: int, seeds: Optional[Sequence[int]], n: int
-) -> Sequence[int]:
-    """A batch's per-circuit seeds: ``seeds`` when given, else circuit
-    ``i`` gets ``seed + SEED_STRIDE * i``."""
-    if seeds is None:
-        return [seed + SEED_STRIDE * i for i in range(n)]
-    if len(seeds) != n:
-        raise ValueError("seeds must match circuits in length")
-    return seeds
-
-
 def compile_batch(
     circuits: Sequence[QuantumCircuit],
     device: Device,
@@ -646,7 +630,7 @@ def compile_batch(
         )
 
     n = len(circuits)
-    seeds = _seed_streams(seed, seeds, n)
+    seeds = batch_seeds(seed, range(n), seeds)
     if not (
         isinstance(optimization_level, int) and 0 <= optimization_level <= 3
     ):

@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.circuit import QuantumCircuit
+from ..circuits.circuit import QuantumCircuit, batch_seeds
 from ..hardware.device import Device
 from .compile import (
     STOCK_LOOKAHEAD_SIZE,
@@ -59,7 +59,6 @@ from .compile import (
     _prepare,
     _remeasure,
     _run,
-    _seed_streams,
     _trial_layout,
     _trial_seeds,
     _trial_suffix,
@@ -654,7 +653,7 @@ def compile_search(
     """
     from ..parallel import parallel_map
 
-    seeds = _seed_streams(seed, seeds, len(circuits))
+    seeds = batch_seeds(seed, range(len(circuits)), seeds)
     own_session = session is None
     if own_session:
         session = LeaderboardSession.for_search(

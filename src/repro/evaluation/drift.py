@@ -40,7 +40,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,10 +48,11 @@ from ..hardware import NOISE_TIERS, resolve_device
 from ..hardware.calibration import Calibration, drift_walk
 from ..hardware.device import Device
 from ..ml.metrics import pearson_r
-from ..predictor.estimator import FINE_TUNE_SEED_OFFSET, train_and_evaluate_model
+from ..ml.model_selection import split_indices
+from ..predictor.estimator import FINE_TUNE_SEED_OFFSET
 from .artifacts import ArtifactStore
-from .persistence import config_fingerprint, device_fingerprint
-from .study import StudyConfig, build_device_datasets
+from .persistence import _SHAPE_ERRORS, config_fingerprint, device_fingerprint
+from .study import StudyConfig, build_device_datasets, fit_device
 
 __all__ = [
     "DriftStepResult",
@@ -232,69 +233,32 @@ class DriftStudyResult:
     elapsed_s: float = 0.0
 
 
+#: Fields set on each return and never persisted.
+_RUN_ONLY = ("from_cache", "elapsed_s")
+
+
 def _result_to_dict(result: DriftStudyResult) -> Dict:
-    return {
-        "device_name": result.device_name,
-        "fidelity_drift": result.fidelity_drift,
-        "relaxation_drift": result.relaxation_drift,
-        "duration_drift": result.duration_drift,
-        "refresh_trees": list(result.refresh_trees),
-        "replace": result.replace,
-        "base_pearson": result.base_pearson,
-        "base_fit_s": result.base_fit_s,
-        "base_cached": result.base_cached,
-        "steps": [
-            {
-                **{
-                    key: value
-                    for key, value in dataclasses.asdict(step).items()
-                    if key != "fine_tune"
-                },
-                "fine_tune": [
-                    dataclasses.asdict(point) for point in step.fine_tune
-                ],
-            }
-            for step in result.steps
-        ],
-    }
+    data = dataclasses.asdict(result)
+    for name in _RUN_ONLY:
+        del data[name]
+    return data
 
 
-def _result_from_dict(data: Dict) -> DriftStudyResult:
-    steps = [
-        DriftStepResult(
-            step=int(record["step"]),
-            device_name=record["device_name"],
-            distance=float(record["distance"]),
-            stale_pearson=float(record["stale_pearson"]),
-            stale_mae=float(record["stale_mae"]),
-            retrain_pearson=float(record["retrain_pearson"]),
-            retrain_mae=float(record["retrain_mae"]),
-            retrain_fit_s=float(record["retrain_fit_s"]),
-            retrain_cached=bool(record["retrain_cached"]),
-            fine_tune_fit_s=float(record["fine_tune_fit_s"]),
-            fine_tune=[
-                RefreshPoint(
-                    trees=int(point["trees"]),
-                    pearson=float(point["pearson"]),
-                    mae=float(point["mae"]),
-                )
-                for point in record["fine_tune"]
-            ],
-        )
-        for record in data["steps"]
-    ]
-    return DriftStudyResult(
-        device_name=data["device_name"],
-        fidelity_drift=float(data["fidelity_drift"]),
-        relaxation_drift=float(data["relaxation_drift"]),
-        duration_drift=float(data["duration_drift"]),
-        refresh_trees=tuple(int(n) for n in data["refresh_trees"]),
-        replace=bool(data["replace"]),
-        base_pearson=float(data["base_pearson"]),
-        base_fit_s=float(data["base_fit_s"]),
-        base_cached=bool(data["base_cached"]),
-        steps=steps,
-    )
+def _from_fields(hint, value):
+    """Rebuild a value of type ``hint`` from its :func:`dataclasses.asdict`
+    form; a missing key or a wrongly typed value raises."""
+    if dataclasses.is_dataclass(hint):
+        hints = get_type_hints(hint)
+        return hint(**{
+            item.name: _from_fields(hints[item.name], value[item.name])
+            for item in dataclasses.fields(hint)
+            if item.name not in _RUN_ONLY
+        })
+    container = get_origin(hint)
+    if container is not None:
+        item_hint = get_args(hint)[0]
+        return container(_from_fields(item_hint, item) for item in value)
+    return hint(value)
 
 
 def format_drift_table(result: DriftStudyResult) -> str:
@@ -388,10 +352,13 @@ def run_drift_study(
     base_device = resolve_device(config.device)
     started = time.perf_counter()
     fingerprint = config.fingerprint(base_device, study)
-    if store is not None:
-        cached = store.get("drift", base_device.name, fingerprint)
-        if cached is not None:
-            result = _result_from_dict(cached)
+    cached = None if store is None else store.get("drift", base_device.name, fingerprint)
+    if cached is not None:
+        try:
+            result = _from_fields(DriftStudyResult, cached)
+        except _SHAPE_ERRORS:
+            result = None  # a malformed entry is a miss, recomputed below
+        if result is not None:
             result.from_cache = True
             result.elapsed_s = time.perf_counter() - started
             if config.progress:
@@ -413,34 +380,12 @@ def run_drift_study(
         )
 
     # One split for every curve: compilation is frozen across steps, so
-    # all step datasets hold the same rows in the same order and the
-    # base report's held-out indices are meaningful everywhere.
-    order = np.random.default_rng(study.seed).permutation(len(base_data))
-    n_test = max(1, int(round(len(base_data) * study.test_size)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-
-    report = estimator = None
-    base_fingerprint = study.report_fingerprint(base_device)
-    if store is not None:
-        report = store.get("report", base_device.name, base_fingerprint)
-        estimator = store.get("estimator", base_device.name, base_fingerprint)
-    base_cached = report is not None and estimator is not None
-    base_fit_s = 0.0
-    if not base_cached:
-        fit_started = time.perf_counter()
-        report, estimator = train_and_evaluate_model(
-            base_data.X, base_data.y,
-            device_name=base_device.name,
-            test_size=study.test_size,
-            n_splits=study.n_splits,
-            seed=study.seed,
-            param_grid=study.param_grid,
-            max_workers=study.max_workers,
-        )
-        base_fit_s = time.perf_counter() - fit_started
-        if store is not None:
-            store.put("report", report, base_device.name, base_fingerprint)
-            store.put("estimator", estimator, base_device.name, base_fingerprint)
+    # all step datasets hold the same rows in the same order, and the
+    # base fit draws this same split, so ``test_idx`` is its report's
+    # ``test_indices``.
+    train_idx, test_idx = split_indices(len(base_data), study.test_size, study.seed)
+    base = fit_device(base_data, base_device, study, store, keep_estimator=True)
+    estimator = base.estimator
 
     fid, relax = config.effective_drift()
     result = DriftStudyResult(
@@ -450,9 +395,9 @@ def run_drift_study(
         duration_drift=config.duration_drift,
         refresh_trees=tuple(config.refresh_trees),
         replace=config.replace,
-        base_pearson=float(report.test_pearson),
-        base_fit_s=base_fit_s,
-        base_cached=base_cached,
+        base_pearson=float(base.report.test_pearson),
+        base_fit_s=base.fit_s,
+        base_cached=base.cached,
     )
 
     max_trees = max(config.refresh_trees)
@@ -470,26 +415,7 @@ def run_drift_study(
         stale_mae = _mae(y[test_idx], stale_pred)
 
         # Full retrain: the complete (cached) grid-search protocol.
-        retrain_report = None
-        retrain_fingerprint = study.report_fingerprint(device)
-        if store is not None:
-            retrain_report = store.get("report", device.name, retrain_fingerprint)
-        retrain_cached = retrain_report is not None
-        retrain_fit_s = 0.0
-        if not retrain_cached:
-            fit_started = time.perf_counter()
-            retrain_report, _ = train_and_evaluate_model(
-                X, y,
-                device_name=device.name,
-                test_size=study.test_size,
-                n_splits=study.n_splits,
-                seed=study.seed,
-                param_grid=study.param_grid,
-                max_workers=study.max_workers,
-            )
-            retrain_fit_s = time.perf_counter() - fit_started
-            if store is not None:
-                store.put("report", retrain_report, device.name, retrain_fingerprint)
+        retrain = fit_device(data, device, study, store)
 
         # Fine-tune: one max-count fit; every sweep point is a prefix.
         fit_started = time.perf_counter()
@@ -517,10 +443,10 @@ def run_drift_study(
             ),
             stale_pearson=stale_pearson,
             stale_mae=stale_mae,
-            retrain_pearson=float(retrain_report.test_pearson),
-            retrain_mae=_mae(retrain_report.y_test, retrain_report.y_test_pred),
-            retrain_fit_s=retrain_fit_s,
-            retrain_cached=retrain_cached,
+            retrain_pearson=float(retrain.report.test_pearson),
+            retrain_mae=_mae(retrain.report.y_test, retrain.report.y_test_pred),
+            retrain_fit_s=retrain.fit_s,
+            retrain_cached=retrain.cached,
             fine_tune_fit_s=fine_tune_fit_s,
             fine_tune=points,
         )

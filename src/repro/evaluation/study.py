@@ -16,9 +16,10 @@ Pipeline per device:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,72 +170,107 @@ def run_study(
 
     datasets = build_device_datasets(devices, config, store)
 
-    correlations: Dict[str, Dict[str, float]] = {
-        fom: {} for fom in FOM_ORDER + [PROPOSED_LABEL]
-    }
-
-    # Established figures of merit: per device and combined (all executions).
+    names = [device.name for device in devices]
+    correlations = established_correlations(datasets, names)
     for fom in FOM_ORDER:
-        combined_vals: List[np.ndarray] = []
-        combined_labels: List[np.ndarray] = []
-        for device in devices:
-            data = datasets[device.name]
-            values = data.fom_column(fom)
-            labels = data.y
-            correlations[fom][device.name] = abs(pearson_r(values, labels))
-            combined_vals.append(values)
-            combined_labels.append(labels)
-        correlations[fom]["Combined"] = abs(
-            pearson_r(
-                np.concatenate(combined_vals), np.concatenate(combined_labels)
-            )
-        )
+        correlations[fom]["Combined"] = abs(pearson_r(
+            np.concatenate([datasets[name].fom_column(fom) for name in names]),
+            np.concatenate([datasets[name].y for name in names]),
+        ))
 
     # Proposed approach: one model per device, scored on unseen test sets.
-    reports: Dict[str, EstimatorReport] = {}
-    all_test_y: List[np.ndarray] = []
-    all_test_pred: List[np.ndarray] = []
-    for device in devices:
-        data = datasets[device.name]
-
-        def train(data=data, device=device):
-            return train_and_evaluate(
-                data.X, data.y,
-                device_name=device.name,
-                test_size=config.test_size,
-                n_splits=config.n_splits,
-                seed=config.seed,
-                param_grid=config.param_grid,
-                max_workers=config.max_workers,
-            )
-
-        def announce_hit(device=device):
-            if config.progress:
-                print(f"[{device.name}] estimator loaded from cache", flush=True)
-
-        if store is not None:
-            report = store.fetch(
-                "report", device.name, config.report_fingerprint(device),
-                train, on_hit=announce_hit,
-            )
-        else:
-            report = train()
-        reports[device.name] = report
-        correlations[PROPOSED_LABEL][device.name] = abs(report.test_pearson)
-        all_test_y.append(report.y_test)
-        all_test_pred.append(report.y_test_pred)
-    correlations[PROPOSED_LABEL]["Combined"] = abs(
-        pearson_r(np.concatenate(all_test_y), np.concatenate(all_test_pred))
-    )
+    reports = {
+        device.name: fit_device(datasets[device.name], device, config, store).report
+        for device in devices
+    }
+    correlations[PROPOSED_LABEL] = {
+        name: abs(reports[name].test_pearson) for name in names
+    }
+    correlations[PROPOSED_LABEL]["Combined"] = abs(pearson_r(
+        np.concatenate([reports[name].y_test for name in names]),
+        np.concatenate([reports[name].y_test_pred for name in names]),
+    ))
 
     result = StudyResult(
-        device_names=[device.name for device in devices],
+        device_names=names,
         correlations=correlations,
         reports=reports,
         datasets=datasets,
     )
     result.improvements = compute_improvements(result)
     return result
+
+
+class DeviceFit(NamedTuple):
+    """One device's trained estimator, as :func:`fit_device` returns it."""
+
+    report: EstimatorReport
+    #: The fitted model; ``None`` unless ``keep_estimator`` was asked for.
+    estimator: Optional[HellingerEstimator]
+    #: Seconds the fit took; 0.0 when it came from the store.
+    fit_s: float
+    cached: bool
+
+
+def fit_device(
+    data: CircuitDataset,
+    device: Device,
+    config: StudyConfig,
+    store: Optional[ArtifactStore] = None,
+    keep_estimator: bool = False,
+) -> DeviceFit:
+    """The device's Table-I fit (80/20 split, CV grid search), cached.
+
+    The report is read from ``store`` under
+    :meth:`StudyConfig.report_fingerprint`, or fitted on ``data`` and
+    stored.  With ``keep_estimator`` the fitted model is stored and
+    returned beside it; a miss on either file refits both, so the
+    report's held-out score always belongs to the returned model.
+    """
+    fingerprint = config.report_fingerprint(device)
+    report = estimator = None
+    if store is not None:
+        report = store.get("report", device.name, fingerprint)
+        if report is not None and keep_estimator:
+            estimator = store.get("estimator", device.name, fingerprint)
+    if report is not None and (estimator is not None or not keep_estimator):
+        if config.progress:
+            print(f"[{device.name}] estimator loaded from cache", flush=True)
+        return DeviceFit(report, estimator, 0.0, True)
+
+    knobs = dict(
+        device_name=device.name,
+        test_size=config.test_size,
+        n_splits=config.n_splits,
+        seed=config.seed,
+        param_grid=config.param_grid,
+        max_workers=config.max_workers,
+    )
+    started = time.perf_counter()
+    if keep_estimator:
+        report, estimator = train_and_evaluate_model(data.X, data.y, **knobs)
+    else:
+        report = train_and_evaluate(data.X, data.y, **knobs)
+    fit_s = time.perf_counter() - started
+    if store is not None:
+        store.put("report", report, device.name, fingerprint)
+        if keep_estimator:
+            store.put("estimator", estimator, device.name, fingerprint)
+    return DeviceFit(report, estimator, fit_s, False)
+
+
+def established_correlations(
+    datasets: Dict[str, CircuitDataset], names: Sequence[str]
+) -> Dict[str, Dict[str, float]]:
+    """|Pearson r| of each established figure of merit against the
+    Hellinger labels, per device, in ``names`` order (Table I rows 1-4)."""
+    return {
+        fom: {
+            name: abs(pearson_r(datasets[name].fom_column(fom), datasets[name].y))
+            for name in names
+        }
+        for fom in FOM_ORDER
+    }
 
 
 def build_device_datasets(
@@ -395,43 +431,16 @@ def run_cross_device_study(
     # In-domain protocol (80/20 + CV grid search) on the train device.
     # The report and the transfer model are ONE fit: the estimator that
     # produced the report's held-out score is the estimator scored on
-    # foreign devices, so the columns differ only in the hardware.  Both
-    # halves are cached; a miss on either recomputes the (deterministic)
-    # pair so they can never drift apart.
-    report = estimator = None
-    if store is not None:
-        fingerprint = config.report_fingerprint(train_device)
-        report = store.get("report", train_device.name, fingerprint)
-        estimator = store.get("estimator", train_device.name, fingerprint)
-    if report is None or estimator is None:
-        report, estimator = train_and_evaluate_model(
-            train_data.X, train_data.y,
-            device_name=train_device.name,
-            test_size=config.test_size,
-            n_splits=config.n_splits,
-            seed=config.seed,
-            param_grid=config.param_grid,
-            max_workers=config.max_workers,
-        )
-        if store is not None:
-            fingerprint = config.report_fingerprint(train_device)
-            store.put("report", report, train_device.name, fingerprint)
-            store.put("estimator", estimator, train_device.name, fingerprint)
+    # foreign devices, so the columns differ only in the hardware.
+    fit = fit_device(train_data, train_device, config, store, keep_estimator=True)
+    report, estimator = fit.report, fit.estimator
 
     heldout_names = {
         train_data.entries[int(i)].name for i in report.test_indices
     }
 
-    correlations: Dict[str, Dict[str, float]] = {
-        fom: {} for fom in FOM_ORDER + [PROPOSED_LABEL]
-    }
-    for device in devices:
-        data = datasets[device.name]
-        for fom in FOM_ORDER:
-            correlations[fom][device.name] = abs(
-                pearson_r(data.fom_column(fom), data.y)
-            )
-    correlations[PROPOSED_LABEL][train_device.name] = abs(report.test_pearson)
+    correlations = established_correlations(datasets, names)
+    correlations[PROPOSED_LABEL] = {train_device.name: abs(report.test_pearson)}
     transfer_support = {train_device.name: len(heldout_names)}
     transfer_fallback: List[str] = []
     for device in eval_devices:

@@ -170,11 +170,7 @@ def esp(
     """
     cal = calibration if calibration is not None else device.reported_calibration
     fidelity = expected_fidelity(circuit, device, calibration=cal)
-    schedule = schedule_asap(circuit, cal.durations)
-    decay = 1.0
-    for qubit, idle in schedule.idle_times().items():
-        decay *= math.exp(-idle / cal.min_relaxation(qubit))
-    return fidelity * decay
+    return fidelity * esp_decay_factor(circuit, device, calibration=cal)
 
 
 def esp_decay_factor(

@@ -51,6 +51,19 @@ def _fit_and_score(models, X, y, splits, scorer, task: Tuple[int, int]) -> float
     return scorer(y[test_idx], fold_model.predict(X[test_idx]))
 
 
+def split_indices(
+    n: int, test_size: float = 0.2, seed: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Shuffled ``(train_idx, test_idx)`` over ``n`` rows: the first
+    ``round(n * test_size)`` (at least one) of a seeded permutation are
+    held out."""
+    if not 0.0 < test_size < 1.0:
+        raise ValueError("test_size must be in (0, 1)")
+    order = np.random.default_rng(seed).permutation(n)
+    n_test = max(1, int(round(n * test_size)))
+    return order[n_test:], order[:n_test]
+
+
 def train_test_split(
     X: np.ndarray,
     y: np.ndarray,
@@ -60,16 +73,9 @@ def train_test_split(
     """Shuffle and split into train/test (``test_size`` fraction held out)."""
     X = np.asarray(X)
     y = np.asarray(y)
-    if not 0.0 < test_size < 1.0:
-        raise ValueError("test_size must be in (0, 1)")
-    n = len(X)
-    if n != len(y):
+    train_idx, test_idx = split_indices(len(X), test_size, seed)
+    if len(X) != len(y):
         raise ValueError("X and y length mismatch")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_test = max(1, int(round(n * test_size)))
-    test_idx = order[:n_test]
-    train_idx = order[n_test:]
     return X[train_idx], X[test_idx], y[train_idx], y[test_idx]
 
 

@@ -15,12 +15,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..bench.suite import DEPTH_LIMIT, BenchmarkCircuit, ideal_distributions
+from ..circuits.circuit import batch_seeds
 from ..compiler.compile import compile_batch
 from ..fom.features import feature_vector
 from ..fom.metrics import circuit_depth, esp, expected_fidelity, gate_count
 from ..hardware.device import Device
 from ..simulation.distributions import hellinger_distance
-from ..simulation.executor import SEED_STRIDE, QPUExecutor
+from ..simulation.executor import QPUExecutor
 
 
 @dataclass
@@ -175,7 +176,7 @@ def build_dataset(
         [compiled for _, _, compiled, _ in survivors],
         shots=shots,
         ideals=[cache[entry.name] for _, entry, _, _ in survivors],
-        seeds=[seed + SEED_STRIDE * index for index, _, _, _ in survivors],
+        seeds=batch_seeds(seed, [index for index, _, _, _ in survivors]),
         max_workers=max_workers,
         on_result=execute_progress if progress else None,
     )

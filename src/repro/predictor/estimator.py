@@ -16,7 +16,7 @@ import numpy as np
 
 from ..ml.forest import RandomForestRegressor
 from ..ml.metrics import pearson_r
-from ..ml.model_selection import grid_search
+from ..ml.model_selection import grid_search, split_indices
 
 #: Seed offset for fine-tune tree draws: keeps the refresh trees' seed
 #: stream disjoint from the original forest's (same master seed) stream.
@@ -171,11 +171,7 @@ def train_and_evaluate_model(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = len(X)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_test = max(1, int(round(n * test_size)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
+    train_idx, test_idx = split_indices(len(X), test_size, seed)
 
     estimator = HellingerEstimator(
         param_grid=param_grid, n_splits=n_splits, seed=seed,

@@ -27,10 +27,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..circuits.circuit import QuantumCircuit
+from ..circuits.circuit import QuantumCircuit, batch_seeds
 from ..compiler.cache import active_compile_cache
 from ..compiler.compile import (
-    SEED_STRIDE,
     CompilationResult,
     _calibration_hash,
     _compile_key,
@@ -300,7 +299,7 @@ class FomService:
             if optimization_level is None
             else optimization_level
         )
-        seeds = [self.seed + SEED_STRIDE * position for position in positions]
+        seeds = batch_seeds(self.seed, positions)
         started = time.perf_counter()
         # The panel needs the compiled circuits, which a warm row skips.
         rows = None if want_foms else self._warm_rows(circuits, seeds, level)
@@ -361,10 +360,7 @@ class FomService:
             if optimization_level is None
             else optimization_level
         )
-        seeds = [
-            self.seed + SEED_STRIDE * position
-            for position in range(len(circuits))
-        ]
+        seeds = batch_seeds(self.seed, range(len(circuits)))
         rows = self._warm_rows(circuits, seeds, level)
         return None if rows is None else self._predict_rows(_stack(rows))
 

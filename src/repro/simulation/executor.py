@@ -45,17 +45,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.circuit import QuantumCircuit, circuit_cache_fingerprint
+from ..circuits.circuit import SEED_STRIDE as SEED_STRIDE  # re-exported
+from ..circuits.circuit import QuantumCircuit, batch_seeds, circuit_cache_fingerprint
 from ..circuits.dag import CircuitDag
 from ..hardware.device import Device
 from ..parallel import parallel_map
 from .statevector import bitstring_keys, ideal_distribution, sample_indices
 
 _SCRAMBLE_FLIP_PROB = 0.3
-
-#: Stride between the default per-circuit RNG seeds of :meth:`run_batch`
-#: (prime, so overlapping batches decorrelate quickly).
-SEED_STRIDE = 7919
 
 
 @dataclass
@@ -222,10 +219,7 @@ class QPUExecutor:
         :mod:`repro.parallel`).
         """
         n = len(circuits)
-        if seeds is None:
-            seeds = [seed + SEED_STRIDE * i for i in range(n)]
-        elif len(seeds) != n:
-            raise ValueError("seeds must match circuits in length")
+        seeds = batch_seeds(seed, range(n), seeds)
         if ideals is None:
             ideals = [None] * n
         elif len(ideals) != n:

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuits.circuit import Instruction, QuantumCircuit, circuit_from_instructions
+from repro.circuits.circuit import (
+    SEED_STRIDE,
+    Instruction,
+    QuantumCircuit,
+    batch_seeds,
+    circuit_from_instructions,
+)
 from repro.simulation.statevector import circuit_unitary, simulate_statevector
 from repro.compiler.unitary_math import matrices_equal_up_to_phase
 
@@ -327,3 +333,15 @@ def test_pickle_round_trip_preserves_instruction_hashing():
     lookup = {ins: i for i, ins in enumerate(qc.instructions)}
     for ins in clone.instructions:
         assert qc.instructions[lookup[ins]] == ins
+
+
+def test_batch_seeds_is_the_one_seed_stream_rule():
+    import repro.compiler
+    import repro.simulation
+
+    assert repro.compiler.SEED_STRIDE == repro.simulation.SEED_STRIDE == SEED_STRIDE
+    assert batch_seeds(3, range(3)) == [3, 3 + SEED_STRIDE, 3 + 2 * SEED_STRIDE]
+    assert batch_seeds(3, [5, 1]) == [3 + 5 * SEED_STRIDE, 3 + SEED_STRIDE]
+    assert batch_seeds(3, range(2), [9, 8]) == [9, 8]
+    with pytest.raises(ValueError, match="seeds must match"):
+        batch_seeds(3, range(2), [9])

@@ -1,6 +1,7 @@
 """Tests for the calibration-drift study (repro.evaluation.drift)."""
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from repro.evaluation.artifacts import ArtifactStore
 from repro.evaluation.drift import (
     DriftStudyConfig,
+    _step_devices,
     calibration_distance,
     format_drift_table,
     run_drift_study,
 )
+from repro.ml.metrics import pearson_r
 from repro.evaluation.study import StudyConfig
 from repro.hardware import resolve_device
 from repro.hardware.calibration import drift_calibration
@@ -102,6 +105,43 @@ def test_drift_cache_entry_exists(cached_study):
     assert len(store.find("dataset")) == 3
     assert len(store.find("report")) == 3
     assert len(store.find("estimator")) == 1
+
+
+def test_heldout_rows_are_the_base_reports_test_indices(cached_study):
+    cache_dir, result = cached_study
+    config = _tiny_config(cache_dir)
+    store = ArtifactStore(cache_dir)
+    base_device = resolve_device(config.device)
+    fingerprint = config.study.report_fingerprint(base_device)
+    report = store.get("report", base_device.name, fingerprint)
+    estimator = store.get("estimator", base_device.name, fingerprint)
+    rows = report.test_indices
+    for step, device in zip(result.steps, _step_devices(base_device, config)):
+        data = store.get(
+            "dataset", device.name, config.study.dataset_fingerprint(device)
+        )
+        stale = pearson_r(data.y[rows], estimator.predict(data.X[rows]))
+        assert stale == step.stale_pearson
+
+
+def test_malformed_drift_entry_is_a_miss(tmp_path, cached_study):
+    cache_dir, cold = cached_study
+    shutil.copytree(cache_dir, tmp_path / "cache")
+    config = _tiny_config(str(tmp_path / "cache"))
+    store = ArtifactStore(config.cache_dir)
+    base_device = resolve_device(config.device)
+    fingerprint = config.fingerprint(base_device, config.study)
+    store.put("drift", {"device_name": "x", "steps": [{"step": 1}]},
+              base_device.name, fingerprint)
+
+    rebuilt = run_drift_study(config)
+    assert not rebuilt.from_cache
+    assert rebuilt.base_cached
+    assert [step.stale_pearson for step in rebuilt.steps] == [
+        step.stale_pearson for step in cold.steps
+    ]
+    # The bad entry was overwritten: the next run is a pure cache read.
+    assert run_drift_study(config).from_cache
 
 
 def test_changed_knob_misses_cache(cached_study):

@@ -150,3 +150,36 @@ def test_device_content_change_invalidates_cache():
     assert config.report_fingerprint(original) != config.report_fingerprint(drifted)
     # Identical content hashes identically (stable across objects).
     assert config.dataset_fingerprint(original) == config.dataset_fingerprint(make_q20a())
+
+
+def test_fit_device_caches_the_report_and_optionally_the_model(tmp_path):
+    from types import SimpleNamespace
+
+    from repro.evaluation.artifacts import ArtifactStore
+    from repro.evaluation.study import fit_device
+    from repro.hardware import make_q20a
+
+    rng = np.random.default_rng(0)
+    data = SimpleNamespace(X=rng.uniform(size=(40, 30)), y=rng.uniform(size=40))
+    device, config, store = make_q20a(), _config(), ArtifactStore(tmp_path)
+
+    cold = fit_device(data, device, config, store)
+    assert not cold.cached and cold.fit_s > 0 and cold.estimator is None
+    assert [ref.kind for ref in store.refs()] == ["report"]
+    warm = fit_device(data, device, config, store)
+    assert warm.cached and warm.fit_s == 0.0
+    assert np.array_equal(warm.report.y_test_pred, cold.report.y_test_pred)
+
+    # The report alone cannot serve a caller that needs the model: both
+    # are refitted, and the model is the one behind the report's score.
+    pair = fit_device(data, device, config, store, keep_estimator=True)
+    assert not pair.cached
+    assert np.array_equal(
+        pair.estimator.predict(data.X[pair.report.test_indices]),
+        pair.report.y_test_pred,
+    )
+    again = fit_device(data, device, config, store, keep_estimator=True)
+    assert again.cached
+    assert np.array_equal(
+        again.estimator.predict(data.X), pair.estimator.predict(data.X)
+    )

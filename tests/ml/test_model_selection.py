@@ -8,6 +8,7 @@ from repro.ml.model_selection import (
     KFold,
     cross_val_score,
     grid_search,
+    split_indices,
     train_test_split,
 )
 from repro.ml.tree import DecisionTreeRegressor
@@ -52,6 +53,22 @@ def test_split_validates():
         train_test_split(X, y, test_size=0.0)
     with pytest.raises(ValueError):
         train_test_split(X, y[:5])
+
+
+def test_split_indices_partition_and_match_train_test_split():
+    X, y = _data(30)
+    train_idx, test_idx = split_indices(len(X), test_size=0.2, seed=4)
+    assert len(test_idx) == 6
+    assert sorted(np.concatenate([train_idx, test_idx])) == list(range(30))
+    Xtr, Xte, _, _ = train_test_split(X, y, test_size=0.2, seed=4)
+    assert np.array_equal(Xtr, X[train_idx])
+    assert np.array_equal(Xte, X[test_idx])
+
+
+@pytest.mark.parametrize("test_size", [0.0, 1.0, -0.2, 1.5])
+def test_split_indices_rejects_test_size_outside_unit_interval(test_size):
+    with pytest.raises(ValueError, match="test_size"):
+        split_indices(10, test_size=test_size)
 
 
 def test_kfold_covers_all_indices():

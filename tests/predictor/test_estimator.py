@@ -7,6 +7,7 @@ import pytest
 
 from repro.compiler.search import model_fingerprint
 from repro.evaluation.persistence import save_model
+from repro.ml.model_selection import split_indices
 from repro.predictor.estimator import (
     DEFAULT_PARAM_GRID,
     HellingerEstimator,
@@ -85,6 +86,8 @@ def test_train_test_split_is_disjoint():
     )
     assert len(set(report.test_indices.tolist())) == len(report.test_indices)
     assert len(report.test_indices) == 20
+    _, test_idx = split_indices(100, test_size=0.2, seed=5)
+    assert np.array_equal(report.test_indices, test_idx)
 
 
 def test_deterministic_given_seed():
