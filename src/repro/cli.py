@@ -467,11 +467,11 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_drift_study(args: argparse.Namespace) -> int:
+    import dataclasses
     import json
 
     from .evaluation.drift import (
         DriftStudyConfig,
-        _result_to_dict,
         default_drift_study_config,
         format_drift_table,
         run_drift_study,
@@ -499,10 +499,7 @@ def _cmd_drift_study(args: argparse.Namespace) -> int:
     except (ValueError, RuntimeError) as exc:
         raise SystemExit(str(exc))
     if args.json:
-        payload = _result_to_dict(result)
-        payload["from_cache"] = result.from_cache
-        payload["elapsed_s"] = result.elapsed_s
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(dataclasses.asdict(result), indent=2))
     else:
         print(format_drift_table(result))
     return 0

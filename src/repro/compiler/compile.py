@@ -371,16 +371,6 @@ def _pass_key_hash(
     )
 
 
-def _calibration_hash(device: Device) -> int:
-    """Content hash of the reported fidelities level 3 scores trials on."""
-    calibration = device.reported_calibration
-    return hash((
-        tuple(calibration.one_qubit_fidelity.items()),
-        tuple(calibration.two_qubit_fidelity.items()),
-        tuple(calibration.readout_fidelity.items()),
-    ))
-
-
 def _compile_key(
     cache: Optional[CompileCache],
     circuit: QuantumCircuit,
@@ -399,10 +389,11 @@ def _compile_key(
     do not change the output, but an entry is validated against them
     once, when it is stored, so a hit under the same key is valid
     without a second check.  Level 3 also depends on the reported
-    fidelities its trials are scored on: the key's last term is their
-    content hash (``calibration_hash``, computed here when not given),
-    never the calibration's identity, so an in-place edit changes the
-    key and the trials are scored again.  Pass keys enter as one
+    calibration its trials are scored on: the key's last term is the
+    hash of its :meth:`~repro.hardware.calibration.Calibration.content_key`
+    (``calibration_hash``, computed here when not given), never the
+    calibration's identity, so an in-place edit changes the key and the
+    trials are scored again.  Pass keys enter as one
     memoized content hash, as the circuit does in its fingerprint, so a
     key holds a few ints rather than a copy of the calibration.  The
     leading tag keeps these entries apart from the pass-result keys.
@@ -426,7 +417,7 @@ def _compile_key(
     )
     if optimization_level == 3:
         if calibration_hash is None:
-            calibration_hash = _calibration_hash(device)
+            calibration_hash = hash(device.reported_calibration.content_key())
         key += (calibration_hash,)
     return key
 
@@ -650,7 +641,7 @@ def compile_batch(
 
     cache = active_compile_cache()
     calibration_hash = (
-        _calibration_hash(device)
+        hash(device.reported_calibration.content_key())
         if cache is not None and optimization_level == 3 else None
     )
     keys = [

@@ -37,6 +37,7 @@ over the daemon's ``.npz`` is detected and hot-swapped without a restart
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -197,12 +198,13 @@ class DriftStepResult:
     stale_mae: float
     retrain_pearson: float
     retrain_mae: float
-    retrain_fit_s: float
     retrain_cached: bool
-    #: Seconds to fit the ``max(refresh_trees)`` fresh trees (one fit
-    #: serves every point below).
-    fine_tune_fit_s: float
     fine_tune: List[RefreshPoint] = field(default_factory=list)
+    #: Set on return, never persisted (0.0 on a cache read): the
+    #: retrain's fit seconds, and the seconds to fit the
+    #: ``max(refresh_trees)`` fresh trees (one fit serves every point).
+    retrain_fit_s: float = 0.0
+    fine_tune_fit_s: float = 0.0
 
     def best_fine_tune(self) -> RefreshPoint:
         return max(self.fine_tune, key=lambda point: point.pearson)
@@ -224,35 +226,49 @@ class DriftStudyResult:
     refresh_trees: Tuple[int, ...]
     replace: bool
     base_pearson: float
-    base_fit_s: float
     base_cached: bool
     steps: List[DriftStepResult] = field(default_factory=list)
-    #: Set on return, never persisted: whether this invocation was a pure
-    #: cache read, and its wall-clock seconds.
+    #: Set on return, never persisted: the base fit's seconds (0.0 on a
+    #: cache read), whether this invocation was a pure cache read, and
+    #: its wall-clock seconds.
+    base_fit_s: float = 0.0
     from_cache: bool = False
     elapsed_s: float = 0.0
 
 
-#: Fields set on each return and never persisted.
-_RUN_ONLY = ("from_cache", "elapsed_s")
+#: Fields set on each return and never persisted, so that two cold runs
+#: write the same bytes.
+_RUN_ONLY = frozenset({
+    "base_fit_s", "retrain_fit_s", "fine_tune_fit_s", "from_cache", "elapsed_s",
+})
 
 
 def _result_to_dict(result: DriftStudyResult) -> Dict:
-    data = dataclasses.asdict(result)
-    for name in _RUN_ONLY:
-        del data[name]
-    return data
+    return dataclasses.asdict(result, dict_factory=lambda items: {
+        name: value for name, value in items if name not in _RUN_ONLY
+    })
+
+
+@functools.cache
+def _persisted_fields(cls) -> Tuple[Tuple[str, object], ...]:
+    """``(name, type hint)`` of each persisted field of ``cls``, resolved
+    once per class: :func:`typing.get_type_hints` evaluates the string
+    annotations afresh on every call."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (item.name, hints[item.name])
+        for item in dataclasses.fields(cls)
+        if item.name not in _RUN_ONLY
+    )
 
 
 def _from_fields(hint, value):
     """Rebuild a value of type ``hint`` from its :func:`dataclasses.asdict`
     form; a missing key or a wrongly typed value raises."""
     if dataclasses.is_dataclass(hint):
-        hints = get_type_hints(hint)
         return hint(**{
-            item.name: _from_fields(hints[item.name], value[item.name])
-            for item in dataclasses.fields(hint)
-            if item.name not in _RUN_ONLY
+            name: _from_fields(item_hint, value[name])
+            for name, item_hint in _persisted_fields(hint)
         })
     container = get_origin(hint)
     if container is not None:

@@ -35,7 +35,6 @@ original interface.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -521,7 +520,7 @@ def load_model(path: str | Path):
 # Fingerprints: the cache keys.
 
 
-def config_fingerprint(payload: Dict) -> str:
+def config_fingerprint(payload: Any) -> str:
     """Stable short hash of a JSON-serializable payload (cache keys)."""
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -530,31 +529,11 @@ def config_fingerprint(payload: Dict) -> str:
 def device_fingerprint(device) -> str:
     """Content hash of everything a labelled dataset reads off a device.
 
-    Covers the topology, native gate set, both calibration snapshots
-    (compilation sees the *reported* one, execution the *true* one), and
-    the noise-profile parameters — so a renamed-but-identical device hits
-    the cache while an in-place edit of error rates misses it.  Stable
-    across processes (pure content, no Python ``hash()``).
+    A sha256 over :meth:`~repro.hardware.device.Device.content_key`: the
+    topology, native gate set, both calibration snapshots (compilation
+    sees the *reported* one, execution the *true* one), and the
+    noise-profile parameters — so an in-place edit of error rates misses
+    the cache.  Stable across processes: the key's only ``hash()`` is the
+    coupling fingerprint's, over ints, which Python does not salt.
     """
-    def calibration(cal) -> Dict:
-        return {
-            "one_qubit_fidelity": sorted(cal.one_qubit_fidelity.items()),
-            "two_qubit_fidelity": sorted(
-                (list(edge), value)
-                for edge, value in cal.two_qubit_fidelity.items()
-            ),
-            "readout_fidelity": sorted(cal.readout_fidelity.items()),
-            "t1": sorted(cal.t1.items()),
-            "t2": sorted(cal.t2.items()),
-            "durations": dataclasses.asdict(cal.durations),
-        }
-
-    return config_fingerprint({
-        "name": device.name,
-        "num_qubits": device.num_qubits,
-        "edges": sorted(list(edge) for edge in device.coupling.edges),
-        "native_gates": sorted(device.native_gates),
-        "reported": calibration(device.reported_calibration),
-        "true": calibration(device.true_calibration),
-        "noise": dataclasses.asdict(device.noise),
-    })
+    return config_fingerprint(device.content_key())

@@ -98,6 +98,24 @@ class Calibration:
         values = list(self.readout_fidelity.values())
         return float(np.mean(values)) if values else 1.0
 
+    def content_key(self) -> Tuple:
+        """The snapshot's content: every table's sorted items and the
+        durations, without the bookkeeping timestamp.
+
+        Every device key is derived from this one encoding.  It is built
+        afresh on each call, never memoized, so an in-place edit of a
+        table changes the key.
+        """
+        durations = self.durations
+        return (
+            tuple(sorted(self.one_qubit_fidelity.items())),
+            tuple(sorted(self.two_qubit_fidelity.items())),
+            tuple(sorted(self.readout_fidelity.items())),
+            tuple(sorted(self.t1.items())),
+            tuple(sorted(self.t2.items())),
+            (durations.one_qubit, durations.two_qubit, durations.readout),
+        )
+
     def copy(self, timestamp: str | None = None) -> "Calibration":
         return Calibration(
             one_qubit_fidelity=dict(self.one_qubit_fidelity),

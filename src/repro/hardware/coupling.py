@@ -229,9 +229,14 @@ class CouplingMap:
         return self._routing_tables
 
     def fingerprint(self) -> int:
-        """Content hash of the topology, used in compile-cache keys."""
+        """Content hash of the topology, used in compile-cache keys.
+
+        It hashes each qubit's neighbours in insertion order, the state
+        pickling preserves: BFS and shortest-path tie-breaks read that
+        order, so two maps with equal edge sets can route differently.
+        """
         if self._fingerprint is None:
-            self._fingerprint = hash((self.num_qubits, tuple(self.edges)))
+            self._fingerprint = hash(tuple(tuple(nbrs) for nbrs in self._adj))
         return self._fingerprint
 
     def distance(self, a: int, b: int) -> int:

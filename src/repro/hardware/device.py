@@ -9,8 +9,8 @@ hardware's actual state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet
+from dataclasses import astuple, dataclass, field
+from typing import FrozenSet, Tuple
 
 import numpy as np
 
@@ -77,6 +77,23 @@ class Device:
         :class:`~repro.hardware.coupling.RoutingTables`).
         """
         return self.coupling.routing_tables()
+
+    def content_key(self) -> Tuple:
+        """Everything the compiler and the executor read off this device.
+
+        The name, the topology's memoized fingerprint, the sorted native
+        gates, both calibrations' content keys and the noise parameters.
+        The executor's profile memo and the on-disk device fingerprint
+        are keyed by it.
+        """
+        return (
+            self.name,
+            self.coupling.fingerprint(),
+            tuple(sorted(self.native_gates)),
+            self.reported_calibration.content_key(),
+            self.true_calibration.content_key(),
+            astuple(self.noise),
+        )
 
     def supports(self, gate_name: str) -> bool:
         return gate_name in self.native_gates

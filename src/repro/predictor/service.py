@@ -31,7 +31,6 @@ from ..circuits.circuit import QuantumCircuit, batch_seeds
 from ..compiler.cache import active_compile_cache
 from ..compiler.compile import (
     CompilationResult,
-    _calibration_hash,
     _compile_key,
     compile_batch,
 )
@@ -435,7 +434,10 @@ class FomService:
         cache = active_compile_cache()
         if cache is None or not (isinstance(level, int) and 0 <= level <= 3):
             return None
-        calibration_hash = _calibration_hash(self.device) if level == 3 else None
+        calibration_hash = (
+            hash(self.device.reported_calibration.content_key())
+            if level == 3 else None
+        )
         rows = []
         for circuit, seed in zip(circuits, seeds):
             key = _compile_key(

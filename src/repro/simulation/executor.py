@@ -26,10 +26,10 @@ distribution ``E`` combines locally scrambled copies of ``P`` with a uniform
 background.
 
 Throughput comes from two mechanisms.  All circuit-static quantities
-(success probability, idle schedule, readout flip rates, the structural
-signature of the coherent distortion) are computed once per ``(circuit,
-device)`` content pair and memoized, so repeated executions — PST sweeps,
-seed ensembles, shot-count scans — only pay for sampling.  Sampling itself is
+(success probability, idle schedule, readout flip rates) are computed
+once per ``(circuit, device)`` content pair and memoized, so repeated
+executions — PST sweeps, seed ensembles, shot-count scans — only pay for
+the distortion and sampling.  Sampling itself is
 fully vectorized: one cumulative-distribution table serves every shot via a
 single ``searchsorted`` batch, and scramble/readout bit flips are drawn as
 one ``(shots, width)`` matrix.  :meth:`QPUExecutor.run_batch` executes many
@@ -70,41 +70,6 @@ class ExecutionResult:
         return {k: v / self.shots for k, v in self.counts.items()}
 
 
-def _device_fingerprint(device: Device) -> int:
-    """Content hash of everything the execution profile reads off a device.
-
-    Covers the true calibration tables, noise parameters, coupling edges
-    and native gates (which :meth:`Device.validate_circuit` reads), so
-    in-place drift (e.g. scaling ``true_calibration.t2``) or an edited gate
-    set keys a fresh, re-validated profile.
-    """
-    cal = device.true_calibration
-    noise = device.noise
-    return hash((
-        device.name,
-        frozenset(device.native_gates),
-        tuple(sorted(cal.one_qubit_fidelity.items())),
-        tuple(sorted(cal.two_qubit_fidelity.items())),
-        tuple(sorted(cal.readout_fidelity.items())),
-        tuple(sorted(cal.t1.items())),
-        tuple(sorted(cal.t2.items())),
-        (
-            cal.durations.one_qubit,
-            cal.durations.two_qubit,
-            cal.durations.readout,
-        ),
-        (
-            noise.crosstalk_two_two,
-            noise.crosstalk_two_one,
-            noise.coherent_strength,
-            noise.scramble_locality,
-            noise.garbage_one_bias,
-            noise.readout_asymmetry,
-        ),
-        tuple(sorted(device.coupling.edges)),
-    ))
-
-
 @dataclass
 class _CircuitProfile:
     """Everything about executing a circuit that does not depend on shots."""
@@ -112,16 +77,16 @@ class _CircuitProfile:
     success: float
     diag: Dict[str, float]
     idle: Dict[int, float]
-    signature: int
     clbit_to_qubit: Dict[int, int]
 
 
 #: Circuit-static execution profiles keyed by
-#: ``(circuit_cache_fingerprint(circuit), _device_fingerprint(device))``,
+#: ``(circuit_cache_fingerprint(circuit), hash(device.content_key()))``,
 #: emptied when full.  Content on both sides: an equal copy of a circuit
 #: reuses its profile, while an in-place edit of the circuit or of the
 #: device's calibration, noise, coupling or gate set misses and is
-#: validated afresh.  A reduced Table-I study builds 174 profiles.
+#: validated afresh.  A profile holds nothing its key does not decide.
+#: A reduced Table-I study builds 174 profiles.
 _PROFILE_CACHE: Dict[Tuple[Tuple, int], _CircuitProfile] = {}
 _PROFILE_CACHE_MAX = 1024
 
@@ -161,7 +126,7 @@ class QPUExecutor:
             ideal = ideal_distribution(circuit)
 
         rng = np.random.default_rng(seed)
-        distorted = self._distort(profile.signature, ideal, profile.success)
+        distorted = self._coherent_distortion(circuit, ideal, profile.success)
 
         width = len(next(iter(ideal)))
         outcomes = self._sample_outcomes(
@@ -246,7 +211,7 @@ class QPUExecutor:
         """Validate the circuit and compute (or recall) its static profile."""
         key = (
             circuit_cache_fingerprint(circuit),
-            _device_fingerprint(self.device),
+            hash(self.device.content_key()),
         )
         cached = _PROFILE_CACHE.get(key)
         if cached is not None:
@@ -262,7 +227,6 @@ class QPUExecutor:
             success=success,
             diag=diag,
             idle=idle,
-            signature=self._structural_hash(circuit),
             clbit_to_qubit={clbit: qubit for qubit, clbit in measured},
         )
         if len(_PROFILE_CACHE) >= _PROFILE_CACHE_MAX:
@@ -379,32 +343,28 @@ class QPUExecutor:
 
         Coherent (non-depolarizing) errors shift probability mass between
         nearby outcomes rather than whitening the distribution.  The
-        distortion is a fixed function of (device, circuit structure), so
-        repeated executions see the same systematic error.
+        distortion is a fixed function of (device name, circuit text), so
+        repeated executions see the same systematic error.  Its seed is
+        hashed from the circuit of each execution, not memoized in the
+        profile: the profile's key counts ``rz(-0.0)`` equal to
+        ``rz(0.0)`` while the text does not, so a memoized seed would
+        depend on which of two such circuits ran first.
         """
-        return self._distort(self._structural_hash(circuit), ideal, success)
-
-    def _distort(
-        self, signature: int, ideal: Dict[str, float], success: float
-    ) -> Dict[str, float]:
         strength = self.device.noise.coherent_strength * (1.0 - success)
         if strength <= 0.0:
             return dict(ideal)
-        rng = np.random.default_rng(signature)
+        text = self.device.name + ";" + ";".join(
+            f"{ins.name}{ins.qubits}{tuple(round(p, 6) for p in ins.params)}"
+            for ins in circuit.instructions
+        )
+        digest = hashlib.sha256(text.encode()).digest()
+        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
         keys = sorted(ideal)
         weights = np.array([ideal[k] for k in keys])
         factors = np.exp(strength * rng.standard_normal(len(keys)))
         weights = weights * factors
         weights /= weights.sum()
         return dict(zip(keys, weights))
-
-    def _structural_hash(self, circuit: QuantumCircuit) -> int:
-        text = self.device.name + ";" + ";".join(
-            f"{ins.name}{ins.qubits}{tuple(round(p, 6) for p in ins.params)}"
-            for ins in circuit.instructions
-        )
-        digest = hashlib.sha256(text.encode()).digest()
-        return int.from_bytes(digest[:8], "little")
 
     def _sample_outcomes(
         self,

@@ -1,7 +1,9 @@
 """Tests for the calibration-drift study (repro.evaluation.drift)."""
 
 import dataclasses
+import hashlib
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,10 @@ TINY_GRID = {
     "min_samples_leaf": [1],
     "min_samples_split": [2],
 }
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _tiny_config(cache_dir=None, **overrides) -> DriftStudyConfig:
@@ -85,8 +91,11 @@ def test_warm_rerun_is_pure_cache_read(cached_study):
     warm = run_drift_study(_tiny_config(cache_dir))
     assert warm.from_cache
     assert warm.base_pearson == cold.base_pearson
+    # Fit times are run-only: a cache read fitted nothing.
+    assert warm.base_fit_s == 0.0
     assert len(warm.steps) == len(cold.steps)
     for warm_step, cold_step in zip(warm.steps, cold.steps):
+        assert warm_step.retrain_fit_s == warm_step.fine_tune_fit_s == 0.0
         assert warm_step.stale_pearson == cold_step.stale_pearson
         assert warm_step.retrain_pearson == cold_step.retrain_pearson
         assert warm_step.distance == cold_step.distance
@@ -156,8 +165,9 @@ def test_changed_knob_misses_cache(cached_study):
 
 
 def test_cold_runs_deterministic(tmp_path, cached_study):
-    _, first = cached_study
-    second = run_drift_study(_tiny_config(str(tmp_path / "other-cache")))
+    first_dir, first = cached_study
+    second_dir = tmp_path / "other-cache"
+    second = run_drift_study(_tiny_config(str(second_dir)))
     assert not second.from_cache
     assert second.base_pearson == first.base_pearson
     for a, b in zip(second.steps, first.steps):
@@ -166,6 +176,14 @@ def test_cold_runs_deterministic(tmp_path, cached_study):
         assert [p.pearson for p in a.fine_tune] == [
             p.pearson for p in b.fine_tune
         ]
+    # A cold rerun rewrites every artifact byte for byte, the drift
+    # entry included.
+    written = sorted(path for path in second_dir.rglob("*") if path.is_file())
+    assert any(path.name.startswith("drift") for path in written)
+    for path in written:
+        twin = Path(first_dir) / path.relative_to(second_dir)
+        assert twin.is_file(), path.name
+        assert _sha256(twin) == _sha256(path), path.name
 
 
 def test_runs_without_a_store(cached_study):

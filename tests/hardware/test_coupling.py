@@ -130,6 +130,18 @@ def test_pickle_preserves_neighbor_insertion_order():
     assert clone.fingerprint() == cm.fingerprint()
 
 
+def test_fingerprint_reads_neighbour_insertion_order():
+    # On a 4-cycle both paths from 0 to 2 are shortest; the tie-break
+    # follows insertion order, so equal edge sets route differently.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    cm = CouplingMap(4, edges)
+    flipped = CouplingMap(4, edges[::-1])
+    assert cm.edges == flipped.edges
+    assert cm.shortest_path(0, 2) != flipped.shortest_path(0, 2)
+    assert cm.fingerprint() != flipped.fingerprint()
+    assert CouplingMap(4, edges).fingerprint() == cm.fingerprint()
+
+
 def test_pickle_carries_routing_tables():
     cm = grid_map(3, 3)
     tables = cm.routing_tables()
